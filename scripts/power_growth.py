@@ -13,7 +13,6 @@ import numpy as np
 
 from diskinterp import (
     BoundaryData,
-    OffArcSup,
     build_fatou,
     choose_power,
     cluster_by_oscillation,
@@ -22,15 +21,14 @@ from diskinterp import (
 )
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--gap", type=float, default=2.0,
                     help="angular gap between the two boundary points")
-    ap.add_argument("--grid-size", type=int, default=1 << 14)
     ap.add_argument("--safety-margin", type=float, default=1e-9)
     ap.add_argument("--steps", type=int, default=25)
     ap.add_argument("--out", default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     data = BoundaryData.from_pairs([0.0, args.gap], [0.0, 1.0])
     clustering = cluster_by_oscillation(data, 1e-6)  # forces two clusters
@@ -39,12 +37,11 @@ def main() -> None:
         lam = build_fatou(
             FiniteBoundarySet(tuple(data.set.points[i] for i in sorted(c.members)))
         )
-        rhos.append(sup_off_arc(lam, c.arc, args.grid_size, args.safety_margin))
-    sup = OffArcSup(tuple(rhos), args.grid_size, args.safety_margin)
+        rhos.append(sup_off_arc(lam, c.arc, args.safety_margin))
 
     lines = ["eps,rho,power"]
     for eps in np.logspace(-1, -12, args.steps):
-        n = choose_power(sup, float(eps), len(clustering))
+        n = choose_power(rhos, float(eps), len(clustering))
         lines.append(f"{float(eps)!r},{max(rhos)!r},{n}")
     text = "\n".join(lines) + "\n"
     if args.out is None:

@@ -3,8 +3,9 @@
 Given complex data on a finite set of unit-circle points, the pipeline
 builds a function analytic on the open disk and continuous up to the
 boundary that matches the data up to an explicit truncation bound while its
-boundary modulus stays within a user budget of the data's sup norm. All
-bound claims are measured on declared grids and audited independently.
+boundary modulus stays within a user budget of the data's sup norm. The
+build bounds the boundary modulus without a grid; ``verify`` audits every
+claim independently on declared grids.
 """
 
 from .circle import (
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .fatou import (
     FatouFunction,
-    OffArcSup,
     boundary_imag,
     boundary_modulus,
     build_fatou,
@@ -76,7 +76,6 @@ __all__ = [
     "FiniteBoundarySet",
     "Interpolant",
     "NoContractionError",
-    "OffArcSup",
     "SingularityError",
     "StageApproximant",
     "StagePin",

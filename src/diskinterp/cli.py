@@ -215,8 +215,7 @@ def _certificate_payload(
         "certificate": {
             "sup_norm_input": float(cert.sup_norm_input),
             "eta": float(cert.eta),
-            "grid_size": int(cert.grid_size),
-            "measured_boundary_sup": float(cert.measured_boundary_sup),
+            "boundary_sup_bound": float(cert.boundary_sup_bound),
             "residual_bound_theoretical": float(cert.residual_bound_theoretical),
             "measured_max_residual_on_E": float(cert.measured_max_residual_on_E),
             "safety_margin": float(cert.safety_margin),
@@ -385,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diskinterp",
         description=(
-            "Boundary interpolation on finite circle sets with measured "
+            "Boundary interpolation on finite circle sets with "
             "bound certificates."
         ),
     )

@@ -12,15 +12,17 @@ the peaks. The peak function is F/(1+F), evaluated in the stable form
 Re F >= 0 there.
 
 The module also provides the boundary trace of Im F (a cotangent sum), the
-induced boundary modulus identity |lambda| = |y|/sqrt(1+y^2), grid-estimated
-off-arc suprema, and the minimal power that contracts those suprema below a
-target.
+induced boundary modulus identity |lambda| = |y|/sqrt(1+y^2), off-arc suprema
+and the minimal power that contracts those suprema below a target. No grid is
+needed for the suprema: off the peaks the cotangent sum is strictly
+decreasing, so on a peak-free arc |lambda| is largest at an arc endpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .errors import DomainError, NoContractionError, SingularityError
 PEAK_SNAP = 1e-15     # euclidean snap-to-peak radius for evaluation
 PEAK_ANGLE_SNAP = 1e-15  # angular guard radius for boundary traces
 DISK_SLACK = 1e-12    # |z| tolerance beyond the closed disk
-MIN_SUP_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -41,27 +42,6 @@ class FatouFunction:
 
     def __call__(self, z):
         return eval_fatou(self, z)
-
-
-@dataclass(frozen=True)
-class OffArcSup:
-    """Grid-estimated boundary suprema of per-cluster peak functions off
-    their arcs, with the grid parameters that produced them."""
-
-    per_cluster: tuple[float, ...]
-    grid_size: int
-    safety_margin: float
-
-    def __post_init__(self) -> None:
-        if not self.per_cluster:
-            raise ValueError("at least one off-arc supremum is required")
-        for rho in self.per_cluster:
-            if not (math.isfinite(rho) and 0.0 < rho < 1.0):
-                raise ValueError(f"off-arc supremum {rho!r} outside (0, 1)")
-        if self.grid_size < MIN_SUP_GRID:
-            raise ValueError(f"grid_size must be >= {MIN_SUP_GRID}")
-        if not (math.isfinite(self.safety_margin) and self.safety_margin > 0.0):
-            raise ValueError("safety_margin must be positive")
 
 
 def build_fatou(peaks: FiniteBoundarySet) -> FatouFunction:
@@ -147,19 +127,18 @@ def boundary_modulus(fatou: FatouFunction, theta: Angle) -> float:
 def sup_off_arc(
     fatou: FatouFunction,
     excluded: Arc,
-    grid_size: int,
     safety_margin: float,
 ) -> float:
-    """Upper estimate of sup |lambda| over the boundary outside ``excluded``.
-
-    Maximum of the boundary modulus over a uniform ``grid_size``-point grid
-    on the complementary closed arc (both arc endpoints included), inflated
+    """Supremum of |lambda| over the boundary outside ``excluded``, inflated
     by ``1 + safety_margin``. All peaks must lie inside the excluded arc.
 
-    Raises NoContractionError when the inflated estimate reaches 1.
+    The complementary closed arc holds no peak, so the cotangent sum y, each
+    of whose terms has derivative -csc^2/2, is strictly decreasing on it and
+    |lambda| = |y|/sqrt(1+y^2) is largest at one of the two arc endpoints;
+    the supremum is the larger endpoint value.
+
+    Raises NoContractionError when the inflated supremum reaches 1.
     """
-    if grid_size < MIN_SUP_GRID:
-        raise ValueError(f"grid_size must be >= {MIN_SUP_GRID}, got {grid_size}")
     if not (math.isfinite(safety_margin) and safety_margin > 0.0):
         raise ValueError("safety_margin must be positive")
     for p in fatou.peaks.points:
@@ -167,28 +146,36 @@ def sup_off_arc(
             raise ValueError(
                 f"peak at angle {p.theta!r} lies outside the excluded arc"
             )
-    lo = excluded.center.theta + excluded.half_width
-    hi = excluded.center.theta + TWO_PI - excluded.half_width
-    grid = np.linspace(lo, hi, grid_size)
-    rho = float(np.max(_boundary_modulus_grid(fatou, grid)))
+    ends = np.array(
+        [
+            excluded.center.theta + excluded.half_width,
+            excluded.center.theta + TWO_PI - excluded.half_width,
+        ]
+    )
+    rho = float(np.max(_boundary_modulus_grid(fatou, ends)))
     rho *= 1.0 + safety_margin
     if not rho < 1.0:
         raise NoContractionError(
-            f"off-arc modulus estimate {rho} reached 1; separate close "
+            f"off-arc modulus bound {rho} reached 1; separate close "
             "boundary points or reduce the safety margin"
         )
     return rho
 
 
-def choose_power(rhos: OffArcSup, epsilon: float, n_clusters: int) -> int:
+def choose_power(rhos: Sequence[float], epsilon: float, n_clusters: int) -> int:
     """Smallest integer N >= 1 with rho^N < epsilon/n_clusters for every
-    per-cluster supremum rho."""
+    per-cluster off-arc supremum rho in ``rhos``, each in (0, 1)."""
+    if not rhos:
+        raise ValueError("at least one off-arc supremum is required")
+    for rho in rhos:
+        if not (math.isfinite(rho) and 0.0 < rho < 1.0):
+            raise ValueError(f"off-arc supremum {rho!r} outside (0, 1)")
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be positive and finite")
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
     target = epsilon / n_clusters
-    rho = max(rhos.per_cluster)
+    rho = max(rhos)
     if target >= 1.0:
         return 1
     n = max(1, math.ceil(math.log(target) / math.log(rho)))

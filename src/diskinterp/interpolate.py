@@ -11,9 +11,15 @@ norm while the mismatch on the boundary set stays below eps*(1 + 2*sup).
 Stacking stages against the successive residuals with a summable budget
 schedule yields a function analytic on the disk and continuous up to the
 boundary whose boundary modulus stays below sup + eta and whose values on
-the set match the data up to an explicit truncation bound. Every claimed
-bound is measured on a grid at build time; violations raise
-CertificationError instead of being recorded.
+the set match the data up to an explicit truncation bound.
+
+No bound is measured on a grid. The cluster arcs are pairwise disjoint, so a
+boundary point lies in at most one of them and every other term is at most
+|c_j| rho_j^N there, rho_j the off-arc supremum of lambda_j. The stage sup is
+therefore at most (max_k |c_k| + sum_j |c_j| rho_j^N)/(1+eps), and by the
+maximum modulus principle the same bound holds on the whole disk. Residuals
+are evaluated on the set itself. Violated bounds raise CertificationError
+instead of being recorded.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .errors import CertificationError, DomainError
 from .fatou import (
     DISK_SLACK,
     FatouFunction,
-    OffArcSup,
     build_fatou,
     choose_power,
     eval_fatou,
@@ -48,7 +53,8 @@ RESIDUAL_CERT_TOL = 1e-12  # slack for the final residual certificate check
 
 @dataclass(frozen=True)
 class StageApproximant:
-    """One normalized stage h and its build-time measurements."""
+    """One normalized stage h, its bound on the sup over the closed disk and
+    its measured residual on the set."""
 
     clustering: Clustering
     coefficients: tuple[complex, ...]
@@ -86,12 +92,15 @@ class EtaSchedule:
 
 @dataclass(frozen=True)
 class BoundsCertificate:
-    """Measured and theoretical bounds attached to a finished interpolant."""
+    """Bounds attached to a finished interpolant.
+
+    ``boundary_sup_bound`` is the sum of the stage sup bounds: it bounds the
+    modulus on the closed disk and is at most sup_norm_input + eta.
+    """
 
     sup_norm_input: float
     eta: float
-    grid_size: int
-    measured_boundary_sup: float
+    boundary_sup_bound: float
     residual_bound_theoretical: float
     measured_max_residual_on_E: float
     safety_margin: float
@@ -112,7 +121,7 @@ class StagePin:
 
     A pinned clustering contributes only its partition and arcs; it is
     re-validated against the stage's own data. Pinned epsilon/power skip the
-    adaptive choices but not the certification measurements.
+    adaptive choices but not the certification checks.
     """
 
     clustering: Clustering | None = None
@@ -120,48 +129,14 @@ class StagePin:
     power: int | None = None
 
 
-class _PipelineCaches:
-    """Per-run memoization of grids, off-arc sups, and peak-function traces."""
-
-    def __init__(self):
-        self.grid = {}      # grid_size -> complex boundary nodes
-        self.sup = {}       # (peaks, arc, grid_size, margin) -> rho
-        self.lam_grid = {}  # (peaks, grid_size) -> lambda values on the grid
-
-    def boundary_nodes(self, grid_size: int) -> np.ndarray:
-        nodes = self.grid.get(grid_size)
-        if nodes is None:
-            nodes = np.exp(2j * math.pi * np.arange(grid_size) / grid_size)
-            self.grid[grid_size] = nodes
-        return nodes
-
-    def lam_on_grid(self, lam: FatouFunction, grid_size: int) -> np.ndarray:
-        key = (lam.peaks, grid_size)
-        vals = self.lam_grid.get(key)
-        if vals is None:
-            vals = eval_fatou(lam, self.boundary_nodes(grid_size))
-            self.lam_grid[key] = vals
-        return vals
-
-    def off_arc_sup(self, lam, arc, grid_size, margin) -> float:
-        key = (lam.peaks, arc, grid_size, margin)
-        rho = self.sup.get(key)
-        if rho is None:
-            rho = sup_off_arc(lam, arc, grid_size, margin)
-            self.sup[key] = rho
-        return rho
-
-
 def _build_stage(
     data: BoundaryData,
     epsilon: float,
-    grid_size: int,
     safety_margin: float,
     clustering: Clustering | None,
     power: int | None,
-    caches: _PipelineCaches,
 ):
-    """Build one stage; returns (stage, values on E, values on the grid)."""
+    """Build one stage; returns (stage, values on E)."""
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -179,15 +154,12 @@ def _build_stage(
         )
         for c in clustering.clusters
     )
+    # the sup bound needs the off-arc suprema even when the power is pinned
+    rhos = [
+        sup_off_arc(lam, c.arc, safety_margin)
+        for lam, c in zip(lambdas, clustering.clusters)
+    ]
     if power is None:
-        rhos = OffArcSup(
-            tuple(
-                caches.off_arc_sup(lam, c.arc, grid_size, safety_margin)
-                for lam, c in zip(lambdas, clustering.clusters)
-            ),
-            grid_size,
-            safety_margin,
-        )
         power = choose_power(rhos, epsilon, k)
     elif power < 1:
         raise ValueError("pinned power must be at least 1")
@@ -198,18 +170,18 @@ def _build_stage(
 
     e_points = data.set.complex_points()
     at_e = np.zeros(len(data.set), dtype=complex)
-    on_grid = np.zeros(grid_size, dtype=complex)
     for lam, c in zip(lambdas, coefficients):
         at_e += c * eval_fatou(lam, e_points) ** power
-        on_grid += c * caches.lam_on_grid(lam, grid_size) ** power
     at_e *= normalization
-    on_grid *= normalization
 
-    certified_sup = float(np.max(np.abs(on_grid)))
+    moduli = [abs(c) for c in coefficients]
+    certified_sup = normalization * (
+        max(moduli) + math.fsum(m * rho**power for m, rho in zip(moduli, rhos))
+    )
     certified_residual = float(np.max(np.abs(data.value_array() - at_e)))
     if certified_sup > data.sup_norm:
         raise CertificationError(
-            f"stage boundary sup {certified_sup} exceeds input sup norm "
+            f"stage boundary sup bound {certified_sup} exceeds input sup norm "
             f"{data.sup_norm}"
         )
     residual_bound = epsilon * (1.0 + 2.0 * data.sup_norm)
@@ -228,13 +200,12 @@ def _build_stage(
         certified_sup=certified_sup,
         certified_residual=certified_residual,
     )
-    return stage, at_e, on_grid
+    return stage, at_e
 
 
 def single_stage(
     data: BoundaryData,
     epsilon: float,
-    grid_size: int,
     safety_margin: float,
     *,
     clustering: Clustering | None = None,
@@ -242,15 +213,13 @@ def single_stage(
 ) -> StageApproximant:
     """One clustered, powered, normalized approximation pass over the data.
 
-    Post-normalization the stage satisfies (and certifies by grid
-    measurement) boundary sup <= sup norm of the data and residual on the
-    set < epsilon*(1 + 2*sup). The pre-normalization function is the stage
-    divided by its ``normalization`` field.
+    Post-normalization the stage satisfies (and certifies) sup on the closed
+    disk <= sup norm of the data, by the disjoint-arc bound, and residual on
+    the set < epsilon*(1 + 2*sup), measured on the set. The
+    pre-normalization function is the stage divided by its
+    ``normalization`` field.
     """
-    stage, _, _ = _build_stage(
-        data, epsilon, grid_size, safety_margin, clustering, power,
-        _PipelineCaches(),
-    )
+    stage, _ = _build_stage(data, epsilon, safety_margin, clustering, power)
     return stage
 
 
@@ -286,18 +255,19 @@ def iterative_interpolant(
 
     Stage n approximates the running residual with stage epsilon
     eta_n/(1 + 2*res_sup), so its measured mismatch must come in below
-    eta_n (enforced) while its boundary sup stays below the residual sup.
+    eta_n (enforced) while its sup bound stays below the residual sup.
     Iteration stops after n_max stages or once the residual drops below
     ``RESIDUAL_FLOOR``; zero data yields a zero interpolant with a trivial
-    certificate. The final certificate records the measured boundary sup
-    (below sup + eta, enforced) and the measured residual on the set
+    certificate. The final certificate records the sum of the stage sup
+    bounds (below sup + eta, enforced) and the measured residual on the set
     (below the truncation bound, enforced).
+
+    The build evaluates no boundary grid and does not read ``grid_size``;
+    the parameter stays for callers that pass it positionally.
     """
     schedule = make_schedule(eta, n_max)
-    caches = _PipelineCaches()
     residual = data.value_array()
     stages: list[StageApproximant] = []
-    on_grid_total = np.zeros(grid_size, dtype=complex)
     for n in range(1, n_max + 1):
         res_sup = float(np.max(np.abs(residual)))
         if res_sup < RESIDUAL_FLOOR:
@@ -310,14 +280,12 @@ def iterative_interpolant(
             else eta_n / (1.0 + 2.0 * res_sup)
         )
         stage_data = BoundaryData(data.set, tuple(residual.tolist()))
-        stage, at_e, on_grid = _build_stage(
+        stage, at_e = _build_stage(
             stage_data,
             eps_n,
-            grid_size,
             safety_margin,
             pin.clustering if pin is not None else None,
             pin.power if pin is not None else None,
-            caches,
         )
         if stage.certified_residual > eta_n:
             raise CertificationError(
@@ -325,15 +293,14 @@ def iterative_interpolant(
                 f"budget {eta_n}"
             )
         residual = residual - at_e
-        on_grid_total += on_grid
         stages.append(stage)
 
-    measured_sup = float(np.max(np.abs(on_grid_total))) if stages else 0.0
+    sup_bound = math.fsum(s.certified_sup for s in stages)
     measured_residual = float(np.max(np.abs(residual)))
     bound = residual_bound_after(schedule, len(stages))
-    if measured_sup > data.sup_norm + schedule.eta + SUP_CERT_TOL:
+    if sup_bound > data.sup_norm + schedule.eta + SUP_CERT_TOL:
         raise CertificationError(
-            f"boundary sup {measured_sup} exceeds {data.sup_norm} + eta"
+            f"boundary sup bound {sup_bound} exceeds {data.sup_norm} + eta"
         )
     if measured_residual > bound + RESIDUAL_CERT_TOL:
         raise CertificationError(
@@ -342,8 +309,7 @@ def iterative_interpolant(
     certificate = BoundsCertificate(
         sup_norm_input=data.sup_norm,
         eta=schedule.eta,
-        grid_size=int(grid_size),
-        measured_boundary_sup=measured_sup,
+        boundary_sup_bound=sup_bound,
         residual_bound_theoretical=bound,
         measured_max_residual_on_E=measured_residual,
         safety_margin=float(safety_margin),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diskinterp import (
@@ -216,12 +216,11 @@ def test_clustering_deterministic(rng):
     assert cluster_by_oscillation(data, 0.8) == cluster_by_oscillation(data, 0.8)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_clustering_rotation_equivariance(data_strategy):
-    n = data_strategy.draw(st.integers(1, 8))
+@st.composite
+def rotation_cases(draw):
+    n = draw(st.integers(1, 8))
     thetas = sorted(
-        data_strategy.draw(
+        draw(
             st.lists(
                 st.floats(0, TWO_PI, exclude_max=True),
                 min_size=n,
@@ -230,34 +229,48 @@ def test_clustering_rotation_equivariance(data_strategy):
             )
         )
     )
+    vals = [
+        complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2))) for _ in range(n)
+    ]
+    eps = draw(st.floats(0.1, 3.0))
+    phi = draw(st.floats(0, TWO_PI, exclude_max=True))
+    return thetas, vals, eps, phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotation_cases())
+# the point just below 2*pi comes back from the rotation at 0.0
+@example(([0.5, 1.0, 6.283185307179585], [0j, 0j, 0j], 0.5, 2.0))
+def test_clustering_rotation_equivariance(case):
+    thetas, vals, eps, phi = case
+    n = len(thetas)
     gaps = [b - a for a, b in zip(thetas, thetas[1:])]
     gaps.append(thetas[0] + TWO_PI - thetas[-1])
     assume(min(gaps) > 1e-3)
     srt = sorted(gaps)
     assume(len(srt) < 2 or srt[-1] - srt[-2] > 1e-9)  # unique largest gap
-    vals = [
-        complex(data_strategy.draw(st.floats(-2, 2)), data_strategy.draw(st.floats(-2, 2)))
-        for _ in range(n)
-    ]
-    eps = data_strategy.draw(st.floats(0.1, 3.0))
-    phi = data_strategy.draw(st.floats(0, TWO_PI, exclude_max=True))
 
     base = BoundaryData.from_pairs(thetas, vals)
     rotated = BoundaryData.from_pairs([(t + phi) % TWO_PI for t in thetas], vals)
     assume(len(rotated.set) == n)  # rotation must not collide points
 
-    def angle_sets(clustering, dat, shift):
-        out = []
-        for cl in clustering.clusters:
-            angs = sorted(
-                (dat.set.points[i].theta - shift) % TWO_PI for i in cl.members
-            )
-            out.append(tuple(round(a, 8) for a in angs))
-        return sorted(out)
+    def base_point(theta):
+        """Index of the base point at ``theta`` on the circle (0 == 2*pi)."""
+        angle = normalize_angle(theta)
+        dists = [angular_distance(angle, p) for p in base.set.points]
+        i = int(np.argmin(dists))
+        assert dists[i] < 1e-8
+        return i
+
+    def partition(clustering, dat, shift):
+        return sorted(
+            sorted(base_point(dat.set.points[i].theta - shift) for i in cl.members)
+            for cl in clustering.clusters
+        )
 
     c_base = cluster_by_oscillation(base, eps)
     c_rot = cluster_by_oscillation(rotated, eps)
-    assert angle_sets(c_base, base, 0.0) == angle_sets(c_rot, rotated, phi)
+    assert partition(c_base, base, 0.0) == partition(c_rot, rotated, phi)
 
 
 def test_representative_examples():

@@ -92,7 +92,7 @@ def test_interpolate_zero_data(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["interpolate", problem, "--out", str(out)]) == EXIT_OK
     cert = json.loads(out.read_text())["certificate"]
-    assert cert["measured_boundary_sup"] == 0.0
+    assert cert["boundary_sup_bound"] == 0.0
     assert cert["measured_max_residual_on_E"] == 0.0
     assert cert["n_stages"] == 0
 
@@ -107,7 +107,7 @@ def test_interpolate_writes_certificate_and_grid(tmp_path, problem_file):
     payload = json.loads(out.read_text())
     cert = payload["certificate"]
     assert cert["sup_norm_input"] == pytest.approx(1.0)
-    assert cert["measured_boundary_sup"] <= 1.01 + 1e-9
+    assert cert["boundary_sup_bound"] <= 1.01 + 1e-9
     assert payload["report"]["overall"] is True
     lines = grid_out.read_text().strip().splitlines()
     assert lines[0] == "theta,re,im,abs"
@@ -168,7 +168,7 @@ def test_verify_detects_tampered_value(tmp_path, problem_file, capsys):
     out = tmp_path / "cert.json"
     assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK
     text = out.read_text()
-    key = '"measured_boundary_sup": '
+    key = '"boundary_sup_bound": '
     idx = text.index(key) + len(key)
     # flip one digit inside the float, keeping the JSON well formed
     digit_idx = idx + 3
@@ -179,7 +179,7 @@ def test_verify_detects_tampered_value(tmp_path, problem_file, capsys):
     )
     code = main(["verify", str(tmp_path / "tampered.json"), problem_file])
     assert code == EXIT_CERTIFICATION
-    assert "measured_boundary_sup" in capsys.readouterr().err
+    assert "boundary_sup_bound" in capsys.readouterr().err
 
 
 def test_verify_detects_seed_mismatch(tmp_path, problem_file, capsys):

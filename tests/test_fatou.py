@@ -12,7 +12,6 @@ from diskinterp import (
     DomainError,
     FiniteBoundarySet,
     NoContractionError,
-    OffArcSup,
     SingularityError,
     boundary_imag,
     boundary_modulus,
@@ -222,7 +221,7 @@ def test_sup_off_arc_closed_form():
     # single peak: |lambda(e^{i t})| = |cos(t/2)|, sup over |t| >= pi/2 is cos(pi/4)
     f = single_peak()
     arc = Arc(Angle(0.0), math.pi / 2)
-    rho = sup_off_arc(f, arc, 4096, 1e-6)
+    rho = sup_off_arc(f, arc, 1e-6)
     assert rho == pytest.approx(math.sqrt(2) / 2 * (1 + 1e-6), rel=1e-12)
     assert rho < 1.0
 
@@ -230,7 +229,7 @@ def test_sup_off_arc_closed_form():
 def test_sup_off_arc_monotone_in_arc():
     f = single_peak()
     rhos = [
-        sup_off_arc(f, Arc(Angle(0.0), hw), 8192, 1e-9)
+        sup_off_arc(f, Arc(Angle(0.0), hw), 1e-9)
         for hw in (0.5, 1.0, math.pi / 2, 2.0)
     ]
     assert all(a >= b for a, b in zip(rhos, rhos[1:]))
@@ -239,16 +238,14 @@ def test_sup_off_arc_monotone_in_arc():
 def test_sup_off_arc_peak_outside_arc_rejected():
     g = two_peaks()
     with pytest.raises(ValueError):
-        sup_off_arc(g, Arc(Angle(0.0), 0.5), 4096, 1e-6)
+        sup_off_arc(g, Arc(Angle(0.0), 0.5), 1e-6)
 
 
 def test_sup_off_arc_parameter_validation():
     f = single_peak()
     arc = Arc(Angle(0.0), 1.0)
     with pytest.raises(ValueError):
-        sup_off_arc(f, arc, 1024, 1e-6)  # grid too small
-    with pytest.raises(ValueError):
-        sup_off_arc(f, arc, 4096, 0.0)
+        sup_off_arc(f, arc, 0.0)
 
 
 def test_sup_off_arc_no_contraction():
@@ -256,7 +253,7 @@ def test_sup_off_arc_no_contraction():
     f = single_peak()
     arc = Arc(Angle(0.0), 1e-7)
     with pytest.raises(NoContractionError):
-        sup_off_arc(f, arc, 4096, 1e-3)
+        sup_off_arc(f, arc, 1e-3)
 
 
 # ---------------------------------------------------------------- power choice
@@ -271,15 +268,14 @@ def brute_force_power(rho: float, target: float) -> int:
 
 
 def test_choose_power_examples():
-    rhos = OffArcSup((math.sqrt(2) / 2,), 4096, 1e-9)
-    n = choose_power(rhos, 0.01, 1)
+    n = choose_power((math.sqrt(2) / 2,), 0.01, 1)
     assert n == 14
     assert n == brute_force_power(math.sqrt(2) / 2, 0.01)
     assert (math.sqrt(2) / 2) ** 13 >= 0.01
     assert (math.sqrt(2) / 2) ** 14 < 0.01
 
-    assert choose_power(OffArcSup((0.5,), 4096, 1e-9), 0.6, 1) == 1
-    assert choose_power(OffArcSup((0.5,), 4096, 1e-9), 2.4, 4) == 1
+    assert choose_power((0.5,), 0.6, 1) == 1
+    assert choose_power((0.5,), 2.4, 4) == 1
 
 
 @settings(max_examples=150)
@@ -289,8 +285,7 @@ def test_choose_power_examples():
     st.integers(1, 20),
 )
 def test_choose_power_minimal(rho, epsilon, n_clusters):
-    rhos = OffArcSup((rho,), 4096, 1e-9)
-    n = choose_power(rhos, epsilon, n_clusters)
+    n = choose_power((rho,), epsilon, n_clusters)
     target = epsilon / n_clusters
     assert rho**n < target
     if n > 1:
@@ -301,10 +296,8 @@ def test_choose_power_minimal(rho, epsilon, n_clusters):
 
 def test_off_arc_sup_validation():
     with pytest.raises(ValueError):
-        OffArcSup((1.0,), 4096, 1e-9)
+        choose_power((1.0,), 0.01, 1)
     with pytest.raises(ValueError):
-        OffArcSup((0.5,), 100, 1e-9)
+        choose_power((), 0.01, 1)
     with pytest.raises(ValueError):
-        OffArcSup((), 4096, 1e-9)
-    with pytest.raises(ValueError):
-        choose_power(OffArcSup((0.5,), 4096, 1e-9), -1.0, 1)
+        choose_power((0.5,), -1.0, 1)

@@ -72,7 +72,7 @@ def test_truncated_tail_bound():
 
 def test_stage_zero_data():
     data = BoundaryData.from_pairs([0.0, 2.0], [0.0, 0.0])
-    st_ = single_stage(data, 0.1, GRID, MARGIN)
+    st_ = single_stage(data, 0.1, MARGIN)
     assert all(c == 0 for c in st_.coefficients)
     assert st_.certified_sup == 0.0
     assert st_.certified_residual == 0.0
@@ -82,7 +82,7 @@ def test_stage_zero_data():
 def test_stage_single_point_closed_form():
     # E={1}, f=1, eps=0.01: arc half-width pi/2, power 14, h=(1/1.01)((1+z)/2)^14
     data = BoundaryData.from_pairs([0.0], [1.0])
-    st_ = single_stage(data, 0.01, GRID, 1e-6)
+    st_ = single_stage(data, 0.01, 1e-6)
     assert st_.power == 14
     assert st_.normalization == pytest.approx(1 / 1.01, rel=1e-15)
     assert eval_stage(st_, 1 + 0j) == pytest.approx(1 / 1.01, rel=1e-14)
@@ -97,7 +97,7 @@ def test_stage_bounds_on_seeded_problems(rng):
     for _ in range(8):
         data = random_problem(rng, 8)
         eps = float(rng.uniform(0.03, 0.4))
-        st_ = single_stage(data, eps, GRID, MARGIN)
+        st_ = single_stage(data, eps, MARGIN)
         sup = data.sup_norm
         pre_sup = st_.certified_sup / st_.normalization
         assert pre_sup <= (1 + eps) * sup + 1e-9
@@ -112,9 +112,9 @@ def test_stage_bounds_on_seeded_problems(rng):
 def test_stage_rejects_bad_epsilon():
     data = BoundaryData.from_pairs([0.0], [1.0])
     with pytest.raises(ValueError):
-        single_stage(data, 0.0, GRID, MARGIN)
+        single_stage(data, 0.0, MARGIN)
     with pytest.raises(ValueError):
-        single_stage(data, -0.1, GRID, MARGIN)
+        single_stage(data, -0.1, MARGIN)
 
 
 def test_stage_propagates_no_contraction():
@@ -122,14 +122,14 @@ def test_stage_propagates_no_contraction():
     # tiny clearance; the inflated off-arc estimate reaches 1
     data = BoundaryData.from_pairs([0.0, 1e-5], [0.0, 1.0])
     with pytest.raises(NoContractionError):
-        single_stage(data, 0.1, GRID, 1e-6)
+        single_stage(data, 0.1, 1e-6)
 
 
 def test_stage_pinned_power_certification_failure():
     # power 1 leaves heavy cross-cluster leakage; the residual contract breaks
     data = BoundaryData.from_pairs([0.0, 2.0], [1.0, 1.0 + 1.0j])
     with pytest.raises(CertificationError):
-        single_stage(data, 1e-3, GRID, MARGIN, power=1)
+        single_stage(data, 1e-3, MARGIN, power=1)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -140,7 +140,7 @@ def test_pipeline_zero_data():
     g = iterative_interpolant(data, 0.01, 5, GRID, MARGIN)
     assert len(g.stages) == 0
     cert = g.certificate
-    assert cert.measured_boundary_sup == 0.0
+    assert cert.boundary_sup_bound == 0.0
     assert cert.measured_max_residual_on_E == 0.0
     assert cert.residual_bound_theoretical == 0.0
     zs = np.array([0.0 + 0j, 0.5j, 1.0 + 0j])
@@ -152,13 +152,12 @@ def test_pipeline_certificate_bounds(rng):
         data = random_problem(rng, 6)
         g = iterative_interpolant(data, 0.02, 10, GRID, MARGIN)
         cert = g.certificate
-        assert cert.measured_boundary_sup <= data.sup_norm + 0.02 + 1e-9
+        assert cert.boundary_sup_bound <= data.sup_norm + 0.02 + 1e-9
         assert (
             cert.measured_max_residual_on_E
             <= cert.residual_bound_theoretical + 1e-12
         )
         assert cert.sup_norm_input == data.sup_norm
-        assert cert.grid_size == GRID
 
 
 def test_pipeline_telescoping_and_sup_chain(rng):
@@ -284,3 +283,17 @@ def test_max_modulus_consistency(rng):
     )
     interior = np.max(np.abs(eval_interpolant(g, zr)))
     assert interior <= boundary + 1e-9
+
+
+def test_sup_bound_covers_narrow_peaks():
+    # the peaks at 1.0 and 1.001 are narrower than a 2^14 grid's spacing,
+    # so a bound read off that grid would fall below max|g(E)|
+    thetas = [1.0, 1.001, 3.2, 4.9]
+    data = BoundaryData.from_pairs(thetas, [1, -1, 0.6 + 0.3j, -0.2 + 0.7j])
+    g = iterative_interpolant(data, 0.01, 4, GRID, MARGIN)
+    bound = g.certificate.boundary_sup_bound
+    at_e = np.abs(eval_interpolant(g, data.set.complex_points()))
+    assert bound >= np.max(at_e)
+    assert bound <= data.sup_norm + 0.01
+    near = np.concatenate([t + np.linspace(-2e-3, 2e-3, 4001) for t in thetas])
+    assert np.max(np.abs(eval_interpolant(g, np.exp(1j * near)))) <= bound
