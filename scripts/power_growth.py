@@ -13,9 +13,9 @@ import numpy as np
 
 from diskinterp import (
     BoundaryData,
-    build_fatou,
     choose_power,
     cluster_by_oscillation,
+    FatouFunction,
     FiniteBoundarySet,
     sup_off_arc,
 )
@@ -34,7 +34,7 @@ def main(argv=None) -> None:
     clustering = cluster_by_oscillation(data, 1e-6)  # forces two clusters
     rhos = []
     for c in clustering.clusters:
-        lam = build_fatou(
+        lam = FatouFunction(
             FiniteBoundarySet(tuple(data.set.points[i] for i in sorted(c.members)))
         )
         rhos.append(sup_off_arc(lam, c.arc, args.safety_margin))

@@ -30,7 +30,6 @@ from .fatou import (
     FatouFunction,
     boundary_imag,
     boundary_modulus,
-    build_fatou,
     choose_power,
     eval_fatou,
     sup_off_arc,
@@ -83,7 +82,6 @@ __all__ = [
     "angular_distance",
     "boundary_imag",
     "boundary_modulus",
-    "build_fatou",
     "check_boundary_sup",
     "check_cauchy_identity",
     "check_max_modulus",

@@ -30,11 +30,6 @@ class Angle:
                 f"angle {self.theta!r} outside [0, 2*pi); use normalize_angle"
             )
 
-    @property
-    def point(self) -> complex:
-        """The boundary point e^(i*theta)."""
-        return complex(math.cos(self.theta), math.sin(self.theta))
-
 
 def normalize_angle(theta: float) -> Angle:
     """Reduce a finite angle modulo 2*pi into [0, 2*pi)."""

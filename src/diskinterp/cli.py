@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -26,16 +25,15 @@ import numpy as np
 
 from .circle import BoundaryData, FiniteBoundarySet
 from .errors import CertificationError, NoContractionError
-from .fatou import build_fatou, eval_fatou
+from .fatou import FatouFunction, eval_fatou
 from .interpolate import Interpolant, eval_interpolant, iterative_interpolant
-from .verify import VerificationReport, verify_interpolant
+from .verify import DEFAULT_GRID_SIZE, VerificationReport, verify_interpolant
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_CERTIFICATION = 4
 
-GRID_ENV_VAR = "DISKINTERP_GRID_SIZE"
 MIN_GRID_SIZE = 4096
 DEFAULT_N_MAX = 20
 DEFAULT_SAFETY_MARGIN = 1e-9
@@ -49,19 +47,6 @@ class ParseFailure(Exception):
 
 class ValidationFailure(Exception):
     """Well-formed input violating a domain invariant."""
-
-
-def default_grid_size() -> int:
-    """Default boundary grid size, overridable via the environment."""
-    raw = os.environ.get(GRID_ENV_VAR)
-    if raw is None:
-        return 1 << 16
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationFailure(
-            f"{GRID_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
 
 
 def _require_number(obj, key, where) -> float:
@@ -122,7 +107,7 @@ class ProblemSpec:
             points=tuple(points),
             eta=_require_number(obj, "eta", "problem"),
             n_max=_require_int(obj, "n_max", "problem", DEFAULT_N_MAX),
-            grid_size=_require_int(obj, "grid_size", "problem", default_grid_size()),
+            grid_size=_require_int(obj, "grid_size", "problem", DEFAULT_GRID_SIZE),
             safety_margin=_optional_number(
                 obj, "safety_margin", "problem", DEFAULT_SAFETY_MARGIN
             ),
@@ -260,7 +245,7 @@ def _parse_peaks_file(path: str) -> FiniteBoundarySet:
 
 def cmd_fatou(args) -> int:
     peaks = _parse_peaks_file(args.peaks_file)
-    fatou = build_fatou(peaks)
+    fatou = FatouFunction(peaks)
     k = args.eval_grid
     if k < 1:
         raise ValidationFailure("--eval-grid must be at least 1")

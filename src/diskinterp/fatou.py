@@ -36,24 +36,13 @@ DISK_SLACK = 1e-12    # |z| tolerance beyond the closed disk
 
 @dataclass(frozen=True)
 class FatouFunction:
-    """Peak function for a finite boundary set."""
+    """Peak function for a finite boundary set: exactly 1 on ``peaks`` and
+    below 1 in modulus everywhere else on the closed disk."""
 
     peaks: FiniteBoundarySet
 
-    def __call__(self, z):
-        return eval_fatou(self, z)
 
-
-def build_fatou(peaks: FiniteBoundarySet) -> FatouFunction:
-    """Peak function that is exactly 1 on ``peaks`` and below 1 in modulus
-    everywhere else on the closed disk."""
-    if len(peaks) == 0:  # unreachable through FiniteBoundarySet, kept defensive
-        raise ValueError("peak set must be non-empty")
-    return FatouFunction(peaks)
-
-
-def _half_plane_sum(fatou: FatouFunction, zs: np.ndarray) -> np.ndarray:
-    a = fatou.peaks.complex_points()
+def _half_plane_sum(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
     F = np.zeros_like(zs, dtype=complex)
     for aj in a:
         F = F + (aj + zs) / (aj - zs)
@@ -76,7 +65,7 @@ def eval_fatou(fatou: FatouFunction, z):
     for aj in a:
         near |= np.abs(zs - aj) <= PEAK_SNAP
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = 1.0 - 1.0 / (1.0 + _half_plane_sum(fatou, zs))
+        lam = 1.0 - 1.0 / (1.0 + _half_plane_sum(a, zs))
     lam = np.where(near, 1.0 + 0.0j, lam)
     if zs.ndim == 0:
         return complex(lam[()])

@@ -40,7 +40,6 @@ from .errors import CertificationError, DomainError
 from .fatou import (
     DISK_SLACK,
     FatouFunction,
-    build_fatou,
     choose_power,
     eval_fatou,
     sup_off_arc,
@@ -129,6 +128,20 @@ class StagePin:
     power: int | None = None
 
 
+def _stage_sum(
+    lambdas: Sequence[FatouFunction],
+    coefficients: Sequence[complex],
+    power: int,
+    normalization: float,
+    zs: np.ndarray,
+) -> np.ndarray:
+    """normalization * sum_k c_k * lambda_k(zs)^power."""
+    total = np.zeros(zs.shape, dtype=complex)
+    for lam, c in zip(lambdas, coefficients):
+        total += c * eval_fatou(lam, zs) ** power
+    return normalization * total
+
+
 def _build_stage(
     data: BoundaryData,
     epsilon: float,
@@ -149,7 +162,7 @@ def _build_stage(
         )
     k = len(clustering)
     lambdas = tuple(
-        build_fatou(
+        FatouFunction(
             FiniteBoundarySet(tuple(data.set.points[i] for i in sorted(c.members)))
         )
         for c in clustering.clusters
@@ -168,11 +181,9 @@ def _build_stage(
     )
     normalization = 1.0 / (1.0 + epsilon)
 
-    e_points = data.set.complex_points()
-    at_e = np.zeros(len(data.set), dtype=complex)
-    for lam, c in zip(lambdas, coefficients):
-        at_e += c * eval_fatou(lam, e_points) ** power
-    at_e *= normalization
+    at_e = _stage_sum(
+        lambdas, coefficients, power, normalization, data.set.complex_points()
+    )
 
     moduli = [abs(c) for c in coefficients]
     certified_sup = normalization * (
@@ -318,10 +329,9 @@ def iterative_interpolant(
 
 
 def _stage_values(stage: StageApproximant, zs: np.ndarray) -> np.ndarray:
-    total = np.zeros(zs.shape, dtype=complex)
-    for lam, c in zip(stage.lambdas, stage.coefficients):
-        total += c * eval_fatou(lam, zs) ** stage.power
-    return stage.normalization * total
+    return _stage_sum(
+        stage.lambdas, stage.coefficients, stage.power, stage.normalization, zs
+    )
 
 
 def eval_stage(stage: StageApproximant, z):

@@ -1,24 +1,23 @@
-"""Independent numerical audits of interpolants and peak functions.
+"""Independent numerical audits of interpolants.
 
-Each check re-measures one certificate-level claim on its own grid or sample
-and records the grid parameters, tolerance, and seed it used, so a report is
-reproducible and tightenable. Checks are pure and deterministic given their
-parameters.
+Each check re-measures one certificate-level claim by evaluating the
+interpolant on a declared grid or sample and records the grid parameters,
+tolerance, and seed it used, so a report is reproducible and tightenable.
+The boundary grid is evaluated once per report: the maximum-modulus check
+takes its ceiling from the boundary-sup check's grid maximum. Checks are pure
+and deterministic given their parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from .circle import BoundaryData, FiniteBoundarySet
-from .fatou import FatouFunction, eval_fatou
+from .circle import BoundaryData
 from .interpolate import Interpolant, eval_interpolant
-
-Evaluable = Union[FatouFunction, Interpolant]
 
 DEFAULT_GRID_SIZE = 1 << 16
 DEFAULT_SUP_TOL = 1e-9
@@ -50,60 +49,33 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _evaluate(obj: Evaluable, zs):
-    if isinstance(obj, Interpolant):
-        return eval_interpolant(obj, zs)
-    if isinstance(obj, FatouFunction):
-        return eval_fatou(obj, zs)
-    raise TypeError(f"cannot evaluate object of type {type(obj).__name__}")
-
-
-def _boundary_max(obj: Evaluable, grid_size: int) -> float:
-    zs = np.exp(2j * math.pi * np.arange(grid_size) / grid_size)
-    return float(np.max(np.abs(_evaluate(obj, zs))))
-
-
 def check_peak_values(
-    obj: Evaluable,
-    boundary_set: FiniteBoundarySet,
-    data: BoundaryData | None,
-    tol: float,
+    interpolant: Interpolant, data: BoundaryData, tol: float
 ) -> CheckResult:
-    """Largest mismatch on the boundary set against its targets.
-
-    For a peak function the targets are identically 1 and the threshold is
-    ``tol`` itself; for an interpolant the targets are the data values and
-    the threshold adds the certificate's truncation bound.
-    """
+    """Largest mismatch on the data's boundary set against the data values,
+    with threshold the certificate's truncation bound plus ``tol``."""
     if tol < 0.0:
         raise ValueError("tol must be non-negative")
-    zs = boundary_set.complex_points()
-    vals = np.asarray(_evaluate(obj, zs))
-    if isinstance(obj, Interpolant):
-        if data is None:
-            raise ValueError("interpolant check needs the boundary data")
-        targets = data.value_array()
-        threshold = obj.certificate.residual_bound_theoretical + tol
-    else:
-        targets = np.ones(len(boundary_set), dtype=complex)
-        threshold = tol
-    measured = float(np.max(np.abs(vals - targets)))
+    vals = eval_interpolant(interpolant, data.set.complex_points())
+    threshold = interpolant.certificate.residual_bound_theoretical + tol
+    measured = float(np.max(np.abs(vals - data.value_array())))
     return CheckResult(
         name="peak_values",
         passed=measured <= threshold,
         measured=measured,
         threshold=threshold,
-        params={"n_points": len(boundary_set), "tol": float(tol)},
+        params={"n_points": len(data.set), "tol": float(tol)},
     )
 
 
 def check_boundary_sup(
-    obj: Evaluable, bound: float, grid_size: int, tol: float
+    interpolant: Interpolant, bound: float, grid_size: int, tol: float
 ) -> CheckResult:
     """Maximum modulus over a uniform boundary grid against ``bound + tol``."""
     if grid_size < MIN_SUP_CHECK_GRID:
         raise ValueError(f"grid_size must be >= {MIN_SUP_CHECK_GRID}")
-    measured = _boundary_max(obj, grid_size)
+    zs = np.exp(2j * math.pi * np.arange(grid_size) / grid_size)
+    measured = float(np.max(np.abs(eval_interpolant(interpolant, zs))))
     threshold = float(bound) + float(tol)
     return CheckResult(
         name="boundary_sup",
@@ -115,24 +87,23 @@ def check_boundary_sup(
 
 
 def check_max_modulus(
-    obj: Evaluable,
+    interpolant: Interpolant,
     interior_samples: int,
-    grid_size: int,
+    boundary: CheckResult,
     tol: float,
     seed: int = 0,
 ) -> CheckResult:
-    """Interior maximum (seeded uniform disk samples) against the boundary
-    grid maximum plus ``tol``; an analyticity witness."""
+    """Interior maximum (seeded uniform disk samples) against the grid
+    maximum of ``boundary``, a ``check_boundary_sup`` result, plus ``tol``;
+    an analyticity witness."""
     if interior_samples < MIN_INTERIOR_SAMPLES:
         raise ValueError(f"interior_samples must be >= {MIN_INTERIOR_SAMPLES}")
-    if grid_size < MIN_SUP_CHECK_GRID:
-        raise ValueError(f"grid_size must be >= {MIN_SUP_CHECK_GRID}")
     rng = np.random.default_rng(seed)
     radii = (1.0 - INTERIOR_SHRINK) * np.sqrt(rng.uniform(size=interior_samples))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=interior_samples)
     zs = radii * np.exp(1j * phases)
-    measured = float(np.max(np.abs(_evaluate(obj, zs))))
-    threshold = _boundary_max(obj, grid_size) + float(tol)
+    measured = float(np.max(np.abs(eval_interpolant(interpolant, zs))))
+    threshold = boundary.measured + float(tol)
     return CheckResult(
         name="max_modulus",
         passed=measured <= threshold,
@@ -140,7 +111,7 @@ def check_max_modulus(
         threshold=threshold,
         params={
             "interior_samples": int(interior_samples),
-            "grid_size": int(grid_size),
+            "grid_size": boundary.params["grid_size"],
             "tol": float(tol),
             "seed": int(seed),
         },
@@ -148,7 +119,7 @@ def check_max_modulus(
 
 
 def check_cauchy_identity(
-    obj: Evaluable,
+    interpolant: Interpolant,
     z0: complex,
     radius: float,
     quad_points: int,
@@ -168,8 +139,8 @@ def check_cauchy_identity(
     if quad_points < MIN_QUAD_POINTS:
         raise ValueError(f"quad_points must be >= {MIN_QUAD_POINTS}")
     w = radius * np.exp(2j * math.pi * np.arange(quad_points) / quad_points)
-    mean = np.mean(_evaluate(obj, w) * w / (w - z0))
-    measured = float(abs(mean - _evaluate(obj, z0)))
+    mean = np.mean(eval_interpolant(interpolant, w) * w / (w - z0))
+    measured = float(abs(mean - eval_interpolant(interpolant, z0)))
     return CheckResult(
         name=name,
         passed=measured <= tol,
@@ -216,14 +187,13 @@ def verify_interpolant(
     sup against sup + eta, the maximum-modulus inequality, and a batch of
     seeded contour-integral identities."""
     cert = interpolant.certificate
+    boundary = check_boundary_sup(
+        interpolant, cert.sup_norm_input + cert.eta, grid_size, sup_tol
+    )
     checks = [
-        check_peak_values(interpolant, data.set, data, residual_tol),
-        check_boundary_sup(
-            interpolant, cert.sup_norm_input + cert.eta, grid_size, sup_tol
-        ),
-        check_max_modulus(
-            interpolant, interior_samples, grid_size, sup_tol, seed=seed
-        ),
+        check_peak_values(interpolant, data, residual_tol),
+        boundary,
+        check_max_modulus(interpolant, interior_samples, boundary, sup_tol, seed=seed),
     ]
     for i, (z0, radius) in enumerate(cauchy_sample_points(seed, cauchy_pairs)):
         checks.append(

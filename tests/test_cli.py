@@ -144,14 +144,16 @@ def test_interpolate_small_grid_rejected(tmp_path):
     assert main(["interpolate", problem]) == EXIT_VALIDATION
 
 
-def test_grid_size_env_default(tmp_path, monkeypatch):
+def test_grid_size_default_ignores_environment(tmp_path, monkeypatch):
+    # the default grid is a constant: no variable can make verify disagree
     spec = {k: v for k, v in PROBLEM.items() if k != "grid_size"}
     problem = write_json(tmp_path / "nogrid.json", spec)
     out = tmp_path / "cert.json"
-    monkeypatch.setenv("DISKINTERP_GRID_SIZE", "4096")
+    monkeypatch.delenv("DISKINTERP_GRID_SIZE", raising=False)
     assert main(["interpolate", problem, "--out", str(out)]) == EXIT_OK
-    payload = json.loads(out.read_text())
-    assert payload["problem"]["grid_size"] == 4096
+    assert json.loads(out.read_text())["problem"]["grid_size"] == 1 << 16
+    monkeypatch.setenv("DISKINTERP_GRID_SIZE", "4096")
+    assert main(["verify", str(out), problem]) == EXIT_OK
 
 
 # ---------------------------------------------------------------- verify

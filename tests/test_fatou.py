@@ -10,12 +10,12 @@ from diskinterp import (
     Angle,
     Arc,
     DomainError,
+    FatouFunction,
     FiniteBoundarySet,
     NoContractionError,
     SingularityError,
     boundary_imag,
     boundary_modulus,
-    build_fatou,
     choose_power,
     eval_fatou,
     normalize_angle,
@@ -26,11 +26,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def single_peak():
-    return build_fatou(FiniteBoundarySet.from_thetas([0.0]))
+    return FatouFunction(FiniteBoundarySet.from_thetas([0.0]))
 
 
 def two_peaks():
-    return build_fatou(FiniteBoundarySet.from_thetas([0.0, math.pi]))
+    return FatouFunction(FiniteBoundarySet.from_thetas([0.0, math.pi]))
 
 
 # ---------------------------------------------------------------- build/eval
@@ -61,7 +61,7 @@ def test_peak_values_exactly_one(rng):
     for _ in range(20):
         n = int(rng.integers(1, 15))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
-        f = build_fatou(E)
+        f = FatouFunction(E)
         vals = eval_fatou(f, E.complex_points())
         assert np.all(vals == 1.0)
 
@@ -88,7 +88,7 @@ def test_strict_contraction(rng):
     for _ in range(3):
         n = int(rng.integers(1, 12))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
-        f = build_fatou(E)
+        f = FatouFunction(E)
         peaks = E.complex_points()
         mask = np.ones(len(grid), dtype=bool)
         for a in peaks:
@@ -106,7 +106,7 @@ def test_radial_limit_monotone(rng):
     for _ in range(5):
         n = int(rng.integers(1, 8))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
-        f = build_fatou(E)
+        f = FatouFunction(E)
         for a in E.complex_points():
             gaps = [abs(eval_fatou(f, a * (1 - 10.0**-k)) - 1) for k in range(2, 9)]
             assert all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
@@ -118,7 +118,7 @@ def test_right_half_plane_inside(rng):
     for _ in range(4):
         n = int(rng.integers(1, 10))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
-        f = build_fatou(E)
+        f = FatouFunction(E)
         zr = (
             (1 - 1e-9)
             * np.sqrt(rng.uniform(size=10**4))
@@ -145,8 +145,8 @@ def test_power_monotonicity(rng):
 def test_rotation_equivariance(rng):
     thetas = np.sort(rng.uniform(0, TWO_PI, 5))
     phi = 0.777
-    f = build_fatou(FiniteBoundarySet.from_thetas(thetas))
-    frot = build_fatou(FiniteBoundarySet.from_thetas((thetas + phi) % TWO_PI))
+    f = FatouFunction(FiniteBoundarySet.from_thetas(thetas))
+    frot = FatouFunction(FiniteBoundarySet.from_thetas((thetas + phi) % TWO_PI))
     zs = 0.9 * np.exp(2j * np.pi * np.arange(200) / 200)
     diff = eval_fatou(frot, np.exp(1j * phi) * zs) - eval_fatou(f, zs)
     assert np.max(np.abs(diff)) < 1e-12
@@ -199,7 +199,7 @@ def test_boundary_modulus_matches_eval(rng):
     for _ in range(3):
         n = int(rng.integers(1, 10))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
-        f = build_fatou(E)
+        f = FatouFunction(E)
         thetas = rng.uniform(0, TWO_PI, 10**4)
         dist = np.min(
             np.abs(np.exp(1j * thetas)[:, None] - E.complex_points()[None, :]),

@@ -5,13 +5,12 @@ import pytest
 
 from diskinterp import (
     BoundaryData,
-    FiniteBoundarySet,
-    build_fatou,
     check_boundary_sup,
     check_cauchy_identity,
     check_max_modulus,
     check_peak_values,
     eval_fatou,
+    eval_interpolant,
     iterative_interpolant,
     verify_interpolant,
 )
@@ -30,19 +29,21 @@ def pipeline_output(rng):
     return data, iterative_interpolant(data, 0.01, 10, GRID, 1e-9)
 
 
+def peak_interpolant(thetas):
+    """One-stage interpolant of the value 1 on ``thetas``: the points form
+    one cluster, so it is lambda^N/(1+eps) for the set's peak function."""
+    data = BoundaryData.from_pairs(thetas, [1.0] * len(thetas))
+    g = iterative_interpolant(data, 0.5, 1, GRID, 1e-9)
+    assert len(g.stages[0].lambdas) == 1
+    return g
+
+
 # ---------------------------------------------------------------- peak values
-
-
-def test_peak_values_fatou_exact():
-    f = build_fatou(FiniteBoundarySet.from_thetas([0.3, 2.0, 5.5]))
-    res = check_peak_values(f, f.peaks, None, tol=0.0)
-    assert res.passed
-    assert res.measured == 0.0
 
 
 def test_peak_values_zero_interpolant():
     data, g = zero_interpolant()
-    res = check_peak_values(g, data.set, data, tol=0.0)
+    res = check_peak_values(g, data, tol=0.0)
     assert res.passed
     assert res.measured == 0.0
 
@@ -60,15 +61,15 @@ def test_peak_values_one_stage_example():
 
 def test_peak_values_interpolant_threshold(rng):
     data, g = pipeline_output(rng)
-    res = check_peak_values(g, data.set, data, tol=1e-12)
+    res = check_peak_values(g, data, tol=1e-12)
     assert res.passed
     assert res.threshold == g.certificate.residual_bound_theoretical + 1e-12
 
 
 def test_peak_values_rejects_negative_tol():
-    f = build_fatou(FiniteBoundarySet.from_thetas([0.0]))
+    data, g = zero_interpolant()
     with pytest.raises(ValueError):
-        check_peak_values(f, f.peaks, None, tol=-1.0)
+        check_peak_values(g, data, tol=-1.0)
 
 
 # ---------------------------------------------------------------- boundary sup
@@ -82,10 +83,12 @@ def test_boundary_sup_zero():
 
 
 def test_boundary_sup_peak_function():
-    f = build_fatou(FiniteBoundarySet.from_thetas([0.0]))
-    res = check_boundary_sup(f, 1.0, GRID, 1e-9)
+    g = peak_interpolant([0.0])
+    res = check_boundary_sup(g, 1.0, GRID, 1e-9)
     assert res.passed
     assert res.measured <= 1.0
+    # grid node 0 is the peak, where |lambda^N| attains its maximum 1
+    assert res.measured == abs(eval_interpolant(g, 1 + 0j))
 
 
 def test_boundary_sup_pipeline(rng):
@@ -105,29 +108,33 @@ def test_boundary_sup_grid_validation():
 
 def test_max_modulus_zero():
     _, g = zero_interpolant()
-    assert check_max_modulus(g, 1000, GRID, 1e-9, seed=3).passed
+    grid = check_boundary_sup(g, 0.0, GRID, 1e-9)
+    assert check_max_modulus(g, 1000, grid, 1e-9, seed=3).passed
 
 
 def test_max_modulus_peak_function():
-    f = build_fatou(FiniteBoundarySet.from_thetas([0.0, 2.5]))
-    res = check_max_modulus(f, 2000, GRID, 1e-9, seed=5)
+    g = peak_interpolant([0.0, 2.5])
+    grid = check_boundary_sup(g, 1.0, GRID, 1e-9)
+    res = check_max_modulus(g, 2000, grid, 1e-9, seed=5)
     assert res.passed
     assert res.measured < 1.0
 
 
 def test_max_modulus_deterministic_given_seed():
-    f = build_fatou(FiniteBoundarySet.from_thetas([0.4]))
-    a = check_max_modulus(f, 1500, GRID, 1e-9, seed=11)
-    b = check_max_modulus(f, 1500, GRID, 1e-9, seed=11)
+    g = peak_interpolant([0.4])
+    grid = check_boundary_sup(g, 1.0, GRID, 1e-9)
+    a = check_max_modulus(g, 1500, grid, 1e-9, seed=11)
+    b = check_max_modulus(g, 1500, grid, 1e-9, seed=11)
     assert a == b
-    c = check_max_modulus(f, 1500, GRID, 1e-9, seed=12)
+    c = check_max_modulus(g, 1500, grid, 1e-9, seed=12)
     assert c.measured != a.measured
 
 
 def test_max_modulus_sample_validation():
     _, g = zero_interpolant()
+    grid = check_boundary_sup(g, 0.0, GRID, 1e-9)
     with pytest.raises(ValueError):
-        check_max_modulus(g, 10, GRID, 1e-9)
+        check_max_modulus(g, 10, grid, 1e-9)
 
 
 # ---------------------------------------------------------------- cauchy
@@ -141,17 +148,18 @@ def test_cauchy_zero():
 
 
 def test_cauchy_mean_value_single_peak():
-    # contour mean at z0=0 recovers lambda(0) = 0.5
-    f = build_fatou(FiniteBoundarySet.from_thetas([0.0]))
+    # lambda = (1+z)/2, so the contour mean at z0=0 recovers g(0) = 2^-N/(1+eps)
+    g = peak_interpolant([0.0])
+    stage = g.stages[0]
     w = 0.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
-    mean = np.mean(eval_fatou(f, w) * w / (w - 0.0))
-    assert mean == pytest.approx(0.5, abs=1e-12)
-    res = check_cauchy_identity(f, 0.0j, 0.5, 4096, 1e-10)
+    mean = np.mean(eval_interpolant(g, w) * w / (w - 0.0))
+    assert mean == pytest.approx(stage.normalization / 2**stage.power, rel=1e-12)
+    res = check_cauchy_identity(g, 0.0j, 0.5, 4096, 1e-10)
     assert res.passed
 
 
 def test_cauchy_two_peak():
-    g = build_fatou(FiniteBoundarySet.from_thetas([0.0, math.pi]))
+    g = peak_interpolant([0.0, math.pi])
     res = check_cauchy_identity(g, 0.3j, 0.8, 4096, 1e-9)
     assert res.passed
     assert res.measured <= 1e-9
@@ -172,12 +180,18 @@ def test_cauchy_geometry_validation():
 
 def test_full_report_passes_on_pipeline_output(rng):
     data, g = pipeline_output(rng)
-    report = verify_interpolant(g, data, grid_size=GRID, seed=9)
+    sup_tol = 1e-9
+    report = verify_interpolant(g, data, grid_size=GRID, seed=9, sup_tol=sup_tol)
     assert report.overall
     assert len(report.checks) == 13
     assert report.failed() == ()
     for c in report.checks:
         assert "tol" in c.params
+    # max_modulus reuses the boundary grid maximum as its ceiling
+    by_name = {c.name: c for c in report.checks}
+    boundary, max_modulus = by_name["boundary_sup"], by_name["max_modulus"]
+    assert max_modulus.threshold == boundary.measured + sup_tol
+    assert max_modulus.params["grid_size"] == GRID
 
 
 def test_report_deterministic(rng):
@@ -200,12 +214,12 @@ def test_report_monotone_in_tol(rng):
 
 
 def test_report_overall_is_conjunction():
-    # force one failing check by auditing a peak function against bound 0
-    f = build_fatou(FiniteBoundarySet.from_thetas([0.0]))
-    failing = check_boundary_sup(f, 0.0, GRID, 1e-9)
+    # force one failing check by auditing a nonzero interpolant against bound 0
+    g = peak_interpolant([0.0])
+    failing = check_boundary_sup(g, 0.0, GRID, 1e-9)
     assert not failing.passed
     from diskinterp import VerificationReport
 
-    report = VerificationReport((failing, check_max_modulus(f, 1000, GRID, 1e-9)))
+    report = VerificationReport((failing, check_max_modulus(g, 1000, failing, 1e-9)))
     assert not report.overall
     assert report.failed() == (failing,)
