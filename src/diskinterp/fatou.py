@@ -42,30 +42,33 @@ class FatouFunction:
     peaks: FiniteBoundarySet
 
 
-def _half_plane_sum(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    F = np.zeros_like(zs, dtype=complex)
-    for aj in a:
-        F = F + (aj + zs) / (aj - zs)
-    return F
+def require_closed_disk(zs: np.ndarray) -> None:
+    """Raise DomainError unless every point is finite with |z| <= 1 +
+    ``DISK_SLACK`` (a NaN fails the comparison, so it is rejected too)."""
+    if not np.all(np.abs(zs) <= 1.0 + DISK_SLACK):
+        raise DomainError("evaluation point outside the closed unit disk")
 
 
 def eval_fatou(fatou: FatouFunction, z):
     """Evaluate the peak function at a point (or array) of the closed disk.
 
     Points within ``PEAK_SNAP`` of a peak return exactly 1; elsewhere the
-    value is 1 - 1/(1+F(z)), which stays stable as |F| grows near peaks.
+    value is 1 - 1/(1+F(z)), which stays stable as |F| grows near peaks. One
+    pass per peak forms d = a_j - z for both the snap test and the term of F.
 
-    Raises DomainError when |z| > 1 + ``DISK_SLACK``.
+    Raises DomainError unless every point is finite with |z| <= 1 +
+    ``DISK_SLACK``.
     """
     zs = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zs) > 1.0 + DISK_SLACK):
-        raise DomainError("evaluation point outside the closed unit disk")
-    a = fatou.peaks.complex_points()
+    require_closed_disk(zs)
+    F = np.zeros(zs.shape, dtype=complex)
     near = np.zeros(zs.shape, dtype=bool)
-    for aj in a:
-        near |= np.abs(zs - aj) <= PEAK_SNAP
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = 1.0 - 1.0 / (1.0 + _half_plane_sum(a, zs))
+        for aj in fatou.peaks.complex_points():
+            d = aj - zs
+            near |= np.abs(d) <= PEAK_SNAP
+            F += (aj + zs) / d
+        lam = 1.0 - 1.0 / (1.0 + F)
     lam = np.where(near, 1.0 + 0.0j, lam)
     if zs.ndim == 0:
         return complex(lam[()])

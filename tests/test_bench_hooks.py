@@ -1,15 +1,23 @@
 """The benchmark (perfbench/) traces the pipeline by replacing module-level
 names where the library looks them up. These tests keep those names bound,
 keep the audit calling through them, and pin the audit to one boundary grid
-pass per report."""
+pass per report and the evaluation to one peak function call per distinct
+peak set and chunk, in bounded memory."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 
 import diskinterp.interpolate as interpolate_mod
 import diskinterp.verify as verify_mod
-from diskinterp import BoundaryData, iterative_interpolant, verify_interpolant
+from diskinterp import (
+    BoundaryData,
+    eval_interpolant,
+    iterative_interpolant,
+    verify_interpolant,
+)
+from diskinterp.interpolate import CHUNK
 
 INTERPOLATE_HOOKS = ("cluster_by_oscillation", "sup_off_arc", "choose_power", "eval_fatou")
 CHECK_HOOKS = (
@@ -59,3 +67,35 @@ def test_audit_calls_through_traced_names(monkeypatch):
     assert calls["check_cauchy_identity"] == 3
     # one boundary grid, plus the points of E for the value check
     assert sum(on_circle) == GRID + len(data.set)
+
+
+def test_eval_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
+    _, g = small_problem()
+    lambdas = [lam for stage in g.stages for lam in stage.lambdas]
+    distinct = len(set(lambdas))
+    # later stages rebuild an earlier cluster
+    assert distinct < len(lambdas)
+    sizes = []
+    original = interpolate_mod.eval_fatou
+
+    def counted(fatou, z):
+        sizes.append(np.size(z))
+        return original(fatou, z)
+
+    monkeypatch.setattr(interpolate_mod, "eval_fatou", counted)
+    zs = np.exp(2j * np.pi * np.arange(2 * CHUNK + 1) / (2 * CHUNK + 1))
+    eval_interpolant(g, zs)
+    assert len(sizes) == distinct * 3
+    assert max(sizes) == CHUNK
+
+
+def test_eval_memory_is_bounded():
+    _, g = small_problem()
+    zs = np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+    tracemalloc.start()
+    try:
+        eval_interpolant(g, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

@@ -21,11 +21,13 @@ from diskinterp import (
     residual_bound_after,
     single_stage,
 )
+from diskinterp.fatou import eval_fatou
 from conftest import random_problem
 
 TWO_PI = 2.0 * math.pi
 GRID = 1 << 14
 MARGIN = 1e-9
+SKIP_SLACK = 2.0**-60 + 4 * 2.0**-52  # evaluation's term floor plus rounding
 
 
 # ---------------------------------------------------------------- schedule
@@ -226,6 +228,70 @@ def test_eval_outside_disk_rejected(rng):
         eval_interpolant(g, 1.5 + 0j)
     with pytest.raises(DomainError):
         eval_stage(g.stages[0], np.array([2.0 + 0j]))
+    # NaN fails every comparison, so only "all points inside" catches it
+    for z in (complex(math.nan, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(DomainError):
+            eval_interpolant(g, z)
+        with pytest.raises(DomainError):
+            eval_stage(g.stages[0], np.array([0.5, z]))
+        with pytest.raises(DomainError):
+            eval_fatou(g.stages[0].lambdas[0], z)
+
+
+# ---------------------------------------------------------------- evaluation kernel
+
+
+def _term_by_term(stages, zs):
+    """sum over the stage terms of normalization * c * lambda(zs)^N, no skip."""
+    total = np.zeros(zs.shape, dtype=complex)
+    for s in stages:
+        for lam, c in zip(s.lambdas, s.coefficients):
+            total += s.normalization * c * eval_fatou(lam, zs) ** s.power
+    return total
+
+
+def _kernel_problems():
+    spread = np.random.default_rng(7)
+    n = 12
+    thetas = TWO_PI * (np.arange(n) + 0.5 * spread.uniform(size=n)) / n
+    values = spread.normal(size=n) + 1j * spread.normal(size=n)
+    random12 = BoundaryData.from_pairs(thetas, values / np.max(np.abs(values)))
+    # opposite values 1e-3 apart push the power to about 2e9
+    close = BoundaryData.from_pairs(
+        [1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j]
+    )
+    # two points far apart: powers below 100, which numpy multiplies out
+    far_pair = BoundaryData.from_pairs([0.0, 3.14], [1.0, -0.5j])
+    return {"random12": random12, "close_pair": close, "far_pair": far_pair}
+
+
+@pytest.mark.parametrize("name", ["random12", "close_pair", "far_pair"])
+def test_skipped_terms_stay_within_floor_bound(name):
+    data = _kernel_problems()[name]
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    if name == "close_pair":
+        assert max(s.power for s in g.stages) > 1e9
+    if name == "far_pair":
+        assert min(s.power for s in g.stages) < 100
+    interior = np.random.default_rng(3)
+    point_sets = {
+        "grid": np.exp(2j * np.pi * np.arange(4096) / 4096),
+        "E": data.set.complex_points(),
+        "interior": np.sqrt(interior.uniform(size=1000))
+        * np.exp(1j * interior.uniform(0.0, TWO_PI, 1000)),
+        "contour": 0.9 * np.exp(2j * np.pi * np.arange(1024) / 1024),
+    }
+    scale_sum = sum(
+        abs(s.normalization * c) for s in g.stages for c in s.coefficients
+    )
+    bound = SKIP_SLACK * scale_sum
+    for label, zs in point_sets.items():
+        diff = eval_interpolant(g, zs) - _term_by_term(g.stages, zs)
+        assert np.max(np.abs(diff)) <= bound, label
+        for s in g.stages:
+            scale = sum(abs(s.normalization * c) for c in s.coefficients)
+            diff = eval_stage(s, zs) - _term_by_term([s], zs)
+            assert np.max(np.abs(diff)) <= SKIP_SLACK * scale, label
 
 
 # ---------------------------------------------------------------- properties
