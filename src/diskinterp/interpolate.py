@@ -24,12 +24,11 @@ instead of being recorded.
 The build's values on the set, ``eval_stage`` and ``eval_interpolant`` share
 one kernel over (lambda, N, scale) terms, scale = c_k/(1+eps). Later stages
 often rebuild an earlier cluster, so terms with equal peak functions are
-grouped: each group costs one ``eval_fatou`` call and one complex log, and
-each power is exp(N log lambda), the form numpy's ``**`` itself takes from
-N = 100 on. A term is skipped where |lambda|^N < TERM_FLOOR = 2^-60, so a
-value moves by less than 2^-60 * sum |scale|. Points go through in chunks of
-``CHUNK``, so memory does not grow with the number of points beyond the
-result.
+grouped: each group costs one ``eval_fatou`` call, and each of its powers
+is numpy's ``**`` on the values that survive the floor. A term is skipped
+where |lambda|^N < TERM_FLOOR = 2^-60, so a value moves by less than
+2^-60 * sum |scale|. Points go through in chunks of ``CHUNK``, so memory
+does not grow with the number of points beyond the result.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ SUP_CERT_TOL = 1e-9       # slack for the final boundary-sup certificate check
 RESIDUAL_CERT_TOL = 1e-12  # slack for the final residual certificate check
 TERM_FLOOR = 2.0**-60     # evaluation skips a term lambda^N where it is below this
 CHUNK = 8192              # points per evaluation pass
-EXP_LOG_MIN_POWER = 100   # from here on numpy's complex ** is exp(N * log v)
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,8 @@ def _terms_sum(
     """Sum of scale * lambda(zs)^N over (lambda, N, scale) terms; zs must lie
     in the closed disk.
 
-    Terms with equal peak functions share one ``eval_fatou`` call and one log
-    per chunk of ``CHUNK`` points. A term is skipped where |lambda| <
+    Terms with equal peak functions share one ``eval_fatou`` call per chunk
+    of ``CHUNK`` points. A term is skipped where |lambda| <
     TERM_FLOOR^(1/N). Terms go in ascending power, so within a group each
     power keeps a subset of the points the previous one kept.
     """
@@ -162,35 +160,31 @@ def _terms_sum(
         for lam, group in groups.items():
             v = eval_fatou(lam, flat[start : start + CHUNK])
             mod = np.abs(v)
-            idx = log_v = None  # idx: positions in the chunk of the kept values
+            idx = None  # positions in the chunk of the kept values
             for power, scale in group:
                 keep = (mod >= TERM_FLOOR ** (1.0 / power)).nonzero()[0]
                 if keep.size < mod.size:
                     if not keep.size:
                         break
-                    mod = mod[keep]
+                    v, mod = v[keep], mod[keep]
                     idx = keep if idx is None else idx[keep]
-                    if log_v is None:
-                        v = v[keep]
-                    else:
-                        log_v = log_v[keep]
-                if power < EXP_LOG_MIN_POWER:
-                    p = v**power
-                else:
-                    if log_v is None:
-                        log_v = np.log(v)
-                    p = np.exp(power * log_v)
+                p = scale * v**power
                 if idx is None:
-                    out += scale * p
+                    out += p
                 else:
-                    out[idx] += scale * p
+                    out[idx] += p
     return total.reshape(zs.shape)
 
 
-def _stage_terms(stage: StageApproximant):
+def _stage_terms(
+    lambdas: Sequence[FatouFunction],
+    coefficients: Sequence[complex],
+    power: int,
+    normalization: float,
+):
+    """The (lambda, N, scale) terms of a stage, scale = normalization * c_k."""
     return (
-        (lam, stage.power, stage.normalization * c)
-        for lam, c in zip(stage.lambdas, stage.coefficients)
+        (lam, power, normalization * c) for lam, c in zip(lambdas, coefficients)
     )
 
 
@@ -234,7 +228,7 @@ def _build_stage(
     normalization = 1.0 / (1.0 + epsilon)
 
     at_e = _terms_sum(
-        ((lam, power, normalization * c) for lam, c in zip(lambdas, coefficients)),
+        _stage_terms(lambdas, coefficients, power, normalization),
         data.set.complex_points(),
     )
 
@@ -385,7 +379,10 @@ def eval_stage(stage: StageApproximant, z):
     """Evaluate one normalized stage on the closed disk."""
     zs = np.asarray(z, dtype=complex)
     require_closed_disk(zs)
-    vals = _terms_sum(_stage_terms(stage), zs)
+    vals = _terms_sum(
+        _stage_terms(stage.lambdas, stage.coefficients, stage.power, stage.normalization),
+        zs,
+    )
     if zs.ndim == 0:
         return complex(vals[()])
     return vals
@@ -396,7 +393,12 @@ def eval_interpolant(interpolant: Interpolant, z):
     zs = np.asarray(z, dtype=complex)
     require_closed_disk(zs)
     total = _terms_sum(
-        (term for stage in interpolant.stages for term in _stage_terms(stage)), zs
+        (
+            term
+            for s in interpolant.stages
+            for term in _stage_terms(s.lambdas, s.coefficients, s.power, s.normalization)
+        ),
+        zs,
     )
     if zs.ndim == 0:
         return complex(total[()])

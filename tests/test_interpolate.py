@@ -260,7 +260,7 @@ def _kernel_problems():
     close = BoundaryData.from_pairs(
         [1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j]
     )
-    # two points far apart: powers below 100, which numpy multiplies out
+    # two points far apart: small powers
     far_pair = BoundaryData.from_pairs([0.0, 3.14], [1.0, -0.5j])
     return {"random12": random12, "close_pair": close, "far_pair": far_pair}
 
