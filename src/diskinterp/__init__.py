@@ -18,7 +18,6 @@ from .circle import (
     angular_distance,
     cluster_by_oscillation,
     normalize_angle,
-    representative_of,
 )
 from .errors import (
     CertificationError,
@@ -39,12 +38,10 @@ from .interpolate import (
     EtaSchedule,
     Interpolant,
     StageApproximant,
-    StagePin,
     eval_interpolant,
     eval_stage,
     iterative_interpolant,
     make_schedule,
-    pin_stages,
     residual_bound_after,
     single_stage,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "NoContractionError",
     "SingularityError",
     "StageApproximant",
-    "StagePin",
     "VerificationReport",
     "angular_distance",
     "boundary_imag",
@@ -94,8 +90,6 @@ __all__ = [
     "iterative_interpolant",
     "make_schedule",
     "normalize_angle",
-    "pin_stages",
-    "representative_of",
     "residual_bound_after",
     "single_stage",
     "sup_off_arc",

@@ -136,7 +136,7 @@ class BoundaryData:
     ) -> "BoundaryData":
         """Build from parallel angle/value sequences, sorting both together."""
         pairs = sorted(
-            zip((normalize_angle(t) for t in thetas), values),
+            zip((normalize_angle(t) for t in thetas), values, strict=True),
             key=lambda p: p[0].theta,
         )
         pts = FiniteBoundarySet(tuple(p[0] for p in pairs))
@@ -148,20 +148,40 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class Cluster:
-    """A contiguous block of set indices, its representative, and its arc.
+    """A contiguous circular range of set indices and its arc.
 
-    ``members`` are listed in circular block order (the block may cross the
-    0/2*pi seam); ``representative`` is the circularly first member.
+    The range runs ``size`` indices in sweep order from ``start``, wrapping
+    from n - 1 to 0 (n the size of the set, so the block may cross the
+    0/2*pi seam); ``members`` lists them in that order and the
+    ``representative`` is the first of them.
     """
 
-    members: tuple[int, ...]
-    representative: int
+    start: int
+    size: int
+    n: int
     arc: Arc
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple((self.start + j) % self.n for j in range(self.size))
+
+    @property
+    def representative(self) -> int:
+        return self.start
 
 
 @dataclass(frozen=True)
 class Clustering:
-    """Partition of a data set into clusters on pairwise disjoint arcs."""
+    """Partition of a data set into clusters on pairwise disjoint arcs.
+
+    Construction checks the structure in O(k) from the contiguity of the
+    ranges: they tile the indices in circular order, each arc holds its
+    range (first and last member inside, in counterclockwise order) and
+    neither neighboring foreign point, and adjacent arcs are disjoint;
+    together these keep every foreign point out of every arc. The
+    oscillation bound is recorded, not re-checked: ``cluster_by_oscillation``
+    decides it when it forms the ranges.
+    """
 
     data: BoundaryData
     clusters: tuple[Cluster, ...]
@@ -173,61 +193,54 @@ class Clustering:
         if not self.clusters:
             raise ValueError("clustering must contain at least one cluster")
         n = len(self.data.set)
-        seen = sorted(i for c in self.clusters for i in c.members)
-        if seen != list(range(n)):
-            raise ValueError("clusters must partition the set indices exactly")
-        vals = self.data.values
         pts = self.data.set.points
-        for k, c in enumerate(self.clusters):
-            if c.representative not in c.members:
-                raise ValueError(f"cluster {k}: representative not a member")
-            for i in c.members:
-                if not c.arc.contains(pts[i]):
-                    raise ValueError(f"cluster {k}: member {i} outside its arc")
-            osc = max(
-                (abs(vals[i] - vals[j]) for i in c.members for j in c.members),
-                default=0.0,
-            )
-            if not osc < self.oscillation_bound:
-                raise ValueError(
-                    f"cluster {k}: oscillation {osc} not below bound "
-                    f"{self.oscillation_bound}"
-                )
-        for j, cj in enumerate(self.clusters):
-            for k, ck in enumerate(self.clusters):
-                if j == k:
-                    continue
-                if (
-                    angular_distance(cj.arc.center, ck.arc.center)
-                    < cj.arc.half_width + ck.arc.half_width
-                ):
-                    raise ValueError(f"arcs of clusters {j} and {k} overlap")
-                for i in cj.members:
-                    if ck.arc.contains(pts[i]):
-                        raise ValueError(
-                            f"member {i} of cluster {j} lies in arc of cluster {k}"
-                        )
+        cs = self.clusters
+        k = len(cs)
+        if sum(c.size for c in cs) != n or any(
+            c.n != n or c.size < 1 or cs[(j + 1) % k].start != (c.start + c.size) % n
+            for j, c in enumerate(cs)
+        ):
+            raise ValueError("cluster ranges must partition the set indices in order")
+        for j, c in enumerate(cs):
+            arc = c.arc
+            first, last = pts[c.start], pts[(c.start + c.size - 1) % n]
+            lo = arc.center.theta - arc.half_width  # the arc's clockwise edge
+            if not (
+                arc.contains(first)
+                and arc.contains(last)
+                and (first.theta - lo) % TWO_PI <= (last.theta - lo) % TWO_PI
+            ):
+                raise ValueError(f"cluster {j}: a member lies outside its arc")
+            if k > 1 and (
+                arc.contains(pts[(c.start - 1) % n])
+                or arc.contains(pts[(c.start + c.size) % n])
+            ):
+                raise ValueError(f"cluster {j}: a foreign point lies in its arc")
+        for j in range(k if k > 2 else k - 1):
+            a, b = cs[j].arc, cs[(j + 1) % k].arc
+            if angular_distance(a.center, b.center) < a.half_width + b.half_width:
+                raise ValueError(f"arcs of clusters {j} and {(j + 1) % k} overlap")
 
     def __len__(self) -> int:
         return len(self.clusters)
 
 
-def _build_arcs(blocks: list[list[int]], thetas: np.ndarray) -> list[Arc]:
-    """One arc per contiguous block: centered on the block, extended into the
-    neighboring gaps by a quarter of the nearest foreign gap (capped so the
-    half-width stays below pi)."""
-    k = len(blocks)
+def _build_arcs(ranges: list[tuple[int, int]], thetas: list[float]) -> list[Arc]:
+    """One arc per (start, size) range: centered on the block, extended into
+    the neighboring gaps by a quarter of the nearest foreign gap (capped so
+    the half-width stays below pi)."""
+    n, k = len(thetas), len(ranges)
     arcs = []
-    for i, blk in enumerate(blocks):
-        start = float(thetas[blk[0]])
-        end = float(thetas[blk[-1]])
+    for head, size in ranges:
+        start = thetas[head]
+        end = thetas[(head + size - 1) % n]
         span = (end - start) % TWO_PI  # 0 for singletons; wraps with the block
         if k == 1:
             gap = TWO_PI - span
             g_before = g_after = gap
         else:
-            prev_end = float(thetas[blocks[i - 1][-1]])
-            next_start = float(thetas[blocks[(i + 1) % k][0]])
+            prev_end = thetas[(head - 1) % n]
+            next_start = thetas[(head + size) % n]
             g_before = (start - prev_end) % TWO_PI
             g_after = (next_start - end) % TWO_PI
         ext = min(min(g_before, g_after) / 4.0, (math.pi - span / 2.0) / 2.0)
@@ -239,10 +252,13 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
     """Cover the data set by clusters of pairwise value oscillation below epsilon.
 
     Greedy circular sweep: starting after the largest angular gap (a
-    rotation-invariant anchor), each point joins the current cluster iff all
-    pairwise value differences stay strictly below epsilon, then a final
-    wraparound check merges the last and first clusters when their union
-    still satisfies the bound. A one-point set is always a single cluster.
+    rotation-invariant anchor), each point joins the current cluster iff its
+    value differs from every member's by strictly less than epsilon (the
+    newest member first, then one numpy comparison against the rest), then
+    a final wraparound check, one value of the last cluster at a time
+    against the first, merges the two when their union still satisfies the
+    bound. A one-point set is always a single cluster. Clusters come back
+    as contiguous circular index ranges.
 
     The returned arcs have positive clearance: every foreign point of the
     set sits strictly outside each arc, with margin at least a quarter of
@@ -252,39 +268,35 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     n = len(data.set)
-    thetas = data.set.thetas()
-    values = data.value_array()
+    thetas = [p.theta for p in data.set.points]
     if n == 1:
-        blocks = [[0]]
+        ranges = [(0, 1)]
     else:
-        gaps = np.diff(np.append(thetas, thetas[0] + TWO_PI))
-        start = (int(np.argmax(gaps)) + 1) % n
-        order = [(start + j) % n for j in range(n)]
-        blocks = [[order[0]]]
-        for idx in order[1:]:
-            blk = blocks[-1]
-            if all(abs(values[idx] - values[j]) < epsilon for j in blk):
-                blk.append(idx)
-            else:
-                blocks.append([idx])
-        if len(blocks) >= 2:
-            last, first = blocks[-1], blocks[0]
-            if all(
-                abs(values[a] - values[b]) < epsilon for a in last for b in first
+        gaps = [b - a for a, b in zip(thetas, thetas[1:])]
+        gaps.append(thetas[0] + TWO_PI - thetas[-1])
+        start = (max(range(n), key=gaps.__getitem__) + 1) % n
+        values = data.values[start:] + data.values[:start]  # in sweep order
+        swept = np.array(values, dtype=complex)
+        heads = [0]  # sweep positions where blocks begin
+        for i in range(1, n):
+            h, v = heads[-1], values[i]
+            # the newest member first: most rejections need no array work
+            if not (
+                abs(v - values[i - 1]) < epsilon
+                and (h == i - 1 or abs(swept[h : i - 1] - v).max() < epsilon)
             ):
-                blocks = [last + first] + blocks[1:-1]
-    arcs = _build_arcs(blocks, thetas)
+                heads.append(i)
+        heads.append(n)
+        ranges = [
+            ((start + h) % n, nxt - h) for h, nxt in zip(heads, heads[1:])
+        ]
+        if len(ranges) >= 2:
+            head_block = swept[: heads[1]]
+            if all(abs(head_block - v).max() < epsilon for v in values[heads[-2] :]):
+                last = ranges.pop()
+                ranges[0] = (last[0], last[1] + ranges[0][1])
+    arcs = _build_arcs(ranges, thetas)
     clusters = tuple(
-        Cluster(tuple(blk), blk[0], arc) for blk, arc in zip(blocks, arcs)
+        Cluster(head, size, n, arc) for (head, size), arc in zip(ranges, arcs)
     )
     return Clustering(data=data, clusters=clusters, oscillation_bound=epsilon)
-
-
-def representative_of(clustering: Clustering, k: int) -> tuple[Angle, complex]:
-    """Representative point of cluster k and its data value."""
-    if not 0 <= k < len(clustering.clusters):
-        raise IndexError(
-            f"cluster index {k} out of range for {len(clustering.clusters)} clusters"
-        )
-    idx = clustering.clusters[k].representative
-    return clustering.data.set.points[idx], clustering.data.values[idx]

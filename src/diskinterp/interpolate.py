@@ -125,20 +125,6 @@ class Interpolant:
     certificate: BoundsCertificate
 
 
-@dataclass(frozen=True)
-class StagePin:
-    """Optional per-stage overrides for reproducibility experiments.
-
-    A pinned clustering contributes only its partition and arcs; it is
-    re-validated against the stage's own data. Pinned epsilon/power skip the
-    adaptive choices but not the certification checks.
-    """
-
-    clustering: Clustering | None = None
-    epsilon: float | None = None
-    power: int | None = None
-
-
 def _terms_sum(
     terms: Iterable[tuple[FatouFunction, int, complex]], zs: np.ndarray
 ) -> np.ndarray:
@@ -188,24 +174,12 @@ def _stage_terms(
     )
 
 
-def _build_stage(
-    data: BoundaryData,
-    epsilon: float,
-    safety_margin: float,
-    clustering: Clustering | None,
-    power: int | None,
-):
+def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
     """Build one stage; returns (stage, values on E)."""
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if clustering is None:
-        clustering = cluster_by_oscillation(data, epsilon)
-    else:
-        # rebind the pinned partition to this data; re-validates all invariants
-        clustering = Clustering(
-            data=data, clusters=clustering.clusters, oscillation_bound=epsilon
-        )
+    clustering = cluster_by_oscillation(data, epsilon)
     k = len(clustering)
     lambdas = tuple(
         FatouFunction(
@@ -213,15 +187,11 @@ def _build_stage(
         )
         for c in clustering.clusters
     )
-    # the sup bound needs the off-arc suprema even when the power is pinned
     rhos = [
         sup_off_arc(lam, c.arc, safety_margin)
         for lam, c in zip(lambdas, clustering.clusters)
     ]
-    if power is None:
-        power = choose_power(rhos, epsilon, k)
-    elif power < 1:
-        raise ValueError("pinned power must be at least 1")
+    power = choose_power(rhos, epsilon, k)
     coefficients = tuple(
         data.values[c.representative] for c in clustering.clusters
     )
@@ -262,12 +232,7 @@ def _build_stage(
 
 
 def single_stage(
-    data: BoundaryData,
-    epsilon: float,
-    safety_margin: float,
-    *,
-    clustering: Clustering | None = None,
-    power: int | None = None,
+    data: BoundaryData, epsilon: float, safety_margin: float
 ) -> StageApproximant:
     """One clustered, powered, normalized approximation pass over the data.
 
@@ -277,7 +242,7 @@ def single_stage(
     pre-normalization function is the stage divided by its
     ``normalization`` field.
     """
-    stage, _ = _build_stage(data, epsilon, safety_margin, clustering, power)
+    stage, _ = _build_stage(data, epsilon, safety_margin)
     return stage
 
 
@@ -306,8 +271,6 @@ def iterative_interpolant(
     n_max: int,
     grid_size: int,
     safety_margin: float,
-    *,
-    pins: Sequence[StagePin] | None = None,
 ) -> Interpolant:
     """Stack stages against successive residuals into a certified interpolant.
 
@@ -331,20 +294,9 @@ def iterative_interpolant(
         if res_sup < RESIDUAL_FLOOR:
             break
         eta_n = schedule.terms[n - 1]
-        pin = pins[n - 1] if pins is not None and n - 1 < len(pins) else None
-        eps_n = (
-            pin.epsilon
-            if pin is not None and pin.epsilon is not None
-            else eta_n / (1.0 + 2.0 * res_sup)
-        )
+        eps_n = eta_n / (1.0 + 2.0 * res_sup)
         stage_data = BoundaryData(data.set, tuple(residual.tolist()))
-        stage, at_e = _build_stage(
-            stage_data,
-            eps_n,
-            safety_margin,
-            pin.clustering if pin is not None else None,
-            pin.power if pin is not None else None,
-        )
+        stage, at_e = _build_stage(stage_data, eps_n, safety_margin)
         if stage.certified_residual > eta_n:
             raise CertificationError(
                 f"stage {n} residual {stage.certified_residual} exceeds its "
@@ -404,10 +356,3 @@ def eval_interpolant(interpolant: Interpolant, z):
         return complex(total[()])
     return total
 
-
-def pin_stages(interpolant: Interpolant) -> tuple[StagePin, ...]:
-    """Pins reproducing the adaptive choices of a finished run."""
-    return tuple(
-        StagePin(clustering=s.clustering, epsilon=s.epsilon, power=s.power)
-        for s in interpolant.stages
-    )

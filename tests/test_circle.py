@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,12 @@ from diskinterp import (
     Angle,
     Arc,
     BoundaryData,
+    Cluster,
+    Clustering,
     FiniteBoundarySet,
     angular_distance,
     cluster_by_oscillation,
     normalize_angle,
-    representative_of,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -119,6 +121,14 @@ def test_boundary_data_length_mismatch():
         BoundaryData(s, (1.0,))
 
 
+def test_from_pairs_rejects_length_mismatch():
+    # zip would drop the third angle and build a two-point set
+    with pytest.raises(ValueError):
+        BoundaryData.from_pairs([0.0, 1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        BoundaryData.from_pairs([0.0], [1.0, 2.0])
+
+
 def test_boundary_data_rejects_non_finite_values():
     with pytest.raises(ValueError):
         BoundaryData.from_pairs([0.0], [complex(math.inf, 0)])
@@ -169,6 +179,11 @@ def test_wraparound_merge():
     c = cluster_by_oscillation(data, 0.6)
     member_sets = sorted(tuple(sorted(cl.members)) for cl in c.clusters)
     assert member_sets == [(0, 2), (1,)]
+    # the sweep starts at 3.0 and ends at 1.0, both valued 0: its last and
+    # first blocks merge
+    data = BoundaryData.from_pairs([0.5, 1.0, 3.0, 5.0], [1.0, 0.0, 0.0, 1.0])
+    c = cluster_by_oscillation(data, 0.6)
+    assert [cl.members for cl in c.clusters] == [(1, 2), (3, 0)]
 
 
 def _partition_props(clustering, data):
@@ -214,6 +229,44 @@ def test_clustering_deterministic(rng):
     vals = rng.normal(size=9)
     data = BoundaryData.from_pairs(thetas, vals)
     assert cluster_by_oscillation(data, 0.8) == cluster_by_oscillation(data, 0.8)
+
+
+def _reference_sweep(data, eps):
+    """The greedy sweep with plain pairwise loops: blocks of indices."""
+    n = len(data.set)
+    thetas = [p.theta for p in data.set.points]
+    gaps = [thetas[(i + 1) % n] - thetas[i] for i in range(n - 1)]
+    gaps.append(thetas[0] + TWO_PI - thetas[-1])
+    start = (gaps.index(max(gaps)) + 1) % n
+    v = data.values
+    blocks = [[start]]
+    for idx in [(start + j) % n for j in range(1, n)]:
+        if all(abs(v[idx] - v[j]) < eps for j in blocks[-1]):
+            blocks[-1].append(idx)
+        else:
+            blocks.append([idx])
+    if len(blocks) >= 2 and all(
+        abs(v[a] - v[b]) < eps for a in blocks[-1] for b in blocks[0]
+    ):
+        blocks = [blocks[-1] + blocks[0]] + blocks[1:-1]
+    return [tuple(b) for b in blocks]
+
+
+def test_clustering_matches_reference_sweep(rng):
+    # values on a 0.25 lattice put differences exactly at eps, where the
+    # strict bound decides
+    for trial in range(60):
+        n = int(rng.integers(1, 25))
+        thetas = rng.uniform(0, TWO_PI, n)
+        if trial % 2:
+            vals = (rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)) * 0.25
+            eps = float(rng.choice([0.25, 0.5, 1.0, 0.25 * math.sqrt(2)]))
+        else:
+            vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+            eps = float(rng.uniform(0.05, 3.0))
+        data = BoundaryData.from_pairs(thetas, vals)
+        c = cluster_by_oscillation(data, eps)
+        assert [cl.members for cl in c.clusters] == _reference_sweep(data, eps)
 
 
 @st.composite
@@ -270,15 +323,25 @@ def test_clustering_rotation_equivariance(case):
 
     c_base = cluster_by_oscillation(base, eps)
     c_rot = cluster_by_oscillation(rotated, eps)
+    _partition_props(c_base, base)
+    _partition_props(c_rot, rotated)
     assert partition(c_base, base, 0.0) == partition(c_rot, rotated, phi)
 
 
 def test_representative_examples():
     data = BoundaryData.from_pairs([0.0, 0.01], [0.1, 0.2])
     c = cluster_by_oscillation(data, 0.5)
-    angle, value = representative_of(c, 0)
-    assert angle.theta == 0.0
-    assert value == 0.1 + 0j
+    rep = c.clusters[0].representative
+    assert data.set.points[rep].theta == 0.0
+    assert data.values[rep] == 0.1 + 0j
+    # a cluster across the seam starts at its circularly first member
+    wrapped = cluster_by_oscillation(
+        BoundaryData.from_pairs([0.1, 3.0, 6.0], [0.5, 1.2, 0.5]), 0.6
+    )
+    assert [(cl.members, cl.representative) for cl in wrapped.clusters] == [
+        ((2, 0), 2),
+        ((1,), 1),
+    ]
 
 
 def test_representative_rotates_with_input(rng):
@@ -290,18 +353,84 @@ def test_representative_rotates_with_input(rng):
         BoundaryData.from_pairs([(t + phi) % TWO_PI for t in thetas], vals), 0.4
     )
     base_reps = sorted(
-        (representative_of(base, k)[0].theta + phi) % TWO_PI
-        for k in range(len(base))
+        (base.data.set.points[cl.representative].theta + phi) % TWO_PI
+        for cl in base.clusters
     )
     rot_reps = sorted(
-        representative_of(rot, k)[0].theta for k in range(len(rot))
+        rot.data.set.points[cl.representative].theta for cl in rot.clusters
     )
     assert base_reps == pytest.approx(rot_reps, abs=1e-12)
 
 
 def test_representative_out_of_range():
     c = cluster_by_oscillation(BoundaryData.from_pairs([0.0], [1.0]), 1.0)
-    with pytest.raises(IndexError):
-        representative_of(c, 1)
-    with pytest.raises(IndexError):
-        representative_of(c, -1)
+    (only,) = c.clusters
+    for start in (1, -1):
+        bad = (Cluster(start=start, size=1, n=1, arc=only.arc),)
+        with pytest.raises(ValueError, match="partition"):
+            Clustering(c.data, bad, c.oscillation_bound)
+
+
+# ------------------------------------------------------- hand-built clusterings
+
+
+def _four_singletons():
+    # gaps 1.0, 1.5, 1.5 and 2.28 (across the seam): the sweep starts at
+    # index 0, and the arc of 0.5 has half-width 0.25
+    data = BoundaryData.from_pairs([0.5, 1.5, 3.0, 4.5], [0.0, 1.0, 2.0, 3.0])
+    c = cluster_by_oscillation(data, 0.5)
+    assert [cl.members for cl in c.clusters] == [(0,), (1,), (2,), (3,)]
+    assert c.clusters[0].arc == Arc(Angle(0.5), 0.25)
+    return c
+
+
+def _with_clusters(c, clusters):
+    return Clustering(c.data, tuple(clusters), c.oscillation_bound)
+
+
+def test_clustering_rejects_gap_or_overlap_in_ranges():
+    c = _four_singletons()
+    cl = list(c.clusters)
+    with pytest.raises(ValueError, match="partition"):  # index 1 uncovered
+        _with_clusters(c, [cl[0]] + cl[2:])
+    with pytest.raises(ValueError, match="partition"):  # index 1 twice
+        _with_clusters(c, [dataclasses.replace(cl[0], size=2)] + cl[1:])
+    with pytest.raises(ValueError, match="partition"):  # ranges out of order
+        _with_clusters(c, [cl[1], cl[0]] + cl[2:])
+    with pytest.raises(ValueError, match="partition"):  # range of another set
+        _with_clusters(c, [dataclasses.replace(cl[0], n=5)] + cl[1:])
+
+
+def test_clustering_rejects_member_outside_arc():
+    c = _four_singletons()
+    moved = dataclasses.replace(c.clusters[0], arc=Arc(Angle(0.9), 0.3))
+    with pytest.raises(ValueError, match="outside its arc"):
+        _with_clusters(c, (moved,) + c.clusters[1:])
+    # one cluster: the arc holds the first and the last member (0 and 4,
+    # 1.14 from its center) but not the middle one (2)
+    data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, 1.0, 1.0])
+    (whole,) = cluster_by_oscillation(data, 0.5).clusters
+    assert whole.members == (0, 1, 2)
+    far_side = dataclasses.replace(whole, arc=Arc(Angle(5.14), 1.2))
+    with pytest.raises(ValueError, match="outside its arc"):
+        Clustering(data, (far_side,), 0.5)
+
+
+def test_clustering_rejects_foreign_point_in_arc():
+    c = _four_singletons()
+    wide = dataclasses.replace(c.clusters[0], arc=Arc(Angle(0.5), 1.2))  # holds 1.5
+    with pytest.raises(ValueError, match="foreign point"):
+        _with_clusters(c, (wide,) + c.clusters[1:])
+
+
+def test_clustering_rejects_overlapping_adjacent_arcs():
+    c = _four_singletons()
+    # reaches 1.35: past the arc of 1.5 (from 1.25), short of the point 1.5
+    wide = dataclasses.replace(c.clusters[0], arc=Arc(Angle(0.5), 0.85))
+    with pytest.raises(ValueError, match="overlap"):
+        _with_clusters(c, (wide,) + c.clusters[1:])
+    # across the seam: the arc of 4.5 moved to reach 0.317, past the arc of
+    # 0.5 (from 0.25), short of the point 0.5
+    wide = dataclasses.replace(c.clusters[3], arc=Arc(Angle(5.5), 1.1))
+    with pytest.raises(ValueError, match="overlap"):
+        _with_clusters(c, c.clusters[:3] + (wide,))

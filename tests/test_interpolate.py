@@ -11,16 +11,15 @@ from diskinterp import (
     DomainError,
     EtaSchedule,
     NoContractionError,
-    StagePin,
     cluster_by_oscillation,
     eval_interpolant,
     eval_stage,
     iterative_interpolant,
     make_schedule,
-    pin_stages,
     residual_bound_after,
     single_stage,
 )
+import diskinterp.interpolate
 from diskinterp.fatou import eval_fatou
 from conftest import random_problem
 
@@ -127,11 +126,12 @@ def test_stage_propagates_no_contraction():
         single_stage(data, 0.1, 1e-6)
 
 
-def test_stage_pinned_power_certification_failure():
-    # power 1 leaves heavy cross-cluster leakage; the residual contract breaks
+def test_stage_pinned_power_certification_failure(monkeypatch):
+    # power 1 leaves heavy cross-cluster leakage; the stage contract breaks
+    monkeypatch.setattr(diskinterp.interpolate, "choose_power", lambda *a: 1)
     data = BoundaryData.from_pairs([0.0, 2.0], [1.0, 1.0 + 1.0j])
     with pytest.raises(CertificationError):
-        single_stage(data, 1e-3, MARGIN, power=1)
+        single_stage(data, 1e-3, MARGIN)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -213,12 +213,12 @@ def test_pipeline_rejects_bad_parameters(rng):
         iterative_interpolant(data, 0.01, 0, GRID, MARGIN)
 
 
-def test_pipeline_stage_budget_enforced(rng):
-    # a pinned underpowered stage must trip the per-stage budget check
+def test_pipeline_stage_budget_enforced(monkeypatch):
+    # underpowered stages must not come back as a certified interpolant
+    monkeypatch.setattr(diskinterp.interpolate, "choose_power", lambda *a: 1)
     data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, -1.0, 1.0j])
-    pins = [StagePin(power=1)]
     with pytest.raises(CertificationError):
-        iterative_interpolant(data, 0.01, 3, GRID, MARGIN, pins=pins)
+        iterative_interpolant(data, 0.01, 3, GRID, MARGIN)
 
 
 def test_eval_outside_disk_rejected(rng):
@@ -297,15 +297,15 @@ def test_skipped_terms_stay_within_floor_bound(name):
 # ---------------------------------------------------------------- properties
 
 
-def test_linearity_with_pinned_stages(rng):
+def test_phase_equivariance(rng):
+    # a unit phase leaves every |f(a) - f(b)| and |f| in place, so the
+    # adaptive build of c*f makes the choices of the build of f
     data = random_problem(rng, 6)
     g = iterative_interpolant(data, 0.02, 6, GRID, MARGIN)
-    pins = pin_stages(g)
-    c = 0.37 + 0.2j
+    c = complex(np.exp(0.7j))
     scaled = BoundaryData(data.set, tuple(c * v for v in data.values))
-    g_scaled = iterative_interpolant(
-        scaled, 0.02, len(pins), GRID, MARGIN, pins=pins
-    )
+    g_scaled = iterative_interpolant(scaled, 0.02, 6, GRID, MARGIN)
+    assert [s.power for s in g_scaled.stages] == [s.power for s in g.stages]
     zs = np.concatenate(
         [
             np.exp(2j * np.pi * np.arange(256) / 256),
@@ -316,16 +316,20 @@ def test_linearity_with_pinned_stages(rng):
     assert np.max(np.abs(diff)) < 1e-10
 
 
-def test_conjugation_symmetry():
-    # conjugate-symmetric data; singleton partition pinned at every stage so
-    # the adaptive clustering cannot break the mirror symmetry
+def test_conjugation_symmetry(monkeypatch):
+    # conjugate-symmetric data; singleton partition at every stage so the
+    # adaptive clustering cannot break the mirror symmetry
     thetas = [0.0, 0.9, TWO_PI - 0.9, 2.2, TWO_PI - 2.2]
     vals = [0.8, 0.5 + 0.4j, 0.5 - 0.4j, -0.3 + 0.9j, -0.3 - 0.9j]
     data = BoundaryData.from_pairs(thetas, vals)
-    singletons = cluster_by_oscillation(data, 1e-12)
-    assert len(singletons) == len(thetas)
-    pins = [StagePin(clustering=singletons)] * 8
-    g = iterative_interpolant(data, 0.01, 8, GRID, MARGIN, pins=pins)
+
+    def singletons(stage_data, epsilon):
+        clustering = cluster_by_oscillation(stage_data, 1e-300)
+        assert len(clustering) == len(thetas)
+        return clustering
+
+    monkeypatch.setattr(diskinterp.interpolate, "cluster_by_oscillation", singletons)
+    g = iterative_interpolant(data, 0.01, 8, GRID, MARGIN)
     zs = np.concatenate(
         [
             np.exp(2j * np.pi * np.arange(256) / 256),
