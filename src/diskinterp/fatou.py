@@ -11,6 +11,12 @@ the peaks. The peak function is F/(1+F), evaluated in the stable form
 1 - 1/(1+F); the denominator never vanishes on the closed disk because
 Re F >= 0 there.
 
+Powers lambda^N with N up to about 1e10 are formed from the logarithm
+log lambda = -log1p(1/F). With F = a + ib, |1 + 1/F|^2 = 1 + (1+2a)/|F|^2 and
+arg(1 + 1/F) = -atan2(b, a + |F|^2); for a >= 0 neither form cancels, so
+both parts of the log keep full relative precision however close |lambda|
+is to 1.
+
 The module also provides the boundary trace of Im F (a cotangent sum), the
 induced boundary modulus identity |lambda| = |y|/sqrt(1+y^2), off-arc suprema
 and the minimal power that contracts those suprema below a target. No grid is
@@ -21,7 +27,7 @@ decreasing, so on a peak-free arc |lambda| is largest at an arc endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +46,17 @@ class FatouFunction:
     below 1 in modulus everywhere else on the closed disk."""
 
     peaks: FiniteBoundarySet
+    # peak angles and points as arrays, made once; equality goes by ``peaks``
+    peak_thetas: np.ndarray = field(init=False, compare=False, repr=False)
+    peak_points: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        thetas = self.peaks.thetas()
+        points = np.exp(1j * thetas)
+        thetas.setflags(write=False)
+        points.setflags(write=False)
+        object.__setattr__(self, "peak_thetas", thetas)
+        object.__setattr__(self, "peak_points", points)
 
 
 def require_closed_disk(zs: np.ndarray) -> None:
@@ -49,25 +66,35 @@ def require_closed_disk(zs: np.ndarray) -> None:
         raise DomainError("evaluation point outside the closed unit disk")
 
 
+def _half_plane_sum(
+    fatou: FatouFunction, zs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F(zs), near): the half-plane sum and the mask of points within
+    ``PEAK_SNAP`` of a peak, where F is inf or nan. One pass per peak forms
+    d = a_j - z for both the snap test and the term of F."""
+    F = np.zeros(zs.shape, dtype=complex)
+    near = np.zeros(zs.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for aj in fatou.peak_points:
+            d = aj - zs
+            near |= np.abs(d) <= PEAK_SNAP
+            F += (aj + zs) / d
+    return F, near
+
+
 def eval_fatou(fatou: FatouFunction, z):
     """Evaluate the peak function at a point (or array) of the closed disk.
 
     Points within ``PEAK_SNAP`` of a peak return exactly 1; elsewhere the
-    value is 1 - 1/(1+F(z)), which stays stable as |F| grows near peaks. One
-    pass per peak forms d = a_j - z for both the snap test and the term of F.
+    value is 1 - 1/(1+F(z)), which stays stable as |F| grows near peaks.
 
     Raises DomainError unless every point is finite with |z| <= 1 +
     ``DISK_SLACK``.
     """
     zs = np.asarray(z, dtype=complex)
     require_closed_disk(zs)
-    F = np.zeros(zs.shape, dtype=complex)
-    near = np.zeros(zs.shape, dtype=bool)
+    F, near = _half_plane_sum(fatou, zs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for aj in fatou.peaks.complex_points():
-            d = aj - zs
-            near |= np.abs(d) <= PEAK_SNAP
-            F += (aj + zs) / d
         lam = 1.0 - 1.0 / (1.0 + F)
     lam = np.where(near, 1.0 + 0.0j, lam)
     if zs.ndim == 0:
@@ -75,12 +102,41 @@ def eval_fatou(fatou: FatouFunction, z):
     return lam
 
 
+def log_fatou(fatou: FatouFunction, zs: np.ndarray) -> np.ndarray:
+    """log lambda = -log1p(1/F) on an array of points of the closed disk,
+    which the caller has checked.
+
+    Exactly 0 within ``PEAK_SNAP`` of a peak, so every power is exactly 1
+    there, and -inf where F = 0, where lambda vanishes. The real part is
+    -log1p((1+2a)/|F|^2)/2 and the imaginary part atan2(b, a + |F|^2), for
+    F = a + ib.
+    """
+    F, near = _half_plane_sum(fatou, zs)
+    a, b = F.real, F.imag
+    s = a * a
+    s += b * b  # |F|^2
+    L = np.empty_like(F)
+    re, im = L.real, L.imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(a, 2.0, out=re)
+        re += 1.0
+        re /= s
+        np.log1p(re, out=re)
+        re *= -0.5
+        s += a
+        np.arctan2(b, s, out=im)
+    L[near] = 0.0
+    return L
+
+
 def _boundary_imag_grid(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
-    """Im F(e^(i*theta)) as the cotangent sum; no peak-proximity guard."""
-    y = np.zeros_like(thetas, dtype=float)
-    for tj in fatou.peaks.thetas():
-        y = y + 1.0 / np.tan((thetas - tj) / 2.0)
-    return y
+    """Im F(e^(i*theta)) as the cotangent sum; no peak-proximity guard.
+
+    One (peaks x points) broadcast. The sum runs over the peaks in order
+    (a cumulative sum), not pairwise, so it does not depend on the shape."""
+    half = thetas[None, :] - fatou.peak_thetas[:, None]
+    half /= 2.0
+    return np.cumsum(1.0 / np.tan(half), axis=0)[-1]
 
 
 def _guard_peak_angle(fatou: FatouFunction, theta: Angle) -> None:

@@ -24,11 +24,13 @@ instead of being recorded.
 The build's values on the set, ``eval_stage`` and ``eval_interpolant`` share
 one kernel over (lambda, N, scale) terms, scale = c_k/(1+eps). Later stages
 often rebuild an earlier cluster, so terms with equal peak functions are
-grouped: each group costs one ``eval_fatou`` call, and each of its powers
-is numpy's ``**`` on the values that survive the floor. A term is skipped
-where |lambda|^N < TERM_FLOOR = 2^-60, so a value moves by less than
-2^-60 * sum |scale|. Points go through in chunks of ``CHUNK``, so memory
-does not grow with the number of points beyond the result.
+grouped: each group costs one ``log_fatou`` call, which gives
+log lambda = -log1p(1/F) without cancellation, and each of its powers is
+exp(N log lambda) on the points that survive the floor. On the peaks
+log lambda is exactly 0, so a term there is exactly its scale. A term is
+skipped where |lambda|^N < TERM_FLOOR = 2^-60, so a value moves by less
+than 2^-60 * sum |scale|. Points go through in chunks of ``CHUNK``, so
+memory does not grow with the number of points beyond the result.
 """
 
 from __future__ import annotations
@@ -46,10 +48,13 @@ from .circle import (
     cluster_by_oscillation,
 )
 from .errors import CertificationError
+# The kernel calls log_fatou by its name here, so a tracer can wrap it.
+# eval_fatou is no longer called here but stays bound: perfbench wraps it.
 from .fatou import (
     FatouFunction,
     choose_power,
     eval_fatou,
+    log_fatou,
     require_closed_disk,
     sup_off_arc,
 )
@@ -58,6 +63,7 @@ RESIDUAL_FLOOR = 1e-15    # residual sup norm below which iteration stops
 SUP_CERT_TOL = 1e-9       # slack for the final boundary-sup certificate check
 RESIDUAL_CERT_TOL = 1e-12  # slack for the final residual certificate check
 TERM_FLOOR = 2.0**-60     # evaluation skips a term lambda^N where it is below this
+LOG_TERM_FLOOR = math.log(TERM_FLOOR)
 CHUNK = 8192              # points per evaluation pass
 
 
@@ -131,10 +137,11 @@ def _terms_sum(
     """Sum of scale * lambda(zs)^N over (lambda, N, scale) terms; zs must lie
     in the closed disk.
 
-    Terms with equal peak functions share one ``eval_fatou`` call per chunk
-    of ``CHUNK`` points. A term is skipped where |lambda| <
-    TERM_FLOOR^(1/N). Terms go in ascending power, so within a group each
-    power keeps a subset of the points the previous one kept.
+    Terms with equal peak functions share one ``log_fatou`` call per chunk
+    of ``CHUNK`` points, and each power is exp(N log lambda). A term is
+    skipped where Re log lambda < log(TERM_FLOOR)/N. Terms go in ascending
+    power, so within a group each power keeps a subset of the points the
+    previous one kept.
     """
     groups: dict[FatouFunction, list[tuple[int, complex]]] = {}
     for lam, power, scale in sorted(terms, key=lambda t: t[1]):
@@ -144,17 +151,16 @@ def _terms_sum(
     for start in range(0, flat.size, CHUNK):
         out = total[start : start + CHUNK]
         for lam, group in groups.items():
-            v = eval_fatou(lam, flat[start : start + CHUNK])
-            mod = np.abs(v)
+            L = log_fatou(lam, flat[start : start + CHUNK])
             idx = None  # positions in the chunk of the kept values
             for power, scale in group:
-                keep = (mod >= TERM_FLOOR ** (1.0 / power)).nonzero()[0]
-                if keep.size < mod.size:
+                keep = (L.real >= LOG_TERM_FLOOR / power).nonzero()[0]
+                if keep.size < L.size:
                     if not keep.size:
                         break
-                    v, mod = v[keep], mod[keep]
+                    L = L[keep]
                     idx = keep if idx is None else idx[keep]
-                p = scale * v**power
+                p = scale * np.exp(power * L)
                 if idx is None:
                     out += p
                 else:

@@ -1,8 +1,8 @@
 """The benchmark (perfbench/) traces the pipeline by replacing module-level
 names where the library looks them up. These tests keep those names bound,
 keep the audit calling through them, and pin the audit to one boundary grid
-pass per report and the evaluation to one peak function call per distinct
-peak set and chunk, in bounded memory."""
+pass per report and the evaluation to one peak function (log) call per
+distinct peak set and chunk, in bounded memory."""
 
 import tracemalloc
 from collections import Counter
@@ -19,7 +19,13 @@ from diskinterp import (
 )
 from diskinterp.interpolate import CHUNK
 
-INTERPOLATE_HOOKS = ("cluster_by_oscillation", "sup_off_arc", "choose_power", "eval_fatou")
+INTERPOLATE_HOOKS = (
+    "cluster_by_oscillation",
+    "sup_off_arc",
+    "choose_power",
+    "eval_fatou",
+    "log_fatou",
+)
 CHECK_HOOKS = (
     "check_peak_values",
     "check_boundary_sup",
@@ -76,13 +82,13 @@ def test_eval_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
     # later stages rebuild an earlier cluster
     assert distinct < len(lambdas)
     sizes = []
-    original = interpolate_mod.eval_fatou
+    original = interpolate_mod.log_fatou
 
     def counted(fatou, z):
         sizes.append(np.size(z))
         return original(fatou, z)
 
-    monkeypatch.setattr(interpolate_mod, "eval_fatou", counted)
+    monkeypatch.setattr(interpolate_mod, "log_fatou", counted)
     zs = np.exp(2j * np.pi * np.arange(2 * CHUNK + 1) / (2 * CHUNK + 1))
     eval_interpolant(g, zs)
     assert len(sizes) == distinct * 3

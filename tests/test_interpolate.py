@@ -20,7 +20,8 @@ from diskinterp import (
     single_stage,
 )
 import diskinterp.interpolate
-from diskinterp.fatou import eval_fatou
+from diskinterp.fatou import eval_fatou, log_fatou
+from diskinterp.interpolate import _terms_sum
 from conftest import random_problem
 
 TWO_PI = 2.0 * math.pi
@@ -242,11 +243,12 @@ def test_eval_outside_disk_rejected(rng):
 
 
 def _term_by_term(stages, zs):
-    """sum over the stage terms of normalization * c * lambda(zs)^N, no skip."""
+    """sum over the stage terms of normalization * c * exp(N log lambda(zs)),
+    each term on every point, no skip."""
     total = np.zeros(zs.shape, dtype=complex)
     for s in stages:
         for lam, c in zip(s.lambdas, s.coefficients):
-            total += s.normalization * c * eval_fatou(lam, zs) ** s.power
+            total += s.normalization * c * np.exp(s.power * log_fatou(lam, zs))
     return total
 
 
@@ -292,6 +294,90 @@ def test_skipped_terms_stay_within_floor_bound(name):
             scale = sum(abs(s.normalization * c) for c in s.coefficients)
             diff = eval_stage(s, zs) - _term_by_term([s], zs)
             assert np.max(np.abs(diff)) <= SKIP_SLACK * scale, label
+
+
+def test_terms_on_their_peaks_are_exactly_scale():
+    data = _kernel_problems()["close_pair"]
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    for s in g.stages:
+        for lam, c in zip(s.lambdas, s.coefficients):
+            assert np.all(log_fatou(lam, lam.peak_points) == 0.0)
+            scale = s.normalization * c
+            at_peaks = _terms_sum([(lam, s.power, scale)], lam.peak_points)
+            assert np.all(at_peaks == scale)
+
+
+def test_eval_is_exactly_zero_where_lambda_vanishes():
+    # the single peak at 0 has F(-1) = 0, so every term vanishes at -1
+    data = BoundaryData.from_pairs([0.0], [1.0])
+    g = iterative_interpolant(data, 0.01, 5, GRID, MARGIN)
+    assert len(g.stages) > 1
+    log = log_fatou(g.stages[0].lambdas[0], np.array([-1.0 + 0j]))
+    assert log[0] == -math.inf
+    zs = np.array([-1.0 + 0j, 0.5 + 0j])
+    with np.errstate(all="raise"):
+        assert eval_interpolant(g, -1.0 + 0j) == 0.0
+        vals = eval_interpolant(g, zs)
+        assert vals[0] == 0.0 and vals[1] != 0.0
+        for s in g.stages:
+            vals = eval_stage(s, zs)
+            assert vals[0] == 0.0 and np.isfinite(vals[1])
+
+
+def _mp_interpolant(g, peak_point):
+    """z -> g(z) in mpmath; ``peak_point(theta)`` gives a peak as an mpc."""
+    import mpmath  # callers skip when it is missing
+    peaks = {
+        lam: [peak_point(p.theta) for p in lam.peaks.points]
+        for s in g.stages
+        for lam in s.lambdas
+    }
+
+    def value(z):
+        z = mpmath.mpc(z.real, z.imag)
+        lams = {}
+        for lam, points in peaks.items():
+            if z in points:
+                lams[lam] = mpmath.mpc(1)
+            else:
+                F = mpmath.fsum((a + z) / (a - z) for a in points)
+                lams[lam] = F / (1 + F)
+        total = mpmath.fsum(
+            s.normalization * c * lams[lam] ** s.power
+            for s in g.stages
+            for lam, c in zip(s.lambdas, s.coefficients)
+        )
+        return complex(total)
+
+    return value
+
+
+def test_kernel_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    data = _kernel_problems()["close_pair"]
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    power = max(s.power for s in g.stages)
+    assert power > 2e9
+    # +-4 peak widths sqrt(8/N) around each point of E
+    window = math.sqrt(8.0 / power) * np.linspace(-4.0, 4.0, 17)
+    circle = np.exp(1j * np.concatenate([t.theta + window for t in data.set.points]))
+    # bound on the error in g against mpmath at the library's own double
+    # precision peak points: the error of the kernel itself
+    bounds = {1.0: 1e-10, 1.0 - 8.0 / power: 1e-11, 1.0 - 1e-6: 1e-17}
+    with mpmath.workdps(60):
+        at_double_peaks = _mp_interpolant(
+            g, lambda t: mpmath.mpc(complex(np.exp(1j * t)))
+        )
+        for radius, bound in bounds.items():
+            zs = radius * circle
+            ref = [at_double_peaks(z) for z in zs]
+            err = np.max(np.abs(eval_interpolant(g, zs) - ref))
+            assert err <= bound, (radius, err)
+        # at the exact peak angles the rounding of the peak points
+        # exp(i theta_j) moves g by a few 1e-8 near the peaks at this power
+        at_exact_peaks = _mp_interpolant(g, mpmath.expj)
+        ref = [at_exact_peaks(z) for z in circle]
+        assert np.max(np.abs(eval_interpolant(g, circle) - ref)) <= 5e-8
 
 
 # ---------------------------------------------------------------- properties
