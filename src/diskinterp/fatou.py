@@ -46,9 +46,11 @@ class FatouFunction:
     below 1 in modulus everywhere else on the closed disk."""
 
     peaks: FiniteBoundarySet
-    # peak angles and points as arrays, made once; equality goes by ``peaks``
+    # peak angles and points as arrays and the hash, made once; equality
+    # goes by ``peaks``
     peak_thetas: np.ndarray = field(init=False, compare=False, repr=False)
     peak_points: np.ndarray = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         thetas = self.peaks.thetas()
@@ -57,6 +59,10 @@ class FatouFunction:
         points.setflags(write=False)
         object.__setattr__(self, "peak_thetas", thetas)
         object.__setattr__(self, "peak_points", points)
+        object.__setattr__(self, "_hash", hash(self.peaks))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def require_closed_disk(zs: np.ndarray) -> None:
@@ -189,11 +195,13 @@ def sup_off_arc(
     """
     if not (math.isfinite(safety_margin) and safety_margin > 0.0):
         raise ValueError("safety_margin must be positive")
-    for p in fatou.peaks.points:
-        if not excluded.contains(p):
-            raise ValueError(
-                f"peak at angle {p.theta!r} lies outside the excluded arc"
-            )
+    # Arc.contains on plain floats: numpy's per-call overhead would cost more
+    # than this loop for the few peaks most clusters have
+    center, half_width = excluded.center.theta, excluded.half_width
+    for theta in fatou.peak_thetas.tolist():
+        d = abs(theta - center)
+        if not (d < half_width or TWO_PI - d < half_width):
+            raise ValueError(f"peak at angle {theta!r} lies outside the excluded arc")
     ends = np.array(
         [
             excluded.center.theta + excluded.half_width,

@@ -75,12 +75,8 @@ def test_audit_calls_through_traced_names(monkeypatch):
     assert sum(on_circle) == GRID + len(data.set)
 
 
-def test_eval_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
-    _, g = small_problem()
-    lambdas = [lam for stage in g.stages for lam in stage.lambdas]
-    distinct = len(set(lambdas))
-    # later stages rebuild an earlier cluster
-    assert distinct < len(lambdas)
+def count_log_fatou(monkeypatch):
+    """Record the number of points of every log_fatou call of the kernel."""
     sizes = []
     original = interpolate_mod.log_fatou
 
@@ -89,10 +85,35 @@ def test_eval_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
         return original(fatou, z)
 
     monkeypatch.setattr(interpolate_mod, "log_fatou", counted)
+    return sizes
+
+
+def distinct_lambdas(g):
+    return len({lam for stage in g.stages for lam in stage.lambdas})
+
+
+def test_eval_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
+    _, g = small_problem()
+    # later stages rebuild an earlier cluster
+    assert distinct_lambdas(g) < sum(len(stage.lambdas) for stage in g.stages)
+    sizes = count_log_fatou(monkeypatch)
     zs = np.exp(2j * np.pi * np.arange(2 * CHUNK + 1) / (2 * CHUNK + 1))
     eval_interpolant(g, zs)
-    assert len(sizes) == distinct * 3
+    assert len(sizes) == distinct_lambdas(g) * 3
     assert max(sizes) == CHUNK
+
+
+def test_eval_skips_points_inside_the_skip_radius(monkeypatch):
+    # the pair 1e-3 apart: inside the disk the floor drops every power of
+    # most peak functions, so log_fatou does not see those points
+    data = BoundaryData.from_pairs(
+        [1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j]
+    )
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    sizes = count_log_fatou(monkeypatch)
+    zs = 0.5 * np.exp(2j * np.pi * np.arange(CHUNK) / CHUNK)
+    eval_interpolant(g, zs)
+    assert sum(sizes) < distinct_lambdas(g) * zs.size
 
 
 def test_eval_memory_is_bounded():

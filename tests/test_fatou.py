@@ -21,8 +21,10 @@ from diskinterp import (
     normalize_angle,
     sup_off_arc,
 )
+from diskinterp.fatou import log_fatou
 
 TWO_PI = 2.0 * math.pi
+EPS = 2.0**-52
 
 
 def single_peak():
@@ -81,6 +83,31 @@ def test_eval_outside_disk_rejected():
         eval_fatou(f, 1.1 + 0j)
     with pytest.raises(DomainError):
         eval_fatou(f, np.array([0.5 + 0j, 2.0 + 0j]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=40, unique=True
+    ),
+    st.one_of(st.floats(0.0, 1.0), st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k)),
+    st.floats(0.0, TWO_PI),
+)
+def test_schwarz_pick_bound(thetas, radius, phase):
+    # F(0) = m, so lambda(0) = m/(m+1) = mu, and lambda maps the disk into
+    # itself: |lambda(z)| <= (mu + |z|)/(1 + mu|z|). The computed log obeys
+    # the bound up to the relative rounding the evaluation kernel allows for
+    f = FatouFunction(FiniteBoundarySet.from_thetas(thetas))
+    m = len(f.peaks)
+    mu = m / (m + 1)
+    assert eval_fatou(f, 0j) == pytest.approx(mu, rel=4 * EPS, abs=0.0)
+    z = radius * cmath.exp(1j * phase)
+    r = abs(z)
+    bound = (mu + r) / (1.0 + mu * r)
+    assert abs(eval_fatou(f, z)) <= bound * (1.0 + 4 * EPS)
+    if r < 1.0:
+        kappa = 4 * EPS * (m + 2.0 / (1.0 - r))
+        assert log_fatou(f, np.array([z])).real[0] <= math.log(bound) * (1.0 - kappa)
 
 
 def test_strict_contraction(rng):
@@ -237,8 +264,16 @@ def test_sup_off_arc_monotone_in_arc():
 
 def test_sup_off_arc_peak_outside_arc_rejected():
     g = two_peaks()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=repr(math.pi)):
         sup_off_arc(g, Arc(Angle(0.0), 0.5), 1e-6)
+    # a peak exactly on the edge is outside the open arc
+    f = single_peak()
+    with pytest.raises(ValueError, match="angle 0.0 lies outside"):
+        sup_off_arc(f, Arc(Angle(0.5), 0.5), 1e-6)
+    three = FatouFunction(FiniteBoundarySet.from_thetas([1.0, 1.5, 2.0]))
+    with pytest.raises(ValueError, match="angle 1.0 lies outside"):
+        sup_off_arc(three, Arc(Angle(1.5), 0.5), 1e-6)
+    assert sup_off_arc(three, Arc(Angle(1.5), 0.6), 1e-6) < 1.0
 
 
 def test_sup_off_arc_parameter_validation():

@@ -10,6 +10,7 @@ from diskinterp import (
     CertificationError,
     DomainError,
     EtaSchedule,
+    FiniteBoundarySet,
     NoContractionError,
     cluster_by_oscillation,
     eval_interpolant,
@@ -20,14 +21,21 @@ from diskinterp import (
     single_stage,
 )
 import diskinterp.interpolate
-from diskinterp.fatou import eval_fatou, log_fatou
-from diskinterp.interpolate import _terms_sum
+from diskinterp.fatou import FatouFunction, eval_fatou, log_fatou
+from diskinterp.interpolate import (
+    CHUNK,
+    LOG_TERM_FLOOR,
+    TERM_FLOOR,
+    _skip_radius,
+    _terms_sum,
+)
 from conftest import random_problem
 
 TWO_PI = 2.0 * math.pi
 GRID = 1 << 14
 MARGIN = 1e-9
-SKIP_SLACK = 2.0**-60 + 4 * 2.0**-52  # evaluation's term floor plus rounding
+EPS = 2.0**-52
+SKIP_SLACK = 2.0**-60 + 4 * EPS  # evaluation's term floor plus rounding
 
 
 # ---------------------------------------------------------------- schedule
@@ -294,6 +302,101 @@ def test_skipped_terms_stay_within_floor_bound(name):
             scale = sum(abs(s.normalization * c) for c in s.coefficients)
             diff = eval_stage(s, zs) - _term_by_term([s], zs)
             assert np.max(np.abs(diff)) <= SKIP_SLACK * scale, label
+
+
+def _floor_only_sum(terms, zs):
+    """The kernel without the skip radius: every point of a chunk goes
+    through log_fatou, and the floor test alone drops terms."""
+    groups = {}
+    for lam, power, scale in sorted(terms, key=lambda t: t[1]):
+        groups.setdefault(lam, []).append((power, scale))
+    flat = zs.reshape(-1)
+    total = np.zeros(flat.shape, dtype=complex)
+    for start in range(0, flat.size, CHUNK):
+        out = total[start : start + CHUNK]
+        for lam, group in groups.items():
+            L = log_fatou(lam, flat[start : start + CHUNK])
+            idx = None
+            for power, scale in group:
+                keep = (L.real >= LOG_TERM_FLOOR / power).nonzero()[0]
+                if keep.size < L.size:
+                    if not keep.size:
+                        break
+                    L = L[keep]
+                    idx = keep if idx is None else idx[keep]
+                p = scale * np.exp(power * L)
+                if idx is None:
+                    out += p
+                else:
+                    out[idx] += p
+    return total.reshape(zs.shape)
+
+
+def _terms(stages):
+    return [
+        (lam, s.power, s.normalization * c)
+        for s in stages
+        for lam, c in zip(s.lambdas, s.coefficients)
+    ]
+
+
+@pytest.mark.parametrize("name", ["random12", "close_pair", "far_pair"])
+def test_skip_radius_matches_floor_bit_for_bit(name):
+    data = _kernel_problems()[name]
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    # the skip acts on these points: some radius reaches past the 0.5 contour
+    radii = [_skip_radius(lam.peak_points.size, p) for lam, p, _ in _terms(g.stages)]
+    assert max(radii) > 0.5
+    interior = np.random.default_rng(5)
+    point_sets = {
+        "zero": np.zeros(1, dtype=complex),
+        "interior": np.sqrt(interior.uniform(size=1000))
+        * np.exp(1j * interior.uniform(0.0, TWO_PI, 1000)),
+    }
+    for r in (0.3, 0.5, 0.9, 0.99, 0.999):
+        point_sets[r] = r * np.exp(2j * np.pi * np.arange(1024) / 1024)
+    for label, zs in point_sets.items():
+        assert np.array_equal(
+            eval_interpolant(g, zs), _floor_only_sum(_terms(g.stages), zs)
+        ), label
+        for s in g.stages:
+            assert np.array_equal(
+                eval_stage(s, zs), _floor_only_sum(_terms([s]), zs)
+            ), label
+
+
+def test_skip_radius_keeps_the_tight_origin():
+    # one peak: lambda(0) = 1/2, so lambda(0)^60 is TERM_FLOOR itself, which
+    # the floor test keeps, and the skip radius for power 60 is exactly 0
+    lam = FatouFunction(FiniteBoundarySet.from_thetas([0.0]))
+    assert _skip_radius(1, 60) == 0.0
+    zs = np.array([0j, 1e-300, 1e-3, -1e-3j, 0.01])
+    for power in (59, 60, 61):
+        term = [(lam, power, 1.0)]
+        assert np.array_equal(_terms_sum(term, zs), _floor_only_sum(term, zs)), power
+    assert _terms_sum([(lam, 60, 1.0)], zs)[0] == pytest.approx(TERM_FLOOR, rel=1e-13)
+
+
+@pytest.mark.parametrize("peak_count", [1, 2, 3, 10, 300])
+def test_skip_radius_covers_rounding(peak_count):
+    # the kernel drops |z| < r unevaluated; the floor test drops z where the
+    # computed Re log lambda is below the computed LOG_TERM_FLOOR/N. The
+    # computed log is within a relative kappa of the true one, which is at
+    # most the Schwarz-Pick bound, and |z| is off by an ulp at most
+    mpmath = pytest.importorskip("mpmath")
+    skipping = 0
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(peak_count) / (peak_count + 1)
+        for power in (20, 60, 61, 100, 10**3, 10**5, 10**7, 2 * 10**9, 10**11):
+            r = _skip_radius(peak_count, power)
+            if r == 0.0:
+                continue
+            skipping += 1
+            rr = mpmath.mpf(r) * (1 + EPS)
+            log_bound = mpmath.log((mu + rr) / (1 + mu * rr))
+            kappa = 4 * EPS * (peak_count + 2 / (1 - rr))
+            assert power * log_bound * (1 - kappa) < LOG_TERM_FLOOR * (1 + EPS), power
+    assert skipping >= 4
 
 
 def test_terms_on_their_peaks_are_exactly_scale():
