@@ -23,12 +23,9 @@ from .errors import (
     CertificationError,
     DomainError,
     NoContractionError,
-    SingularityError,
 )
 from .fatou import (
     FatouFunction,
-    boundary_imag,
-    boundary_modulus,
     choose_power,
     eval_fatou,
     sup_off_arc,
@@ -72,12 +69,9 @@ __all__ = [
     "FiniteBoundarySet",
     "Interpolant",
     "NoContractionError",
-    "SingularityError",
     "StageApproximant",
     "VerificationReport",
     "angular_distance",
-    "boundary_imag",
-    "boundary_modulus",
     "check_boundary_sup",
     "check_cauchy_identity",
     "check_max_modulus",

@@ -69,10 +69,6 @@ class Arc:
     def contains(self, angle: Angle) -> bool:
         return angular_distance(angle, self.center) < self.half_width
 
-    def clearance(self, angle: Angle) -> float:
-        """Angular distance beyond the arc edge (negative inside the arc)."""
-        return angular_distance(angle, self.center) - self.half_width
-
 
 @dataclass(frozen=True)
 class FiniteBoundarySet:

@@ -27,14 +27,18 @@ from .circle import BoundaryData, FiniteBoundarySet
 from .errors import CertificationError, NoContractionError
 from .fatou import FatouFunction, eval_fatou
 from .interpolate import Interpolant, eval_interpolant, iterative_interpolant
-from .verify import DEFAULT_GRID_SIZE, VerificationReport, verify_interpolant
+from .verify import (
+    DEFAULT_GRID_SIZE,
+    MIN_SUP_CHECK_GRID,
+    VerificationReport,
+    verify_interpolant,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_CERTIFICATION = 4
 
-MIN_GRID_SIZE = 4096
 DEFAULT_N_MAX = 20
 DEFAULT_SAFETY_MARGIN = 1e-9
 DEFAULT_SEED = 0
@@ -128,9 +132,9 @@ class ProblemSpec:
             raise ValidationFailure("problem: eta must be positive")
         if self.n_max < 1:
             raise ValidationFailure("problem: n_max must be at least 1")
-        if self.grid_size < MIN_GRID_SIZE:
+        if self.grid_size < MIN_SUP_CHECK_GRID:
             raise ValidationFailure(
-                f"problem: grid_size must be >= {MIN_GRID_SIZE}"
+                f"problem: grid_size must be >= {MIN_SUP_CHECK_GRID}"
             )
         if not (math.isfinite(self.safety_margin) and self.safety_margin > 0.0):
             raise ValidationFailure("problem: safety_margin must be positive")

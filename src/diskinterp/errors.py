@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Evaluation requested outside the closed unit disk."""
 
 
-class SingularityError(ValueError):
-    """Boundary trace evaluated at (or too close to) a peak angle."""
-
-
 class NoContractionError(ArithmeticError):
     """An off-arc modulus estimate reached 1, so no power can contract it.
 

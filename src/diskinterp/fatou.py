@@ -17,11 +17,11 @@ arg(1 + 1/F) = -atan2(b, a + |F|^2); for a >= 0 neither form cancels, so
 both parts of the log keep full relative precision however close |lambda|
 is to 1.
 
-The module also provides the boundary trace of Im F (a cotangent sum), the
-induced boundary modulus identity |lambda| = |y|/sqrt(1+y^2), off-arc suprema
-and the minimal power that contracts those suprema below a target. No grid is
-needed for the suprema: off the peaks the cotangent sum is strictly
-decreasing, so on a peak-free arc |lambda| is largest at an arc endpoint.
+The module also provides off-arc suprema and the minimal power that
+contracts those suprema below a target. On the circle off the peaks F = iy,
+y a cotangent sum, so |lambda| = |y|/sqrt(1+y^2). No grid is needed for the
+suprema: off the peaks the cotangent sum is strictly decreasing, so on a
+peak-free arc |lambda| is largest at an arc endpoint.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle import Angle, Arc, FiniteBoundarySet, TWO_PI, angular_distance
-from .errors import DomainError, NoContractionError, SingularityError
+from .circle import Arc, FiniteBoundarySet, TWO_PI
+from .errors import DomainError, NoContractionError
 
 PEAK_SNAP = 1e-15     # euclidean snap-to-peak radius for evaluation
-PEAK_ANGLE_SNAP = 1e-15  # angular guard radius for boundary traces
 DISK_SLACK = 1e-12    # |z| tolerance beyond the closed disk
 
 
@@ -76,11 +75,11 @@ def _half_plane_sum(
     fatou: FatouFunction, zs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F(zs), near): the half-plane sum and the mask of points within
-    ``PEAK_SNAP`` of a peak, where F is inf or nan. One pass per peak forms
-    d = a_j - z for both the snap test and the term of F."""
+    ``PEAK_SNAP`` of a peak, where F is inf, nan or overflows. One pass per
+    peak forms d = a_j - z for both the snap test and the term of F."""
     F = np.zeros(zs.shape, dtype=complex)
     near = np.zeros(zs.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for aj in fatou.peak_points:
             d = aj - zs
             near |= np.abs(d) <= PEAK_SNAP
@@ -119,11 +118,11 @@ def log_fatou(fatou: FatouFunction, zs: np.ndarray) -> np.ndarray:
     """
     F, near = _half_plane_sum(fatou, zs)
     a, b = F.real, F.imag
-    s = a * a
-    s += b * b  # |F|^2
     L = np.empty_like(F)
     re, im = L.real, L.imag
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = a * a
+        s += b * b  # |F|^2
         np.multiply(a, 2.0, out=re)
         re += 1.0
         re /= s
@@ -135,47 +134,18 @@ def log_fatou(fatou: FatouFunction, zs: np.ndarray) -> np.ndarray:
     return L
 
 
-def _boundary_imag_grid(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
-    """Im F(e^(i*theta)) as the cotangent sum; no peak-proximity guard.
+def _boundary_modulus(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
+    """|lambda(e^(i*theta))| = |y|/sqrt(1+y^2) off the peaks, where F = iy and
+    y is the sum of cot((theta - theta_j)/2) over the peaks.
 
     One (peaks x points) broadcast. The sum runs over the peaks in order
     (a cumulative sum), not pairwise, so it does not depend on the shape."""
     half = thetas[None, :] - fatou.peak_thetas[:, None]
     half /= 2.0
-    return np.cumsum(1.0 / np.tan(half), axis=0)[-1]
-
-
-def _guard_peak_angle(fatou: FatouFunction, theta: Angle) -> None:
-    for p in fatou.peaks.points:
-        if angular_distance(theta, p) <= PEAK_ANGLE_SNAP:
-            raise SingularityError(
-                f"boundary trace undefined at peak angle {p.theta!r}"
-            )
-
-
-def boundary_imag(fatou: FatouFunction, theta: Angle) -> float:
-    """Im F on the circle: sum of cot((theta - theta_j)/2) over the peaks.
-
-    Off the peak set F is purely imaginary there, so this is the whole
-    boundary trace of F. Raises SingularityError within ``PEAK_ANGLE_SNAP``
-    of a peak angle.
-    """
-    _guard_peak_angle(fatou, theta)
-    return float(_boundary_imag_grid(fatou, np.array([theta.theta]))[0])
-
-
-def _boundary_modulus_grid(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
-    y = _boundary_imag_grid(fatou, thetas)
+    y = np.cumsum(1.0 / np.tan(half), axis=0)[-1]
     m = np.abs(y) / np.hypot(1.0, y)
-    # y = +-inf (a grid node collided with a peak) gives nan; the limit is 1
+    # y = +-inf (a node collided with a peak) gives nan; the limit is 1
     return np.where(np.isnan(m), 1.0, m)
-
-
-def boundary_modulus(fatou: FatouFunction, theta: Angle) -> float:
-    """|lambda| on the circle off the peaks: |y|/sqrt(1+y^2) with
-    y = boundary_imag; strictly below 1."""
-    y = boundary_imag(fatou, theta)
-    return abs(y) / math.hypot(1.0, y)
 
 
 def sup_off_arc(
@@ -202,13 +172,8 @@ def sup_off_arc(
         d = abs(theta - center)
         if not (d < half_width or TWO_PI - d < half_width):
             raise ValueError(f"peak at angle {theta!r} lies outside the excluded arc")
-    ends = np.array(
-        [
-            excluded.center.theta + excluded.half_width,
-            excluded.center.theta + TWO_PI - excluded.half_width,
-        ]
-    )
-    rho = float(np.max(_boundary_modulus_grid(fatou, ends)))
+    ends = np.array([center + half_width, center + TWO_PI - half_width])
+    rho = float(np.max(_boundary_modulus(fatou, ends)))
     rho *= 1.0 + safety_margin
     if not rho < 1.0:
         raise NoContractionError(

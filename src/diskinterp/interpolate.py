@@ -227,8 +227,6 @@ def _stage_terms(
 def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
     """Build one stage; returns (stage, values on E)."""
     epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     clustering = cluster_by_oscillation(data, epsilon)
     k = len(clustering)
     lambdas = tuple(
@@ -377,12 +375,17 @@ def iterative_interpolant(
     return Interpolant(tuple(stages), schedule, certificate)
 
 
-def eval_stage(stage: StageApproximant, z):
-    """Evaluate one normalized stage on the closed disk."""
+def _eval_stages(stages: Iterable[StageApproximant], z):
+    """Sum of ``stages`` at a point (a complex comes back) or an array of
+    points, after checking that they lie in the closed disk."""
     zs = np.asarray(z, dtype=complex)
     require_closed_disk(zs)
     vals = _terms_sum(
-        _stage_terms(stage.lambdas, stage.coefficients, stage.power, stage.normalization),
+        (
+            term
+            for s in stages
+            for term in _stage_terms(s.lambdas, s.coefficients, s.power, s.normalization)
+        ),
         zs,
     )
     if zs.ndim == 0:
@@ -390,19 +393,11 @@ def eval_stage(stage: StageApproximant, z):
     return vals
 
 
+def eval_stage(stage: StageApproximant, z):
+    """Evaluate one normalized stage on the closed disk."""
+    return _eval_stages((stage,), z)
+
+
 def eval_interpolant(interpolant: Interpolant, z):
     """Evaluate the stage sum on the closed disk (0 for a zero-stage result)."""
-    zs = np.asarray(z, dtype=complex)
-    require_closed_disk(zs)
-    total = _terms_sum(
-        (
-            term
-            for s in interpolant.stages
-            for term in _stage_terms(s.lambdas, s.coefficients, s.power, s.normalization)
-        ),
-        zs,
-    )
-    if zs.ndim == 0:
-        return complex(total[()])
-    return total
-
+    return _eval_stages(interpolant.stages, z)

@@ -2,10 +2,12 @@
 
 Each check re-measures one certificate-level claim by evaluating the
 interpolant on a declared grid or sample and records the grid parameters,
-tolerance, and seed it used, so a report is reproducible and tightenable.
+tolerance, and seed it used, so a report is reproducible. A full report
+takes a grid size and a seed; its tolerances and sizes are the constants
+below, and a ``check_*`` call with its own parameters tightens one claim.
 The boundary grid is evaluated once per report: the maximum-modulus check
-takes its ceiling from the boundary-sup check's grid maximum. Checks are pure
-and deterministic given their parameters.
+takes its ceiling from the boundary-sup check's grid maximum. Checks are
+pure and deterministic given their parameters.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ from .circle import BoundaryData
 from .interpolate import Interpolant, eval_interpolant
 
 DEFAULT_GRID_SIZE = 1 << 16
-DEFAULT_SUP_TOL = 1e-9
-DEFAULT_IDENTITY_TOL = 1e-10
+SUP_TOL = 1e-9          # boundary sup and maximum modulus
+RESIDUAL_TOL = 1e-12    # values on the set beyond the truncation bound
+IDENTITY_TOL = 1e-10    # Cauchy identities
+INTERIOR_SAMPLES = 10_000
+QUAD_POINTS = 4096      # nodes per Cauchy contour
+CAUCHY_PAIRS = 10       # seeded (z0, radius) pairs per report
 MIN_SUP_CHECK_GRID = 1 << 12
 MIN_QUAD_POINTS = 1 << 10
 MIN_INTERIOR_SAMPLES = 1000
@@ -176,33 +182,27 @@ def verify_interpolant(
     *,
     grid_size: int = DEFAULT_GRID_SIZE,
     seed: int = 0,
-    sup_tol: float = DEFAULT_SUP_TOL,
-    residual_tol: float = 1e-12,
-    identity_tol: float = DEFAULT_IDENTITY_TOL,
-    interior_samples: int = 10_000,
-    quad_points: int = 4096,
-    cauchy_pairs: int = 10,
 ) -> VerificationReport:
     """Full audit of a pipeline output: value matching on the set, boundary
     sup against sup + eta, the maximum-modulus inequality, and a batch of
-    seeded contour-integral identities."""
+    seeded contour-integral identities, at the module's tolerances."""
     cert = interpolant.certificate
     boundary = check_boundary_sup(
-        interpolant, cert.sup_norm_input + cert.eta, grid_size, sup_tol
+        interpolant, cert.sup_norm_input + cert.eta, grid_size, SUP_TOL
     )
     checks = [
-        check_peak_values(interpolant, data, residual_tol),
+        check_peak_values(interpolant, data, RESIDUAL_TOL),
         boundary,
-        check_max_modulus(interpolant, interior_samples, boundary, sup_tol, seed=seed),
+        check_max_modulus(interpolant, INTERIOR_SAMPLES, boundary, SUP_TOL, seed=seed),
     ]
-    for i, (z0, radius) in enumerate(cauchy_sample_points(seed, cauchy_pairs)):
+    for i, (z0, radius) in enumerate(cauchy_sample_points(seed, CAUCHY_PAIRS)):
         checks.append(
             check_cauchy_identity(
                 interpolant,
                 z0,
                 radius,
-                quad_points,
-                identity_tol,
+                QUAD_POINTS,
+                IDENTITY_TOL,
                 name=f"cauchy_identity_{i:02d}",
             )
         )

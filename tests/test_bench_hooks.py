@@ -67,10 +67,10 @@ def test_audit_calls_through_traced_names(monkeypatch):
 
     for name in ("eval_interpolant",) + CHECK_HOOKS:
         counted(name)
-    report = verify_interpolant(g, data, grid_size=GRID, seed=1, cauchy_pairs=3)
+    report = verify_interpolant(g, data, grid_size=GRID, seed=1)
     assert report.overall
     assert all(calls[name] >= 1 for name in ("eval_interpolant",) + CHECK_HOOKS), calls
-    assert calls["check_cauchy_identity"] == 3
+    assert calls["check_cauchy_identity"] == verify_mod.CAUCHY_PAIRS
     # one boundary grid, plus the points of E for the value check
     assert sum(on_circle) == GRID + len(data.set)
 

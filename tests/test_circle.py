@@ -208,7 +208,7 @@ def _partition_props(clustering, data):
                 continue
             for i in cj.members:
                 # strictly positive clearance from every foreign arc
-                assert ck.arc.clearance(pts[i]) > 0.0
+                assert angular_distance(pts[i], ck.arc.center) > ck.arc.half_width
 
 
 def test_clustering_invariants_random(rng):

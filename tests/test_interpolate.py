@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +232,22 @@ def test_pipeline_stage_budget_enforced(monkeypatch):
         iterative_interpolant(data, 0.01, 3, GRID, MARGIN)
 
 
+def test_pipeline_stage_over_budget_rejected(monkeypatch):
+    # the stage contract keeps each residual below eta_n up to rounding, so
+    # only a stage whose recorded residual is raised reaches this check
+    build = diskinterp.interpolate._build_stage
+
+    def over_budget(data, epsilon, safety_margin):
+        stage, at_e = build(data, epsilon, safety_margin)
+        eta_n = epsilon * (1.0 + 2.0 * data.sup_norm)
+        return dataclasses.replace(stage, certified_residual=2.0 * eta_n), at_e
+
+    monkeypatch.setattr(diskinterp.interpolate, "_build_stage", over_budget)
+    data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, -1.0, 1.0j])
+    with pytest.raises(CertificationError, match="exceeds its budget"):
+        iterative_interpolant(data, 0.01, 3, GRID, MARGIN)
+
+
 def test_eval_outside_disk_rejected(rng):
     data = random_problem(rng, 3)
     g = iterative_interpolant(data, 0.05, 2, GRID, MARGIN)
@@ -425,6 +443,16 @@ def test_eval_is_exactly_zero_where_lambda_vanishes():
         for s in g.stages:
             vals = eval_stage(s, zs)
             assert vals[0] == 0.0 and np.isfinite(vals[1])
+
+
+def test_eval_next_to_a_peak_is_snapped_without_warnings():
+    # 1e-200 off the peak at angle 0 the half-plane sum overflows; the point
+    # is within PEAK_SNAP of the peak, so its value is the value there
+    data = BoundaryData.from_pairs([0.0, 2.0], [1.0, -1.0])
+    g = iterative_interpolant(data, 0.01, 5, GRID, MARGIN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_interpolant(g, 1 + 1e-200j) == eval_interpolant(g, 1 + 0j)
 
 
 def _mp_interpolant(g, peak_point):

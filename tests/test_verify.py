@@ -5,6 +5,7 @@ import pytest
 
 from diskinterp import (
     BoundaryData,
+    VerificationReport,
     check_boundary_sup,
     check_cauchy_identity,
     check_max_modulus,
@@ -14,6 +15,7 @@ from diskinterp import (
     iterative_interpolant,
     verify_interpolant,
 )
+import diskinterp.verify as verify_mod
 from conftest import random_problem
 
 GRID = 1 << 14
@@ -180,8 +182,7 @@ def test_cauchy_geometry_validation():
 
 def test_full_report_passes_on_pipeline_output(rng):
     data, g = pipeline_output(rng)
-    sup_tol = 1e-9
-    report = verify_interpolant(g, data, grid_size=GRID, seed=9, sup_tol=sup_tol)
+    report = verify_interpolant(g, data, grid_size=GRID, seed=9)
     assert report.overall
     assert len(report.checks) == 13
     assert report.failed() == ()
@@ -190,7 +191,7 @@ def test_full_report_passes_on_pipeline_output(rng):
     # max_modulus reuses the boundary grid maximum as its ceiling
     by_name = {c.name: c for c in report.checks}
     boundary, max_modulus = by_name["boundary_sup"], by_name["max_modulus"]
-    assert max_modulus.threshold == boundary.measured + sup_tol
+    assert max_modulus.threshold == boundary.measured + verify_mod.SUP_TOL
     assert max_modulus.params["grid_size"] == GRID
 
 
@@ -204,13 +205,27 @@ def test_report_deterministic(rng):
 def test_report_monotone_in_tol(rng):
     # shrinking tol can only turn pass into fail, never the reverse
     data, g = pipeline_output(rng)
-    loose = verify_interpolant(g, data, grid_size=GRID, seed=2, sup_tol=1e-6)
-    tight = verify_interpolant(g, data, grid_size=GRID, seed=2, sup_tol=1e-13)
+    cert = g.certificate
+
+    def report(tol):
+        boundary = check_boundary_sup(g, cert.sup_norm_input + cert.eta, GRID, tol)
+        checks = [
+            check_peak_values(g, data, tol),
+            boundary,
+            check_max_modulus(g, 10_000, boundary, tol, seed=2),
+        ]
+        for z0, radius in verify_mod.cauchy_sample_points(2, 3):
+            checks.append(check_cauchy_identity(g, z0, radius, 4096, tol))
+        return VerificationReport(tuple(checks))
+
+    loose, tight = report(1e-6), report(1e-13)
+    if tight.overall:
+        assert loose.overall
     for lo, hi in zip(loose.checks, tight.checks):
         assert lo.name == hi.name
         if hi.passed:
             assert lo.passed
-        assert hi.threshold <= lo.threshold or lo.name == "peak_values"
+        assert hi.threshold <= lo.threshold
 
 
 def test_report_overall_is_conjunction():
