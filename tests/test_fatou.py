@@ -17,7 +17,7 @@ from diskinterp import (
     eval_fatou,
     sup_off_arc,
 )
-from diskinterp.fatou import _boundary_modulus, log_fatou
+from diskinterp.fatou import _boundary_modulus, _half_plane_sum, log_fatou
 
 TWO_PI = 2.0 * math.pi
 EPS = 2.0**-52
@@ -179,10 +179,26 @@ def test_rotation_equivariance(rng):
 # ---------------------------------------------------------------- boundary traces
 
 
+def test_boundary_imag_examples():
+    g = two_peaks()
+    # on the circle F = iy: cot(pi/8) + cot(-3*pi/8) = 2, matching
+    # Im F(e^{i pi/4}) = Im lambda/(1-lambda) computed directly
+    z = np.array([cmath.exp(1j * math.pi / 4)])
+    F, near = _half_plane_sum(g, z)
+    assert not near[0]
+    assert F[0].real == pytest.approx(0.0, abs=1e-12)
+    assert F[0].imag == pytest.approx(2.0, abs=1e-12)
+    lam = eval_fatou(g, z[0])
+    assert (lam / (1 - lam)).imag == pytest.approx(F[0].imag, abs=1e-12)
+
+    f = single_peak()
+    F, _ = _half_plane_sum(f, np.array([-1.0 + 0.0j]))
+    assert abs(F[0]) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_boundary_modulus_examples():
     g = two_peaks()
-    # Im F(e^{i pi/4}) = cot(pi/8) + cot(-3*pi/8) = 2, so |lambda| = 2/sqrt(5),
-    # matching |lambda| computed directly
+    # y = 2 at pi/4, so |lambda| = 2/sqrt(5), matching |lambda| computed directly
     m = _boundary_modulus(g, np.array([math.pi / 4]))[0]
     assert m == pytest.approx(2 / math.sqrt(5), abs=1e-12)
     assert m == pytest.approx(abs(eval_fatou(g, cmath.exp(1j * math.pi / 4))), abs=1e-12)
