@@ -17,7 +17,7 @@ import numpy as np
 
 from diskinterp import (
     BoundaryData,
-    eval_interpolant,
+    eval_on_circle,
     iterative_interpolant,
     verify_interpolant,
 )
@@ -64,7 +64,7 @@ def main(argv=None) -> None:
           f"({len(rep.checks)} checks, {time.perf_counter() - t0:.2f}s)")
 
     print("\n    theta        target                 achieved")
-    vals = eval_interpolant(g, data.set.complex_points())
+    vals = eval_on_circle(g, data.set.thetas())
     for p, target, got in zip(data.set.points, data.values, np.atleast_1d(vals)):
         print(f"  {p.theta:8.5f}  {target.real:+.6f}{target.imag:+.6f}i  "
               f"{got.real:+.6f}{got.imag:+.6f}i")

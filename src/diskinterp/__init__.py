@@ -36,6 +36,7 @@ from .interpolate import (
     Interpolant,
     StageApproximant,
     eval_interpolant,
+    eval_on_circle,
     eval_stage,
     iterative_interpolant,
     make_schedule,
@@ -80,6 +81,7 @@ __all__ = [
     "cluster_by_oscillation",
     "eval_fatou",
     "eval_interpolant",
+    "eval_on_circle",
     "eval_stage",
     "iterative_interpolant",
     "make_schedule",

@@ -26,11 +26,12 @@ import numpy as np
 from .circle import BoundaryData, FiniteBoundarySet
 from .errors import CertificationError, NoContractionError
 from .fatou import FatouFunction, eval_fatou
-from .interpolate import Interpolant, eval_interpolant, iterative_interpolant
+from .interpolate import Interpolant, eval_on_circle, iterative_interpolant
 from .verify import (
     DEFAULT_GRID_SIZE,
     MIN_SUP_CHECK_GRID,
     VerificationReport,
+    boundary_grid,
     verify_interpolant,
 )
 
@@ -187,11 +188,11 @@ def _fmt(x: float) -> str:
 
 def _grid_csv(thetas: np.ndarray, values: np.ndarray) -> str:
     lines = ["theta,re,im,abs"]
-    for t, v in zip(thetas, values):
+    # numpy's modulus, the one the audit takes, which can differ from
+    # Python's abs(complex) in the last bit
+    for t, v, m in zip(thetas, values, np.abs(values)):
         v = complex(v)
-        lines.append(
-            f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
-        )
+        lines.append(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(m)}")
     return "\n".join(lines) + "\n"
 
 
@@ -253,7 +254,7 @@ def cmd_fatou(args) -> int:
     k = args.eval_grid
     if k < 1:
         raise ValidationFailure("--eval-grid must be at least 1")
-    thetas = 2.0 * math.pi * np.arange(k) / k
+    thetas = boundary_grid(k)
     values = eval_fatou(fatou, np.exp(1j * thetas))
     _write_text(args.out, _grid_csv(thetas, np.atleast_1d(values)))
     return EXIT_OK
@@ -280,8 +281,8 @@ def cmd_interpolate(args) -> int:
     payload = _certificate_payload(spec, interpolant, report)
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     if args.grid_out is not None:
-        thetas = 2.0 * math.pi * np.arange(spec.grid_size) / spec.grid_size
-        values = eval_interpolant(interpolant, np.exp(1j * thetas))
+        thetas = boundary_grid(spec.grid_size)
+        values = eval_on_circle(interpolant, thetas)
         _write_text(args.grid_out, _grid_csv(thetas, values))
     if not report.overall:
         for c in report.failed():

@@ -17,11 +17,19 @@ arg(1 + 1/F) = -atan2(b, a + |F|^2); for a >= 0 neither form cancels, so
 both parts of the log keep full relative precision however close |lambda|
 is to 1.
 
+On the circle off the peaks F = iy, with y = sum_j cot((theta - theta_j)/2)
+a real cotangent sum of angle differences, so |lambda| = |y|/sqrt(1+y^2)
+and, with u = 1/y, log lambda = -log1p(u^2)/2 + i atan(u). The evaluation
+kernel takes its logs in one of two ways: ``log_fatou`` from points of the
+closed disk, ``log_fatou_on_circle`` from angles. The angle form never
+rounds a point e^(i*theta) or a peak point, so it stays accurate next to a
+peak for powers up to about 1e10.
+
 The module also provides off-arc suprema and the minimal power that
-contracts those suprema below a target. On the circle off the peaks F = iy,
-y a cotangent sum, so |lambda| = |y|/sqrt(1+y^2). No grid is needed for the
-suprema: off the peaks the cotangent sum is strictly decreasing, so on a
-peak-free arc |lambda| is largest at an arc endpoint.
+contracts those suprema below a target. No grid is needed for the suprema:
+off the peaks the cotangent sum is strictly decreasing, so on a peak-free
+arc |lambda| is largest at an arc endpoint. The suprema and the angle log
+share one cotangent sum.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .errors import DomainError, NoContractionError
 
 PEAK_SNAP = 1e-15     # euclidean snap-to-peak radius for evaluation
 DISK_SLACK = 1e-12    # |z| tolerance beyond the closed disk
+FEW_ANGLES = 256      # cotangent sums up to this many angles use one broadcast
 
 
 @dataclass(frozen=True)
@@ -134,15 +143,72 @@ def log_fatou(fatou: FatouFunction, zs: np.ndarray) -> np.ndarray:
     return L
 
 
-def _boundary_modulus(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
-    """|lambda(e^(i*theta))| = |y|/sqrt(1+y^2) off the peaks, where F = iy and
-    y is the sum of cot((theta - theta_j)/2) over the peaks.
+def _cotangent_sum(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
+    """y = sum_j cot((theta - theta_j)/2) on a 1-d array of angles, so that
+    F(e^(i*theta)) = iy. On a peak y = +-inf, with a divide-by-zero that the
+    caller may silence.
 
-    One (peaks x points) broadcast. The sum runs over the peaks in order
-    (a cumulative sum), not pairwise, so it does not depend on the shape."""
-    half = thetas[None, :] - fatou.peak_thetas[:, None]
-    half /= 2.0
-    y = np.cumsum(1.0 / np.tan(half), axis=0)[-1]
+    The terms are added in peak order, never pairwise, so y does not depend
+    on how the angles are split into arrays. Up to ``FEW_ANGLES`` angles,
+    such as the two arc ends of ``sup_off_arc`` or a small set, one
+    (peaks x angles) broadcast with a cumulative sum costs fewer numpy calls;
+    beyond that one pass per peak keeps the work at the size of ``thetas``.
+    The difference of two nearby angles is exact, so y keeps full relative
+    precision next to a peak."""
+    if thetas.size <= FEW_ANGLES:
+        d = thetas[None, :] - fatou.peak_thetas[:, None]
+        d *= 0.5
+        np.tan(d, out=d)
+        np.divide(1.0, d, out=d)
+        return np.cumsum(d, axis=0)[-1]
+    y = np.zeros(thetas.shape)
+    d = np.empty(thetas.shape)
+    for tj in fatou.peak_thetas:
+        np.subtract(thetas, tj, out=d)
+        d *= 0.5
+        np.tan(d, out=d)
+        np.divide(1.0, d, out=d)
+        y += d
+    return y
+
+
+def log_fatou_on_circle(
+    fatou: FatouFunction, thetas: np.ndarray, floor: float = -math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L, keep): log lambda at the points e^(i*theta) of the circle, for a
+    1-d array of angles, where its real part is at least ``floor`` (< 0),
+    and the indices of those angles, so that L = log
+    lambda(e^(i*thetas[keep])).
+
+    With F = iy and u = 1/y, lambda = 1/(1 - iu), so log lambda =
+    -log1p(u^2)/2 + i atan(u), exactly 0 on a peak, where y = +-inf. The
+    real part is at least ``floor`` where |y| >= 1/sqrt(expm1(-2 floor));
+    that test, widened for rounding, picks the angles before any log is
+    formed, and the test on the computed real part follows.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        y = _cotangent_sum(fatou, thetas)
+        y_min = (1.0 - 1e-9) / math.sqrt(math.expm1(-2.0 * floor))
+        keep = (np.abs(y) >= y_min).nonzero()[0]
+        if keep.size < y.size:
+            y = y[keep]
+        u = 1.0 / y
+        re = u * u
+        np.log1p(re, out=re)
+        re *= -0.5
+    exact = (re >= floor).nonzero()[0]
+    if exact.size < keep.size:
+        keep, u, re = keep[exact], u[exact], re[exact]
+    L = np.empty(keep.shape, dtype=complex)
+    L.real = re
+    np.arctan(u, out=L.imag)
+    return L, keep
+
+
+def _boundary_modulus(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
+    """|lambda(e^(i*theta))| = |y|/sqrt(1+y^2) off the peaks, y the cotangent
+    sum."""
+    y = _cotangent_sum(fatou, thetas)
     m = np.abs(y) / np.hypot(1.0, y)
     # y = +-inf (a node collided with a peak) gives nan; the limit is 1
     return np.where(np.isnan(m), 1.0, m)

@@ -21,15 +21,20 @@ maximum modulus principle the same bound holds on the whole disk. Residuals
 are evaluated on the set itself. Violated bounds raise CertificationError
 instead of being recorded.
 
-The build's values on the set, ``eval_stage`` and ``eval_interpolant`` share
-one kernel over (lambda, N, scale) terms, scale = c_k/(1+eps). Later stages
-often rebuild an earlier cluster, so terms with equal peak functions are
-grouped: each group costs one ``log_fatou`` call, which gives
-log lambda = -log1p(1/F) without cancellation, and each of its powers is
-exp(N log lambda) on the points that survive the floor. On the peaks
-log lambda is exactly 0, so a term there is exactly its scale. A term is
-skipped where |lambda|^N < TERM_FLOOR = 2^-60, so a value moves by less
-than 2^-60 * sum |scale|. A peak function with m peaks has lambda(0) =
+All evaluation goes through one kernel over (lambda, N, scale) terms,
+scale = c_k/(1+eps). It takes either points of the closed disk
+(``eval_interpolant`` and ``eval_stage``) or angles of points on the circle
+(``eval_on_circle``, and the build's values on the set). Later stages often
+rebuild an earlier cluster, so terms with equal peak functions are grouped:
+each group costs one log call, ``log_fatou`` on points, which gives
+log lambda = -log1p(1/F) without cancellation, or ``log_fatou_on_circle``
+on angles, which gives it from the cotangent sum without rounding a point.
+Each of the group's powers is exp(N log lambda) on the points that survive
+the floor. On the peaks log lambda is exactly 0, so a term there is exactly
+its scale. A term is skipped where |lambda|^N < TERM_FLOOR = 2^-60, so a
+value moves by less than 2^-60 * sum |scale|. On angles the modulus is
+known before the phase, so the floor test for the group's lowest power runs
+first. Inside the disk, a peak function with m peaks has lambda(0) =
 m/(m+1) and maps the disk into itself, so by Schwarz-Pick every power of it
 is below the floor inside a radius fixed by m and its lowest power; points
 there are dropped before ``log_fatou`` runs, which changes no value. Points
@@ -51,14 +56,15 @@ from .circle import (
     FiniteBoundarySet,
     cluster_by_oscillation,
 )
-from .errors import CertificationError
-# The kernel calls log_fatou by its name here, so a tracer can wrap it.
+from .errors import CertificationError, DomainError
+# The kernel calls the two logs by their names here, so a tracer can wrap them.
 # eval_fatou is no longer called here but stays bound: perfbench wraps it.
 from .fatou import (
     FatouFunction,
     choose_power,
     eval_fatou,
     log_fatou,
+    log_fatou_on_circle,
     require_closed_disk,
     sup_off_arc,
 )
@@ -159,17 +165,23 @@ def _skip_radius(peak_count: int, power: int) -> float:
 
 
 def _terms_sum(
-    terms: Iterable[tuple[FatouFunction, int, complex]], zs: np.ndarray
+    terms: Iterable[tuple[FatouFunction, int, complex]],
+    xs: np.ndarray,
+    on_circle: bool = False,
 ) -> np.ndarray:
-    """Sum of scale * lambda(zs)^N over (lambda, N, scale) terms; zs must lie
-    in the closed disk.
+    """Sum of scale * lambda^N over (lambda, N, scale) terms at ``xs``: points
+    of the closed disk or, when ``on_circle``, the angles of points on the
+    unit circle.
 
-    Terms with equal peak functions share one ``log_fatou`` call per chunk
-    of ``CHUNK`` points, and each power is exp(N log lambda). A term is
-    skipped where Re log lambda < log(TERM_FLOOR)/N. Terms go in ascending
-    power, so within a group each power keeps a subset of the points the
-    previous one kept, and a point inside the group's ``_skip_radius`` for
-    its lowest power, which that test would drop, is not evaluated at all.
+    Terms with equal peak functions share one log call per chunk of
+    ``CHUNK`` points (``log_fatou`` on points, ``log_fatou_on_circle`` on
+    angles), and each power is exp(N log lambda). A term is skipped where
+    Re log lambda < log(TERM_FLOOR)/N. Terms go in ascending power, so within
+    a group each power keeps a subset of the points the previous one kept.
+    Inside the disk a point within the group's ``_skip_radius`` for its
+    lowest power, which that test would drop, is not evaluated at all; on the
+    circle the angle log forms the phase only where the lowest power passes
+    the test.
     """
     groups: dict[FatouFunction, list[tuple[int, complex]]] = {}
     max_power = 1
@@ -179,14 +191,16 @@ def _terms_sum(
     # terms go in ascending power, and the skip radius grows with the power
     # and shrinks with the peak count, so no group's radius exceeds reach
     reach = _skip_radius(1, max_power)
-    flat = zs.reshape(-1)
+    flat = xs.reshape(-1)
     total = np.zeros(flat.shape, dtype=complex)
     for start in range(0, flat.size, CHUNK):
         chunk = flat[start : start + CHUNK]
         out = total[start : start + CHUNK]
-        modulus = np.abs(chunk)
-        if modulus.min() >= reach:  # no point inside any skip radius
-            modulus = None
+        modulus = None
+        if not on_circle:
+            modulus = np.abs(chunk)
+            if modulus.min() >= reach:  # no point inside any skip radius
+                modulus = None
         for lam, group in groups.items():
             points, idx = chunk, None  # idx: positions in the chunk of the kept values
             if modulus is not None:
@@ -196,7 +210,14 @@ def _terms_sum(
                     if not keep.size:
                         continue
                     points, idx = chunk[keep], keep
-            L = log_fatou(lam, points)
+            if on_circle:
+                L, keep = log_fatou_on_circle(lam, points, LOG_TERM_FLOOR / group[0][0])
+                if keep.size < points.size:
+                    if not keep.size:
+                        continue
+                    idx = keep
+            else:
+                L = log_fatou(lam, points)
             for power, scale in group:
                 keep = (L.real >= LOG_TERM_FLOOR / power).nonzero()[0]
                 if keep.size < L.size:
@@ -209,7 +230,7 @@ def _terms_sum(
                     out += p
                 else:
                     out[idx] += p
-    return total.reshape(zs.shape)
+    return total.reshape(xs.shape)
 
 
 def _stage_terms(
@@ -247,7 +268,8 @@ def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
 
     at_e = _terms_sum(
         _stage_terms(lambdas, coefficients, power, normalization),
-        data.set.complex_points(),
+        data.set.thetas(),
+        on_circle=True,
     )
 
     moduli = [abs(c) for c in coefficients]
@@ -375,20 +397,27 @@ def iterative_interpolant(
     return Interpolant(tuple(stages), schedule, certificate)
 
 
-def _eval_stages(stages: Iterable[StageApproximant], z):
+def _eval_stages(stages: Iterable[StageApproximant], x, on_circle: bool = False):
     """Sum of ``stages`` at a point (a complex comes back) or an array of
-    points, after checking that they lie in the closed disk."""
-    zs = np.asarray(z, dtype=complex)
-    require_closed_disk(zs)
+    points of the closed disk or, when ``on_circle``, at finite angles, after
+    checking them."""
+    if on_circle:
+        xs = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(xs)):
+            raise DomainError("evaluation angle not finite")
+    else:
+        xs = np.asarray(x, dtype=complex)
+        require_closed_disk(xs)
     vals = _terms_sum(
         (
             term
             for s in stages
             for term in _stage_terms(s.lambdas, s.coefficients, s.power, s.normalization)
         ),
-        zs,
+        xs,
+        on_circle,
     )
-    if zs.ndim == 0:
+    if xs.ndim == 0:
         return complex(vals[()])
     return vals
 
@@ -401,3 +430,10 @@ def eval_stage(stage: StageApproximant, z):
 def eval_interpolant(interpolant: Interpolant, z):
     """Evaluate the stage sum on the closed disk (0 for a zero-stage result)."""
     return _eval_stages(interpolant.stages, z)
+
+
+def eval_on_circle(interpolant: Interpolant, thetas):
+    """Evaluate the stage sum at e^(i*theta) for a finite angle or an array
+    of them. The values come from the angles, never from rounded points, so
+    they stay accurate next to a peak for powers up to about 1e10."""
+    return _eval_stages(interpolant.stages, thetas, on_circle=True)

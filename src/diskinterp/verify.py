@@ -6,8 +6,11 @@ tolerance, and seed it used, so a report is reproducible. A full report
 takes a grid size and a seed; its tolerances and sizes are the constants
 below, and a ``check_*`` call with its own parameters tightens one claim.
 The boundary grid is evaluated once per report: the maximum-modulus check
-takes its ceiling from the boundary-sup check's grid maximum. Checks are
-pure and deterministic given their parameters.
+takes its ceiling from the boundary-sup check's grid maximum. Points on the
+circle, the boundary grid and the data's set, are evaluated from their
+angles (``eval_on_circle``); the interior samples and Cauchy contours from
+points (``eval_interpolant``). Checks are pure and deterministic given
+their parameters.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from .circle import BoundaryData
-from .interpolate import Interpolant, eval_interpolant
+# The checks call both evaluators by their names here, so a tracer can wrap them.
+from .interpolate import Interpolant, eval_interpolant, eval_on_circle
 
 DEFAULT_GRID_SIZE = 1 << 16
 SUP_TOL = 1e-9          # boundary sup and maximum modulus
@@ -62,7 +66,7 @@ def check_peak_values(
     with threshold the certificate's truncation bound plus ``tol``."""
     if tol < 0.0:
         raise ValueError("tol must be non-negative")
-    vals = eval_interpolant(interpolant, data.set.complex_points())
+    vals = eval_on_circle(interpolant, data.set.thetas())
     threshold = interpolant.certificate.residual_bound_theoretical + tol
     measured = float(np.max(np.abs(vals - data.value_array())))
     return CheckResult(
@@ -74,14 +78,19 @@ def check_peak_values(
     )
 
 
+def boundary_grid(grid_size: int) -> np.ndarray:
+    """The angles 2*pi*k/grid_size, k = 0..grid_size-1, of the boundary grid."""
+    return 2.0 * math.pi * np.arange(grid_size) / grid_size
+
+
 def check_boundary_sup(
     interpolant: Interpolant, bound: float, grid_size: int, tol: float
 ) -> CheckResult:
     """Maximum modulus over a uniform boundary grid against ``bound + tol``."""
     if grid_size < MIN_SUP_CHECK_GRID:
         raise ValueError(f"grid_size must be >= {MIN_SUP_CHECK_GRID}")
-    zs = np.exp(2j * math.pi * np.arange(grid_size) / grid_size)
-    measured = float(np.max(np.abs(eval_interpolant(interpolant, zs))))
+    values = eval_on_circle(interpolant, boundary_grid(grid_size))
+    measured = float(np.max(np.abs(values)))
     threshold = float(bound) + float(tol)
     return CheckResult(
         name="boundary_sup",

@@ -114,6 +114,25 @@ def test_interpolate_writes_certificate_and_grid(tmp_path, problem_file):
     assert len(lines) == PROBLEM["grid_size"] + 1
 
 
+def test_interpolate_grid_is_the_audit_grid(tmp_path):
+    # the CSV evaluates the boundary grid of the boundary_sup check, with
+    # its angles, so its largest modulus is that check's measurement; no
+    # point of the data lies on the grid, so the maximum is not a data value
+    spec = dict(PROBLEM)
+    spec["points"] = [dict(p, theta=p["theta"] + 0.3) for p in PROBLEM["points"]]
+    problem = write_json(tmp_path / "shifted.json", spec)
+    out = tmp_path / "cert.json"
+    grid_out = tmp_path / "grid.csv"
+    args = ["interpolate", problem, "--out", str(out), "--grid-out", str(grid_out)]
+    assert main(args) == EXIT_OK
+    checks = json.loads(out.read_text())["report"]["checks"]
+    measured = next(c["measured"] for c in checks if c["name"] == "boundary_sup")
+    rows = [line.split(",") for line in grid_out.read_text().strip().splitlines()[1:]]
+    assert max(float(row[3]) for row in rows) == measured < 1.0
+    n = PROBLEM["grid_size"]
+    assert [float(row[0]) for row in rows] == [2.0 * math.pi * k / n for k in range(n)]
+
+
 def test_interpolate_duplicate_thetas_rejected(tmp_path):
     spec = dict(PROBLEM)
     spec["points"] = [

@@ -17,7 +17,14 @@ from diskinterp import (
     eval_fatou,
     sup_off_arc,
 )
-from diskinterp.fatou import _boundary_modulus, _half_plane_sum, log_fatou
+from diskinterp.fatou import (
+    FEW_ANGLES,
+    _boundary_modulus,
+    _cotangent_sum,
+    _half_plane_sum,
+    log_fatou,
+    log_fatou_on_circle,
+)
 
 TWO_PI = 2.0 * math.pi
 EPS = 2.0**-52
@@ -228,6 +235,34 @@ def test_boundary_modulus_matches_eval(rng):
         thetas = thetas[dist > 1e-6]
         direct = np.abs(eval_fatou(f, np.exp(1j * thetas)))
         assert np.max(np.abs(direct - _boundary_modulus(f, thetas))) < 1e-10
+
+
+def test_cotangent_sum_does_not_depend_on_the_split(rng):
+    # many angles take one pass per peak, few take one broadcast; both add
+    # the terms in peak order, so every split gives the same bits
+    for n in (1, 3, 40):
+        f = FatouFunction(FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n)))
+        thetas = rng.uniform(0, TWO_PI, 4 * FEW_ANGLES + 3)
+        whole = _cotangent_sum(f, thetas)
+        for size in (2, FEW_ANGLES):
+            parts = [_cotangent_sum(f, thetas[i : i + size]) for i in range(0, thetas.size, size)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_log_on_circle_floor_keeps_exactly_the_points_above_it(rng):
+    f = FatouFunction(FiniteBoundarySet.from_thetas([0.5, 0.6, 3.0]))
+    thetas = np.concatenate([rng.uniform(0, TWO_PI, 3000), f.peak_thetas])
+    L, keep = log_fatou_on_circle(f, thetas)
+    assert np.array_equal(keep, np.arange(thetas.size))
+    assert np.all(L[-3:] == 0.0)
+    # against log_fatou at the same (rounded) points, away from the peaks
+    away = slice(0, -3)
+    assert np.max(np.abs(L[away] - log_fatou(f, np.exp(1j * thetas[away])))) < 1e-9
+    for floor in (-1e-1, -1e-4, -1e-7):
+        Lf, kf = log_fatou_on_circle(f, thetas, floor)
+        above = (L.real >= floor).nonzero()[0]
+        assert 0 < kf.size < thetas.size
+        assert np.array_equal(kf, above) and np.array_equal(Lf, L[above])
 
 
 # ---------------------------------------------------------------- off-arc sup

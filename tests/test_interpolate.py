@@ -16,6 +16,7 @@ from diskinterp import (
     NoContractionError,
     cluster_by_oscillation,
     eval_interpolant,
+    eval_on_circle,
     eval_stage,
     iterative_interpolant,
     make_schedule,
@@ -23,7 +24,7 @@ from diskinterp import (
     single_stage,
 )
 import diskinterp.interpolate
-from diskinterp.fatou import FatouFunction, eval_fatou, log_fatou
+from diskinterp.fatou import FatouFunction, eval_fatou, log_fatou, log_fatou_on_circle
 from diskinterp.interpolate import (
     CHUNK,
     LOG_TERM_FLOOR,
@@ -428,6 +429,28 @@ def test_terms_on_their_peaks_are_exactly_scale():
             assert np.all(at_peaks == scale)
 
 
+def test_terms_on_their_peak_angles_are_exactly_scale():
+    data = _kernel_problems()["close_pair"]
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    for s in g.stages:
+        for lam, c in zip(s.lambdas, s.coefficients):
+            L, keep = log_fatou_on_circle(lam, lam.peak_thetas)
+            assert np.all(L == 0.0) and keep.size == lam.peak_thetas.size
+            scale = s.normalization * c
+            at_peaks = _terms_sum([(lam, s.power, scale)], lam.peak_thetas, on_circle=True)
+            assert np.all(at_peaks == scale)
+    # so on E the interpolant is the sum of the stage scales of each point
+    at_e = eval_on_circle(g, data.set.thetas())
+    for i, theta in enumerate(data.set.thetas()):
+        own = [
+            s.normalization * c
+            for s in g.stages
+            for lam, c in zip(s.lambdas, s.coefficients)
+            if theta in lam.peak_thetas
+        ]
+        assert abs(at_e[i] - sum(own)) <= 1e-15
+
+
 def test_eval_is_exactly_zero_where_lambda_vanishes():
     # the single peak at 0 has F(-1) = 0, so every term vanishes at -1
     data = BoundaryData.from_pairs([0.0], [1.0])
@@ -509,6 +532,49 @@ def test_kernel_matches_mpmath():
         at_exact_peaks = _mp_interpolant(g, mpmath.expj)
         ref = [at_exact_peaks(z) for z in circle]
         assert np.max(np.abs(eval_interpolant(g, circle) - ref)) <= 5e-8
+
+
+@pytest.mark.parametrize("power", [10**6, 2_200_000_000, 10**10])
+def test_eval_on_circle_matches_mpmath_at_exact_angles(power):
+    mpmath = pytest.importorskip("mpmath")
+    data = _kernel_problems()["close_pair"]
+    built = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    # the built stages, every one raised to the same power
+    g = dataclasses.replace(
+        built,
+        stages=tuple(dataclasses.replace(s, power=power) for s in built.stages),
+    )
+    # +-4 peak widths sqrt(8/N) around each point of E, as exact angles
+    window = math.sqrt(8.0 / power) * np.linspace(-4.0, 4.0, 17)
+    thetas = np.concatenate([t.theta + window for t in data.set.points])
+    with mpmath.workdps(60):
+        exact = _mp_interpolant(g, mpmath.expj)
+        ref = [exact(mpmath.expj(t)) for t in thetas]
+    err = np.max(np.abs(eval_on_circle(g, thetas) - ref))
+    assert err <= 1e-10, err
+
+
+@pytest.mark.parametrize("name", ["random12", "close_pair", "far_pair"])
+def test_eval_on_circle_matches_eval_at_points(name):
+    data = _kernel_problems()[name]
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    power = max(s.power for s in g.stages)
+    window = math.sqrt(8.0 / power) * np.linspace(-4.0, 4.0, 17)
+    thetas = np.concatenate(
+        [TWO_PI * np.arange(GRID) / GRID]
+        + [t.theta + window for t in data.set.points]
+    )
+    on_circle = eval_on_circle(g, thetas)
+    assert np.max(np.abs(on_circle - eval_interpolant(g, np.exp(1j * thetas)))) <= 1e-6
+    assert eval_on_circle(g, thetas[1]) == on_circle[1]
+
+
+def test_eval_on_circle_rejects_non_finite_angles():
+    data = _kernel_problems()["far_pair"]
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    for bad in (math.nan, math.inf, [0.0, -math.inf]):
+        with pytest.raises(DomainError, match="angle"):
+            eval_on_circle(g, bad)
 
 
 # ---------------------------------------------------------------- properties
