@@ -19,14 +19,19 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .circle import BoundaryData, FiniteBoundarySet
 from .errors import CertificationError, NoContractionError
-from .fatou import FatouFunction, eval_fatou
-from .interpolate import Interpolant, eval_on_circle, iterative_interpolant
+from .fatou import FatouFunction, log_fatou_on_circle
+from .interpolate import (
+    Interpolant,
+    eval_on_circle,
+    iterative_interpolant,
+    make_schedule,
+)
 from .verify import (
     DEFAULT_GRID_SIZE,
     MIN_SUP_CHECK_GRID,
@@ -54,8 +59,10 @@ class ValidationFailure(Exception):
     """Well-formed input violating a domain invariant."""
 
 
-def _require_number(obj, key, where) -> float:
-    val = obj.get(key)
+def _require_number(obj, key, where, default=None) -> float:
+    val = obj.get(key, default)
+    if val is None:
+        raise ParseFailure(f"{where}: missing number field {key!r}")
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ParseFailure(f"{where}: field {key!r} must be a number")
     return float(val)
@@ -68,12 +75,6 @@ def _require_int(obj, key, where, default=None) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ParseFailure(f"{where}: field {key!r} must be an integer")
     return int(val)
-
-
-def _optional_number(obj, key, where, default) -> float:
-    if key not in obj:
-        return float(default)
-    return _require_number(obj, key, where)
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,12 @@ class ProblemSpec:
                     _require_number(entry, "value_im", where),
                 )
             )
-        if "eta" not in obj:
-            raise ParseFailure("problem: missing field 'eta'")
         spec = cls(
             points=tuple(points),
             eta=_require_number(obj, "eta", "problem"),
             n_max=_require_int(obj, "n_max", "problem", DEFAULT_N_MAX),
             grid_size=_require_int(obj, "grid_size", "problem", DEFAULT_GRID_SIZE),
-            safety_margin=_optional_number(
+            safety_margin=_require_number(
                 obj, "safety_margin", "problem", DEFAULT_SAFETY_MARGIN
             ),
             seed=_require_int(obj, "seed", "problem", DEFAULT_SEED),
@@ -122,27 +121,22 @@ class ProblemSpec:
         return spec
 
     def validate(self) -> None:
-        if not self.points:
-            raise ValidationFailure("problem: 'points' must be non-empty")
-        for theta, re, im in self.points:
-            if not (
-                math.isfinite(theta) and math.isfinite(re) and math.isfinite(im)
-            ):
-                raise ValidationFailure("problem: point fields must be finite")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValidationFailure("problem: eta must be positive")
-        if self.n_max < 1:
-            raise ValidationFailure("problem: n_max must be at least 1")
+        """Raise ValidationFailure unless the library accepts the data and
+        the schedule; grid_size, safety_margin and seed are checked here,
+        since the library checks them only once the build or audit runs."""
+        try:
+            self.boundary_data()
+            make_schedule(self.eta, self.n_max)
+        except ValueError as exc:
+            raise ValidationFailure(f"problem: {exc}") from exc
         if self.grid_size < MIN_SUP_CHECK_GRID:
             raise ValidationFailure(
                 f"problem: grid_size must be >= {MIN_SUP_CHECK_GRID}"
             )
         if not (math.isfinite(self.safety_margin) and self.safety_margin > 0.0):
             raise ValidationFailure("problem: safety_margin must be positive")
-        try:
-            self.boundary_data()
-        except ValueError as exc:
-            raise ValidationFailure(f"problem: {exc}") from exc
+        if self.seed < 0:
+            raise ValidationFailure("problem: seed must be non-negative")
 
     def boundary_data(self) -> BoundaryData:
         return BoundaryData.from_pairs(
@@ -199,16 +193,10 @@ def _grid_csv(thetas: np.ndarray, values: np.ndarray) -> str:
 def _certificate_payload(
     spec: ProblemSpec, interpolant: Interpolant, report: VerificationReport
 ) -> dict:
-    cert = interpolant.certificate
     return {
         "problem": spec.to_json_obj(),
         "certificate": {
-            "sup_norm_input": float(cert.sup_norm_input),
-            "eta": float(cert.eta),
-            "boundary_sup_bound": float(cert.boundary_sup_bound),
-            "residual_bound_theoretical": float(cert.residual_bound_theoretical),
-            "measured_max_residual_on_E": float(cert.measured_max_residual_on_E),
-            "safety_margin": float(cert.safety_margin),
+            **{k: float(v) for k, v in asdict(interpolant.certificate).items()},
             "n_stages": len(interpolant.stages),
             "stage_powers": [int(s.power) for s in interpolant.stages],
             "stage_epsilons": [float(s.epsilon) for s in interpolant.stages],
@@ -238,10 +226,6 @@ def _parse_peaks_file(path: str) -> FiniteBoundarySet:
         isinstance(t, bool) or not isinstance(t, (int, float)) for t in thetas
     ):
         raise ParseFailure(f"{path}: 'thetas' must be a list of numbers")
-    if not thetas:
-        raise ValidationFailure(f"{path}: peak set must be non-empty")
-    if any(not math.isfinite(float(t)) for t in thetas):
-        raise ValidationFailure(f"{path}: peak angles must be finite")
     try:
         return FiniteBoundarySet.from_thetas(float(t) for t in thetas)
     except ValueError as exc:
@@ -255,8 +239,8 @@ def cmd_fatou(args) -> int:
     if k < 1:
         raise ValidationFailure("--eval-grid must be at least 1")
     thetas = boundary_grid(k)
-    values = eval_fatou(fatou, np.exp(1j * thetas))
-    _write_text(args.out, _grid_csv(thetas, np.atleast_1d(values)))
+    L, _ = log_fatou_on_circle(fatou, thetas)  # no floor: every angle is kept
+    _write_text(args.out, _grid_csv(thetas, np.exp(L)))
     return EXIT_OK
 
 
@@ -344,14 +328,17 @@ def cmd_verify(args) -> int:
     spec = ProblemSpec.from_json_obj(_load_json(args.problem_file))
     recorded = ProblemSpec.from_json_obj(stored["problem"])
     if recorded != spec:
-        for field in ("seed", "eta", "n_max", "grid_size", "safety_margin", "points"):
-            if getattr(recorded, field) != getattr(spec, field):
-                print(
-                    f"verification failure: problem field {field!r} differs "
-                    "between certificate and problem file",
-                    file=sys.stderr,
-                )
-                return EXIT_CERTIFICATION
+        name = next(
+            f.name
+            for f in fields(ProblemSpec)
+            if getattr(recorded, f.name) != getattr(spec, f.name)
+        )
+        print(
+            f"verification failure: problem field {name!r} differs "
+            "between certificate and problem file",
+            file=sys.stderr,
+        )
+        return EXIT_CERTIFICATION
     try:
         _, interpolant, report = _run_pipeline(spec)
     except (CertificationError, NoContractionError) as exc:

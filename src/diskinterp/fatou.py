@@ -7,12 +7,10 @@ closed disk. It is assembled from the half-plane sum
     F(z) = sum_j (a_j + z) / (a_j - z),   a_j the peak points,
 
 whose real part is positive on the open disk and vanishes on the circle off
-the peaks. The peak function is F/(1+F), evaluated in the stable form
-1 - 1/(1+F); the denominator never vanishes on the closed disk because
-Re F >= 0 there.
-
-Powers lambda^N with N up to about 1e10 are formed from the logarithm
-log lambda = -log1p(1/F). With F = a + ib, |1 + 1/F|^2 = 1 + (1+2a)/|F|^2 and
+the peaks. The peak function is F/(1+F), evaluated from its logarithm
+log lambda = -log1p(1/F); 1 + F never vanishes on the closed disk because
+Re F >= 0 there. The same log gives the powers lambda^N, with N up to
+about 1e10. With F = a + ib, |1 + 1/F|^2 = 1 + (1+2a)/|F|^2 and
 arg(1 + 1/F) = -atan2(b, a + |F|^2); for a >= 0 neither form cancels, so
 both parts of the log keep full relative precision however close |lambda|
 is to 1.
@@ -80,37 +78,17 @@ def require_closed_disk(zs: np.ndarray) -> None:
         raise DomainError("evaluation point outside the closed unit disk")
 
 
-def _half_plane_sum(
-    fatou: FatouFunction, zs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(F(zs), near): the half-plane sum and the mask of points within
-    ``PEAK_SNAP`` of a peak, where F is inf, nan or overflows. One pass per
-    peak forms d = a_j - z for both the snap test and the term of F."""
-    F = np.zeros(zs.shape, dtype=complex)
-    near = np.zeros(zs.shape, dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for aj in fatou.peak_points:
-            d = aj - zs
-            near |= np.abs(d) <= PEAK_SNAP
-            F += (aj + zs) / d
-    return F, near
-
-
 def eval_fatou(fatou: FatouFunction, z):
-    """Evaluate the peak function at a point (or array) of the closed disk.
-
-    Points within ``PEAK_SNAP`` of a peak return exactly 1; elsewhere the
-    value is 1 - 1/(1+F(z)), which stays stable as |F| grows near peaks.
+    """Evaluate the peak function at a point (or array) of the closed disk,
+    as exp(log lambda) from ``log_fatou``: exactly 1 within ``PEAK_SNAP`` of
+    a peak and exactly 0 where F = 0.
 
     Raises DomainError unless every point is finite with |z| <= 1 +
     ``DISK_SLACK``.
     """
     zs = np.asarray(z, dtype=complex)
     require_closed_disk(zs)
-    F, near = _half_plane_sum(fatou, zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = 1.0 - 1.0 / (1.0 + F)
-    lam = np.where(near, 1.0 + 0.0j, lam)
+    lam = np.exp(log_fatou(fatou, zs))
     if zs.ndim == 0:
         return complex(lam[()])
     return lam
@@ -120,16 +98,23 @@ def log_fatou(fatou: FatouFunction, zs: np.ndarray) -> np.ndarray:
     """log lambda = -log1p(1/F) on an array of points of the closed disk,
     which the caller has checked.
 
-    Exactly 0 within ``PEAK_SNAP`` of a peak, so every power is exactly 1
-    there, and -inf where F = 0, where lambda vanishes. The real part is
+    Exactly 0 within ``PEAK_SNAP`` of a peak, where F is inf, nan or
+    overflows, so every power is exactly 1 there, and -inf where F = 0,
+    where lambda vanishes. One pass per peak forms d = a_j - z for both the
+    snap test and the term of F. The real part is
     -log1p((1+2a)/|F|^2)/2 and the imaginary part atan2(b, a + |F|^2), for
     F = a + ib.
     """
-    F, near = _half_plane_sum(fatou, zs)
-    a, b = F.real, F.imag
+    F = np.zeros(zs.shape, dtype=complex)
+    near = np.zeros(zs.shape, dtype=bool)
     L = np.empty_like(F)
     re, im = L.real, L.imag
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for aj in fatou.peak_points:
+            d = aj - zs
+            near |= np.abs(d) <= PEAK_SNAP
+            F += (aj + zs) / d
+        a, b = F.real, F.imag
         s = a * a
         s += b * b  # |F|^2
         np.multiply(a, 2.0, out=re)

@@ -317,13 +317,16 @@ def single_stage(
 
 
 def make_schedule(eta: float, n_max: int) -> EtaSchedule:
-    """Geometric budget schedule eta_n = eta/2^(n+1), n = 1..n_max."""
+    """Geometric budget schedule eta_n = eta/2^(n+1), n = 1..n_max; the last
+    budget must not round to 0."""
     eta = float(eta)
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return EtaSchedule(eta, tuple(eta / 2.0 ** (n + 1) for n in range(1, n_max + 1)))
+    if math.ldexp(eta, -(n_max + 1)) == 0.0:
+        raise ValueError(f"last budget eta/2^(n_max+1) is 0 at n_max={n_max}")
+    return EtaSchedule(eta, tuple(math.ldexp(eta, -n) for n in range(2, n_max + 2)))
 
 
 def residual_bound_after(schedule: EtaSchedule, n_stages: int) -> float:

@@ -4,13 +4,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from diskinterp import make_schedule
 from diskinterp.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    ParseFailure,
     ProblemSpec,
+    ValidationFailure,
     main,
 )
 
@@ -66,6 +71,14 @@ def test_fatou_row_count(tmp_path, capsys):
 def test_fatou_empty_peaks_is_validation_error(tmp_path, capsys):
     peaks = write_json(tmp_path / "peaks.json", {"thetas": []})
     assert main(["fatou", peaks]) == EXIT_VALIDATION
+
+
+def test_fatou_nonfinite_peak_is_validation_error(tmp_path):
+    # Python's json reads NaN and Infinity; the peak set refuses them
+    for text in ('{"thetas": [0.0, NaN]}', '{"thetas": [Infinity]}'):
+        peaks = tmp_path / "peaks.json"
+        peaks.write_text(text, encoding="utf-8")
+        assert main(["fatou", str(peaks)]) == EXIT_VALIDATION
 
 
 def test_fatou_duplicate_peaks_rejected(tmp_path):
@@ -156,6 +169,20 @@ def test_interpolate_nonpositive_eta_is_validation_error(tmp_path):
     assert main(["interpolate", problem]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "override",
+    [{"seed": -1}, {"n_max": 1100}, {"eta": 1e-320, "n_max": 20}, {"n_max": 10**9}],
+    ids=["negative_seed", "n_max_overflow", "eta_underflow", "n_max_huge"],
+)
+def test_interpolate_out_of_range_is_validation_error(tmp_path, capsys, override):
+    # a negative seed reaches numpy's generator only after the build, and
+    # these eta/n_max pairs make the last budget eta/2^(n_max+1) 0
+    problem = write_json(tmp_path / "bad.json", dict(PROBLEM, **override))
+    assert main(["interpolate", problem]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+
+
 def test_interpolate_small_grid_rejected(tmp_path):
     spec = dict(PROBLEM)
     spec["grid_size"] = 1024
@@ -225,6 +252,39 @@ def test_problem_spec_round_trip():
     spec = ProblemSpec.from_json_obj(PROBLEM)
     again = ProblemSpec.from_json_obj(spec.to_json_obj())
     assert spec == again
+
+
+@settings(max_examples=300, deadline=None)
+@example(eta=0.01, n_max=8, seed=-1, safety_margin=1e-9, grid_size=4096)
+@example(eta=0.01, n_max=1100, seed=0, safety_margin=1e-9, grid_size=4096)
+@example(eta=1e-320, n_max=20, seed=0, safety_margin=1e-9, grid_size=4096)
+@given(
+    eta=st.floats(),  # 0, negatives, subnormals, inf and nan included
+    n_max=st.one_of(st.integers(-5, 2100), st.integers(-5, 10**9)),
+    seed=st.integers(-5, 5),
+    safety_margin=st.floats(),
+    grid_size=st.sampled_from([1024, 4096]),
+)
+def test_problem_spec_admits_only_runnable_problems(
+    eta, n_max, seed, safety_margin, grid_size
+):
+    # a spec that parses is one the library builds from: its data and its
+    # schedule construct, and its seed is a valid generator seed
+    obj = dict(
+        PROBLEM,
+        eta=eta,
+        n_max=n_max,
+        seed=seed,
+        safety_margin=safety_margin,
+        grid_size=grid_size,
+    )
+    try:
+        spec = ProblemSpec.from_json_obj(obj)
+    except (ParseFailure, ValidationFailure):
+        return
+    spec.boundary_data()
+    make_schedule(spec.eta, spec.n_max)
+    assert spec.seed >= 0
 
 
 def test_certificate_json_round_trip(tmp_path, problem_file):

@@ -19,9 +19,9 @@ from diskinterp import (
 )
 from diskinterp.fatou import (
     FEW_ANGLES,
+    PEAK_SNAP,
     _boundary_modulus,
     _cotangent_sum,
-    _half_plane_sum,
     log_fatou,
     log_fatou_on_circle,
 )
@@ -36,6 +36,27 @@ def single_peak():
 
 def two_peaks():
     return FatouFunction(FiniteBoundarySet.from_thetas([0.0, math.pi]))
+
+
+def reference_eval_fatou(fatou, zs):
+    """lambda = 1 - 1/(1+F) straight from the half-plane sum, exactly 1
+    within PEAK_SNAP of a peak: a second formula to hold eval_fatou to."""
+    F = np.zeros(zs.shape, dtype=complex)
+    near = np.zeros(zs.shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for aj in fatou.peak_points:
+            near |= np.abs(aj - zs) <= PEAK_SNAP
+            F += (aj + zs) / (aj - zs)
+        lam = 1.0 - 1.0 / (1.0 + F)
+    return np.where(near, 1.0 + 0.0j, lam)
+
+
+def random_disk_points(rng, size):
+    """Uniform points of the open disk, the first quarter moved onto the
+    circle."""
+    r = np.sqrt(rng.uniform(size=size))
+    r[: size // 4] = 1.0
+    return r * np.exp(1j * rng.uniform(0, TWO_PI, size))
 
 
 # ---------------------------------------------------------------- build/eval
@@ -69,6 +90,40 @@ def test_peak_values_exactly_one(rng):
         f = FatouFunction(E)
         vals = eval_fatou(f, E.complex_points())
         assert np.all(vals == 1.0)
+
+
+def test_eval_matches_reference_formula(rng):
+    # |lambda| <= 1 on the closed disk, and 1 - 1/(1+F) carries an absolute
+    # rounding of a few ulps of 1, so the two agree to a few ulps of 1
+    for _ in range(30):
+        m = int(rng.integers(1, 201))
+        f = FatouFunction(FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, m)))
+        zs = random_disk_points(rng, 400)
+        assert np.max(np.abs(eval_fatou(f, zs) - reference_eval_fatou(f, zs))) <= 4 * EPS
+        assert np.all(eval_fatou(f, f.peak_points) == 1.0)
+    assert eval_fatou(single_peak(), -1.0 + 0j) == 0.0
+
+
+def test_eval_against_mpmath(rng):
+    # at the same double points, relative to F/(1+F) formed in mpmath. The
+    # half-plane sum carries a rounding of a few ulps of sum_j |t_j|, its
+    # terms' moduli, which lambda = F/(1+F) scales by 1/|F(1+F)|; on the
+    # circle the terms cancel and that condition number grows
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 160
+    for _ in range(20):
+        m = int(rng.integers(1, 201))
+        f = FatouFunction(FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, m)))
+        zs = random_disk_points(rng, 20)
+        vals = eval_fatou(f, zs)
+        peaks = [mpmath.mpc(a.real, a.imag) for a in f.peak_points]
+        for z, v in zip(zs, vals):
+            zm = mpmath.mpc(z.real, z.imag)
+            terms = [(a + zm) / (a - zm) for a in peaks]
+            F = mpmath.fsum(terms)
+            exact = F / (1 + F)
+            cond = 1 + mpmath.fsum(abs(t) for t in terms) / abs(F * (1 + F))
+            assert abs(v - exact) <= 2 * EPS * cond * abs(exact)
 
 
 def test_eval_scalar_and_array_agree():
@@ -189,18 +244,16 @@ def test_rotation_equivariance(rng):
 def test_boundary_imag_examples():
     g = two_peaks()
     # on the circle F = iy: cot(pi/8) + cot(-3*pi/8) = 2, matching
-    # Im F(e^{i pi/4}) = Im lambda/(1-lambda) computed directly
-    z = np.array([cmath.exp(1j * math.pi / 4)])
-    F, near = _half_plane_sum(g, z)
-    assert not near[0]
-    assert F[0].real == pytest.approx(0.0, abs=1e-12)
-    assert F[0].imag == pytest.approx(2.0, abs=1e-12)
-    lam = eval_fatou(g, z[0])
-    assert (lam / (1 - lam)).imag == pytest.approx(F[0].imag, abs=1e-12)
+    # F(e^{i pi/4}) = lambda/(1-lambda) computed directly
+    y = _cotangent_sum(g, np.array([math.pi / 4]))[0]
+    assert y == pytest.approx(2.0, abs=1e-12)
+    lam = eval_fatou(g, cmath.exp(1j * math.pi / 4))
+    assert (lam / (1 - lam)).real == pytest.approx(0.0, abs=1e-12)
+    assert (lam / (1 - lam)).imag == pytest.approx(y, abs=1e-12)
 
+    # F(-1) = 0 for the single peak, so lambda vanishes there
     f = single_peak()
-    F, _ = _half_plane_sum(f, np.array([-1.0 + 0.0j]))
-    assert abs(F[0]) == pytest.approx(0.0, abs=1e-15)
+    assert log_fatou(f, np.array([-1.0 + 0.0j]))[0] == -math.inf
 
 
 def test_boundary_modulus_examples():

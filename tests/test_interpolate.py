@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diskinterp import (
@@ -68,6 +68,24 @@ def test_schedule_rejects_bad_inputs():
         make_schedule(1.0, 0)
     with pytest.raises(ValueError):
         EtaSchedule(1.0, (0.5, 0.5))  # sum not strictly below eta
+    # 2.0**1101 overflows and 0.01/2**1101 underflows: the last budget is 0
+    with pytest.raises(ValueError, match="last budget"):
+        make_schedule(0.01, 1100)
+    with pytest.raises(ValueError, match="last budget"):
+        make_schedule(1e-320, 20)
+
+
+@example(eta=5e-324, n_max=1)
+@example(eta=1.7976931348623157e308, n_max=1022)
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 1022))
+def test_schedule_terms_are_exact_halvings(eta, n_max):
+    # each term is eta/2^(n+1) rounded once, whether or not it is subnormal
+    expected = tuple(eta / 2.0 ** (n + 1) for n in range(1, n_max + 1))
+    if expected[-1] == 0.0:
+        with pytest.raises(ValueError, match="last budget"):
+            make_schedule(eta, n_max)
+    else:
+        assert make_schedule(eta, n_max).terms == expected
 
 
 def test_truncated_tail_bound():
