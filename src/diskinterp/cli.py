@@ -123,7 +123,8 @@ class ProblemSpec:
     def validate(self) -> None:
         """Raise ValidationFailure unless the library accepts the data and
         the schedule; grid_size, safety_margin and seed are checked here,
-        since the library checks them only once the build or audit runs."""
+        before the build, as the library checks them only in the build
+        (safety_margin) or when the audit starts (grid_size, seed)."""
         try:
             self.boundary_data()
             make_schedule(self.eta, self.n_max)

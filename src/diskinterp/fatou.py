@@ -18,10 +18,14 @@ is to 1.
 On the circle off the peaks F = iy, with y = sum_j cot((theta - theta_j)/2)
 a real cotangent sum of angle differences, so |lambda| = |y|/sqrt(1+y^2)
 and, with u = 1/y, log lambda = -log1p(u^2)/2 + i atan(u). The evaluation
-kernel takes its logs in one of two ways: ``log_fatou`` from points of the
-closed disk, ``log_fatou_on_circle`` from angles. The angle form never
-rounds a point e^(i*theta) or a peak point, so it stays accurate next to a
-peak for powers up to about 1e10.
+kernel takes its logs from points of the closed disk (``log_fatou``) or from
+angles (``log_fatou_on_circle``), under one contract: given a ``floor``,
+each returns (L, keep), log lambda where its real part is at least the
+floor and the indices of those inputs, and drops what it can unformed: the
+points inside the Schwarz-Pick radius of the floor (``_skip_radius``), the
+angles whose cotangent sum is too small; so the kernel does not branch on
+geometry. The angle form never rounds a point e^(i*theta) or a peak point,
+so it stays accurate next to a peak for powers up to about 1e10.
 
 The module also provides off-arc suprema and the minimal power that
 contracts those suprema below a target. No grid is needed for the suprema:
@@ -43,6 +47,7 @@ from .errors import DomainError, NoContractionError
 
 PEAK_SNAP = 1e-15     # euclidean snap-to-peak radius for evaluation
 DISK_SLACK = 1e-12    # |z| tolerance beyond the closed disk
+SKIP_MARGIN = 2.0**-10  # relative margin on the floor of the skip radius
 FEW_ANGLES = 256      # cotangent sums up to this many angles use one broadcast
 
 
@@ -71,11 +76,14 @@ class FatouFunction:
         return self._hash
 
 
-def require_closed_disk(zs: np.ndarray) -> None:
-    """Raise DomainError unless every point is finite with |z| <= 1 +
-    ``DISK_SLACK`` (a NaN fails the comparison, so it is rejected too)."""
+def require_closed_disk(z) -> np.ndarray:
+    """``z`` as a complex array, after checking that every point is finite
+    with |z| <= 1 + ``DISK_SLACK`` (a NaN fails the comparison, so it is
+    rejected too); raise DomainError otherwise."""
+    zs = np.asarray(z, dtype=complex)
     if not np.all(np.abs(zs) <= 1.0 + DISK_SLACK):
         raise DomainError("evaluation point outside the closed unit disk")
+    return zs
 
 
 def eval_fatou(fatou: FatouFunction, z):
@@ -86,25 +94,65 @@ def eval_fatou(fatou: FatouFunction, z):
     Raises DomainError unless every point is finite with |z| <= 1 +
     ``DISK_SLACK``.
     """
-    zs = np.asarray(z, dtype=complex)
-    require_closed_disk(zs)
-    lam = np.exp(log_fatou(fatou, zs))
+    zs = require_closed_disk(z)
+    L, _ = log_fatou(fatou, zs.reshape(-1))  # no floor: every point is kept
+    lam = np.exp(L).reshape(zs.shape)
     if zs.ndim == 0:
         return complex(lam[()])
     return lam
 
 
-def log_fatou(fatou: FatouFunction, zs: np.ndarray) -> np.ndarray:
-    """log lambda = -log1p(1/F) on an array of points of the closed disk,
-    which the caller has checked.
+def _skip_radius(peak_count: int, floor: float) -> float:
+    """Radius r such that Re log lambda < ``floor`` (< 0) wherever |z| < r,
+    for a peak function with ``peak_count`` peaks, with room for rounding; 0
+    when no such disk exists.
 
-    Exactly 0 within ``PEAK_SNAP`` of a peak, where F is inf, nan or
-    overflows, so every power is exactly 1 there, and -inf where F = 0,
-    where lambda vanishes. One pass per peak forms d = a_j - z for both the
-    snap test and the term of F. The real part is
-    -log1p((1+2a)/|F|^2)/2 and the imaginary part atan2(b, a + |F|^2), for
-    F = a + ib.
+    F(0) = m, the peak count, so lambda(0) = mu = m/(m+1), and lambda maps
+    the disk into itself; by Schwarz-Pick |lambda(z)| <= (mu + |z|)/(1 +
+    mu|z|). That bound equals q at |z| = (q - mu)/(1 - mu q) = (1 - (m+1)s)/
+    (1 + ms), s = 1 - q, the form computed here, with
+    q = exp(floor (1 + SKIP_MARGIN)) instead of exp(floor).
+
+    The margin covers rounding. The real part of each half-plane term is at
+    least (1-|z|)/2 times its modulus, so the computed Re log lambda is
+    within a relative c eps (m + 2/(1-|z|)) of the true one (c < 0.3 measured
+    against mpmath), and inside the radius 1 - |z| > 1 - r = (1-q)(1+mu)/
+    (1 - mu q), so 2/(1-|z|) < (4/3)/(1-q) < (4/3)(1 + 1/|floor|). With the
+    rounding of |z| and of r, SKIP_MARGIN = 2^-10 covers floors down to
+    about -4e-11 (powers up to about 1e12 at the kernel's 2^-60 term floor).
+    Away from z = 0 the Schwarz-Pick bound has slack besides.
     """
+    s = -math.expm1(floor * (1.0 + SKIP_MARGIN))
+    return max(0.0, (1.0 - (peak_count + 1) * s) / (1.0 + peak_count * s))
+
+
+def log_fatou(
+    fatou: FatouFunction, zs: np.ndarray, floor: float = -math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L, keep): log lambda = -log1p(1/F) at the points of a 1-d array of
+    the closed disk, which the caller has checked, where its real part is at
+    least ``floor``, and the indices of those points, so that L = log
+    lambda(zs[keep]).
+
+    Points inside the ``_skip_radius`` of ``floor`` are dropped before any
+    term of F is formed, and when that drops them all nothing else runs;
+    the test on the computed real part follows. L is exactly 0 within
+    ``PEAK_SNAP`` of a peak, where F is inf, nan or overflows, so every
+    power is exactly 1 there, and -inf where F = 0, where lambda vanishes.
+    One pass per peak forms d = a_j - z for both the snap test and the term
+    of F. The real part is -log1p((1+2a)/|F|^2)/2 and the imaginary part
+    atan2(b, a + |F|^2), for F = a + ib.
+    """
+    outside = None  # indices outside the skip radius, once some are inside
+    radius = _skip_radius(fatou.peak_points.size, floor)
+    if radius > 0.0:
+        outside = (np.abs(zs) >= radius).nonzero()[0]
+        if not outside.size:
+            return np.empty(0, dtype=complex), outside
+        if outside.size < zs.size:
+            zs = zs[outside]
+        else:
+            outside = None
     F = np.zeros(zs.shape, dtype=complex)
     near = np.zeros(zs.shape, dtype=bool)
     L = np.empty_like(F)
@@ -125,7 +173,10 @@ def log_fatou(fatou: FatouFunction, zs: np.ndarray) -> np.ndarray:
         s += a
         np.arctan2(b, s, out=im)
     L[near] = 0.0
-    return L
+    keep = (re >= floor).nonzero()[0]
+    if keep.size < L.size:
+        L = L[keep]
+    return L, keep if outside is None else outside[keep]
 
 
 def _cotangent_sum(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:

@@ -22,24 +22,23 @@ are evaluated on the set itself. Violated bounds raise CertificationError
 instead of being recorded.
 
 All evaluation goes through one kernel over (lambda, N, scale) terms,
-scale = c_k/(1+eps). It takes either points of the closed disk
-(``eval_interpolant`` and ``eval_stage``) or angles of points on the circle
-(``eval_on_circle``, and the build's values on the set). Later stages often
-rebuild an earlier cluster, so terms with equal peak functions are grouped:
-each group costs one log call, ``log_fatou`` on points, which gives
-log lambda = -log1p(1/F) without cancellation, or ``log_fatou_on_circle``
-on angles, which gives it from the cotangent sum without rounding a point.
-Each of the group's powers is exp(N log lambda) on the points that survive
-the floor. On the peaks log lambda is exactly 0, so a term there is exactly
-its scale. A term is skipped where |lambda|^N < TERM_FLOOR = 2^-60, so a
-value moves by less than 2^-60 * sum |scale|. On angles the modulus is
-known before the phase, so the floor test for the group's lowest power runs
-first. Inside the disk, a peak function with m peaks has lambda(0) =
-m/(m+1) and maps the disk into itself, so by Schwarz-Pick every power of it
-is below the floor inside a radius fixed by m and its lowest power; points
-there are dropped before ``log_fatou`` runs, which changes no value. Points
-go through in chunks of ``CHUNK``, so memory does not grow with the number
-of points beyond the result.
+scale = c_k/(1+eps), and one of two logs with the same contract:
+``log_fatou`` on points of the closed disk (``eval_interpolant`` and
+``eval_stage``), or ``log_fatou_on_circle`` on angles of points on the
+circle (``eval_on_circle``, and the build's values on the set). Later
+stages often rebuild an earlier cluster, so terms with equal peak functions
+are grouped, and each group costs one log call per chunk of ``CHUNK``
+points, so memory does not grow with the number of points beyond the
+result. A term is skipped where |lambda|^N < TERM_FLOOR = 2^-60, so a value
+moves by less than 2^-60 * sum |scale|. The kernel hands the log the floor
+log(TERM_FLOOR)/N of the group's lowest power; the log returns log lambda
+only where that floor is met, with the indices of those points, and each
+higher power tests its own floor on what is left. Each power is
+exp(N log lambda) there; on the peaks log lambda is exactly 0, so a term
+there is exactly its scale. What the log may drop unevaluated, and how it
+knows, belongs to the log: inside the disk, the points within the
+Schwarz-Pick radius of the floor; on the circle, the angles whose cotangent
+sum is too small. The kernel does not branch on geometry.
 """
 
 from __future__ import annotations
@@ -57,7 +56,8 @@ from .circle import (
     cluster_by_oscillation,
 )
 from .errors import CertificationError, DomainError
-# The kernel calls the two logs by their names here, so a tracer can wrap them.
+# The entry points look the two logs up by their names here at call time, so
+# a tracer can wrap them.
 # eval_fatou is no longer called here but stays bound: perfbench wraps it.
 from .fatou import (
     FatouFunction,
@@ -74,7 +74,6 @@ SUP_CERT_TOL = 1e-9       # slack for the final boundary-sup certificate check
 RESIDUAL_CERT_TOL = 1e-12  # slack for the final residual certificate check
 TERM_FLOOR = 2.0**-60     # evaluation skips a term lambda^N where it is below this
 LOG_TERM_FLOOR = math.log(TERM_FLOOR)
-SKIP_MARGIN = 2.0**-10    # relative margin on the exponent of the skip radius
 CHUNK = 8192              # points per evaluation pass
 
 
@@ -142,94 +141,40 @@ class Interpolant:
     certificate: BoundsCertificate
 
 
-def _skip_radius(peak_count: int, power: int) -> float:
-    """Radius r such that the kernel's floor test drops every point with
-    |z| < r at ``power``, for a peak function with ``peak_count`` peaks; 0
-    when no such disk exists.
-
-    F(0) = m, the peak count, so lambda(0) = mu = m/(m+1), and lambda maps
-    the disk into itself; by Schwarz-Pick |lambda(z)| <= (mu + |z|)/(1 +
-    mu|z|). That bound equals q at |z| = (q - mu)/(1 - mu q) = (1 - (m+1)s)/
-    (1 + ms), s = 1 - q, the form computed here, with
-    q = TERM_FLOOR^((1 + SKIP_MARGIN)/power) instead of TERM_FLOOR^(1/power).
-
-    The margin covers rounding. The real part of each half-plane term is at
-    least (1-|z|)/2 times its modulus, so the computed Re log lambda is
-    within a relative c eps (m + 2/(1-|z|)) of the true one (c < 0.3 measured
-    against mpmath), and inside the radius 2/(1-|z|) < 2 + power/60. With the
-    rounding of |z| and of r, SKIP_MARGIN = 2^-10 covers powers up to about
-    1e12. Away from z = 0 the Schwarz-Pick bound has slack besides.
-    """
-    s = -math.expm1(LOG_TERM_FLOOR * (1.0 + SKIP_MARGIN) / power)
-    return max(0.0, (1.0 - (peak_count + 1) * s) / (1.0 + peak_count * s))
-
-
 def _terms_sum(
     terms: Iterable[tuple[FatouFunction, int, complex]],
     xs: np.ndarray,
-    on_circle: bool = False,
+    log,
 ) -> np.ndarray:
-    """Sum of scale * lambda^N over (lambda, N, scale) terms at ``xs``: points
-    of the closed disk or, when ``on_circle``, the angles of points on the
-    unit circle.
+    """Sum of scale * lambda^N over (lambda, N, scale) terms at ``xs``, with
+    log lambda from ``log``, ``log_fatou`` on points of the closed disk or
+    ``log_fatou_on_circle`` on angles.
 
     Terms with equal peak functions share one log call per chunk of
-    ``CHUNK`` points (``log_fatou`` on points, ``log_fatou_on_circle`` on
-    angles), and each power is exp(N log lambda). A term is skipped where
-    Re log lambda < log(TERM_FLOOR)/N. Terms go in ascending power, so within
-    a group each power keeps a subset of the points the previous one kept.
-    Inside the disk a point within the group's ``_skip_radius`` for its
-    lowest power, which that test would drop, is not evaluated at all; on the
-    circle the angle log forms the phase only where the lowest power passes
-    the test.
+    ``CHUNK`` points, at the floor log(TERM_FLOOR)/N of their lowest power,
+    and each power is exp(N log lambda) where Re log lambda >=
+    log(TERM_FLOOR)/N. Terms go in ascending power, so within a group each
+    higher power keeps a subset of the points the previous one kept.
     """
     groups: dict[FatouFunction, list[tuple[int, complex]]] = {}
-    max_power = 1
     for lam, power, scale in sorted(terms, key=lambda t: t[1]):
         groups.setdefault(lam, []).append((power, scale))
-        max_power = power
-    # terms go in ascending power, and the skip radius grows with the power
-    # and shrinks with the peak count, so no group's radius exceeds reach
-    reach = _skip_radius(1, max_power)
     flat = xs.reshape(-1)
     total = np.zeros(flat.shape, dtype=complex)
     for start in range(0, flat.size, CHUNK):
         chunk = flat[start : start + CHUNK]
         out = total[start : start + CHUNK]
-        modulus = None
-        if not on_circle:
-            modulus = np.abs(chunk)
-            if modulus.min() >= reach:  # no point inside any skip radius
-                modulus = None
         for lam, group in groups.items():
-            points, idx = chunk, None  # idx: positions in the chunk of the kept values
-            if modulus is not None:
-                radius = _skip_radius(lam.peak_points.size, group[0][0])
-                keep = (modulus >= radius).nonzero()[0]
-                if keep.size < chunk.size:
-                    if not keep.size:
-                        continue
-                    points, idx = chunk[keep], keep
-            if on_circle:
-                L, keep = log_fatou_on_circle(lam, points, LOG_TERM_FLOOR / group[0][0])
-                if keep.size < points.size:
-                    if not keep.size:
-                        continue
-                    idx = keep
-            else:
-                L = log_fatou(lam, points)
+            lowest = group[0][0]
+            L, idx = log(lam, chunk, LOG_TERM_FLOOR / lowest)
             for power, scale in group:
-                keep = (L.real >= LOG_TERM_FLOOR / power).nonzero()[0]
-                if keep.size < L.size:
-                    if not keep.size:
-                        break
-                    L = L[keep]
-                    idx = keep if idx is None else idx[keep]
-                p = scale * np.exp(power * L)
-                if idx is None:
-                    out += p
-                else:
-                    out[idx] += p
+                if power > lowest:
+                    keep = (L.real >= LOG_TERM_FLOOR / power).nonzero()[0]
+                    if keep.size < L.size:
+                        L, idx = L[keep], idx[keep]
+                if not idx.size:
+                    break
+                out[idx] += scale * np.exp(power * L)
     return total.reshape(xs.shape)
 
 
@@ -269,14 +214,14 @@ def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
     at_e = _terms_sum(
         _stage_terms(lambdas, coefficients, power, normalization),
         data.set.thetas(),
-        on_circle=True,
+        log_fatou_on_circle,
     )
 
     moduli = [abs(c) for c in coefficients]
     certified_sup = normalization * (
         max(moduli) + math.fsum(m * rho**power for m, rho in zip(moduli, rhos))
     )
-    certified_residual = float(np.max(np.abs(data.value_array() - at_e)))
+    certified_residual = float(np.max(abs(data.value_array() - at_e)))
     if certified_sup > data.sup_norm:
         raise CertificationError(
             f"stage boundary sup bound {certified_sup} exceeds input sup norm "
@@ -363,7 +308,7 @@ def iterative_interpolant(
     residual = data.value_array()
     stages: list[StageApproximant] = []
     for n in range(1, n_max + 1):
-        res_sup = float(np.max(np.abs(residual)))
+        res_sup = float(np.max(abs(residual)))
         if res_sup < RESIDUAL_FLOOR:
             break
         eta_n = schedule.terms[n - 1]
@@ -379,7 +324,7 @@ def iterative_interpolant(
         stages.append(stage)
 
     sup_bound = math.fsum(s.certified_sup for s in stages)
-    measured_residual = float(np.max(np.abs(residual)))
+    measured_residual = float(np.max(abs(residual)))
     bound = residual_bound_after(schedule, len(stages))
     if sup_bound > data.sup_norm + schedule.eta + SUP_CERT_TOL:
         raise CertificationError(
@@ -400,17 +345,9 @@ def iterative_interpolant(
     return Interpolant(tuple(stages), schedule, certificate)
 
 
-def _eval_stages(stages: Iterable[StageApproximant], x, on_circle: bool = False):
-    """Sum of ``stages`` at a point (a complex comes back) or an array of
-    points of the closed disk or, when ``on_circle``, at finite angles, after
-    checking them."""
-    if on_circle:
-        xs = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise DomainError("evaluation angle not finite")
-    else:
-        xs = np.asarray(x, dtype=complex)
-        require_closed_disk(xs)
+def _eval_stages(stages: Iterable[StageApproximant], xs: np.ndarray, log):
+    """Sum of ``stages`` at checked points or angles ``xs``, with ``log`` the
+    log that takes them; a 0-d array gives a complex."""
     vals = _terms_sum(
         (
             term
@@ -418,7 +355,7 @@ def _eval_stages(stages: Iterable[StageApproximant], x, on_circle: bool = False)
             for term in _stage_terms(s.lambdas, s.coefficients, s.power, s.normalization)
         ),
         xs,
-        on_circle,
+        log,
     )
     if xs.ndim == 0:
         return complex(vals[()])
@@ -427,16 +364,19 @@ def _eval_stages(stages: Iterable[StageApproximant], x, on_circle: bool = False)
 
 def eval_stage(stage: StageApproximant, z):
     """Evaluate one normalized stage on the closed disk."""
-    return _eval_stages((stage,), z)
+    return _eval_stages((stage,), require_closed_disk(z), log_fatou)
 
 
 def eval_interpolant(interpolant: Interpolant, z):
     """Evaluate the stage sum on the closed disk (0 for a zero-stage result)."""
-    return _eval_stages(interpolant.stages, z)
+    return _eval_stages(interpolant.stages, require_closed_disk(z), log_fatou)
 
 
 def eval_on_circle(interpolant: Interpolant, thetas):
     """Evaluate the stage sum at e^(i*theta) for a finite angle or an array
     of them. The values come from the angles, never from rounded points, so
     they stay accurate next to a peak for powers up to about 1e10."""
-    return _eval_stages(interpolant.stages, thetas, on_circle=True)
+    ts = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("evaluation angle not finite")
+    return _eval_stages(interpolant.stages, ts, log_fatou_on_circle)

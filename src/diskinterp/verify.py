@@ -194,7 +194,10 @@ def verify_interpolant(
 ) -> VerificationReport:
     """Full audit of a pipeline output: value matching on the set, boundary
     sup against sup + eta, the maximum-modulus inequality, and a batch of
-    seeded contour-integral identities, at the module's tolerances."""
+    seeded contour-integral identities, at the module's tolerances. A
+    negative ``seed`` raises ValueError before anything is evaluated."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     cert = interpolant.certificate
     boundary = check_boundary_sup(
         interpolant, cert.sup_norm_input + cert.eta, grid_size, SUP_TOL

@@ -4,6 +4,7 @@ keep the audit calling through them, and pin the audit to one boundary grid
 pass per report and the evaluation, on points and on angles, to one peak
 function (log) call per distinct peak set and chunk, in bounded memory."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -117,17 +118,43 @@ def test_eval_on_circle_calls_each_distinct_peak_function_once_per_chunk(monkeyp
     assert not points
 
 
+class CountingPeak(complex):
+    """A peak point that records the size of every array it is subtracted
+    from: ``log_fatou`` forms a_j - z once per peak, for the points that
+    reach its per-peak loop."""
+
+    def __sub__(self, other):
+        self.sizes.append(np.size(other))
+        return complex(self) - other
+
+
 def test_eval_skips_points_inside_the_skip_radius(monkeypatch):
     # the pair 1e-3 apart: inside the disk the floor drops every power of
-    # most peak functions, so log_fatou does not see those points
+    # most peak functions, so log_fatou drops those points before its
+    # per-peak loop, and for some chunks it drops them all
     data = BoundaryData.from_pairs(
         [1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j]
     )
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
-    sizes = count_log_calls(monkeypatch, "log_fatou")
     zs = 0.5 * np.exp(2j * np.pi * np.arange(CHUNK) / CHUNK)
-    eval_interpolant(g, zs)
-    assert sum(sizes) < distinct_lambdas(g) * zs.size
+    expected = eval_interpolant(g, zs)
+    calls, looped = [], []
+    original = interpolate_mod.log_fatou
+
+    def counted(fatou, x, *args):
+        calls.append(np.size(x))
+        first = CountingPeak(fatou.peak_points[0])
+        first.sizes = looped
+        clone = dataclasses.replace(fatou)
+        points = np.array([first, *fatou.peak_points[1:]], dtype=object)
+        object.__setattr__(clone, "peak_points", points)
+        return original(clone, x, *args)
+
+    monkeypatch.setattr(interpolate_mod, "log_fatou", counted)
+    assert np.array_equal(eval_interpolant(g, zs), expected)
+    assert calls == [zs.size] * distinct_lambdas(g)
+    assert len(looped) < len(calls)
+    assert sum(looped) < distinct_lambdas(g) * zs.size
 
 
 def test_eval_memory_is_bounded():

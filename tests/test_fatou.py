@@ -22,6 +22,7 @@ from diskinterp.fatou import (
     PEAK_SNAP,
     _boundary_modulus,
     _cotangent_sum,
+    _skip_radius,
     log_fatou,
     log_fatou_on_circle,
 )
@@ -166,7 +167,7 @@ def test_schwarz_pick_bound(thetas, radius, phase):
     assert abs(eval_fatou(f, z)) <= bound * (1.0 + 4 * EPS)
     if r < 1.0:
         kappa = 4 * EPS * (m + 2.0 / (1.0 - r))
-        assert log_fatou(f, np.array([z])).real[0] <= math.log(bound) * (1.0 - kappa)
+        assert log_fatou(f, np.array([z]))[0].real[0] <= math.log(bound) * (1.0 - kappa)
 
 
 def test_strict_contraction(rng):
@@ -253,7 +254,7 @@ def test_boundary_imag_examples():
 
     # F(-1) = 0 for the single peak, so lambda vanishes there
     f = single_peak()
-    assert log_fatou(f, np.array([-1.0 + 0.0j]))[0] == -math.inf
+    assert log_fatou(f, np.array([-1.0 + 0.0j]))[0][0] == -math.inf
 
 
 def test_boundary_modulus_examples():
@@ -310,12 +311,67 @@ def test_log_on_circle_floor_keeps_exactly_the_points_above_it(rng):
     assert np.all(L[-3:] == 0.0)
     # against log_fatou at the same (rounded) points, away from the peaks
     away = slice(0, -3)
-    assert np.max(np.abs(L[away] - log_fatou(f, np.exp(1j * thetas[away])))) < 1e-9
+    assert np.max(np.abs(L[away] - log_fatou(f, np.exp(1j * thetas[away]))[0])) < 1e-9
     for floor in (-1e-1, -1e-4, -1e-7):
         Lf, kf = log_fatou_on_circle(f, thetas, floor)
         above = (L.real >= floor).nonzero()[0]
         assert 0 < kf.size < thetas.size
         assert np.array_equal(kf, above) and np.array_equal(Lf, L[above])
+
+
+def check_log_contract(L, keep, size, floor):
+    """(L, keep) of a log at ``floor`` over ``size`` inputs: ascending
+    indices, one value each, every real part at least the floor, and every
+    index at no floor."""
+    assert keep.dtype.kind == "i" and L.shape == keep.shape
+    assert np.all(np.diff(keep) > 0) and np.all((keep >= 0) & (keep < size))
+    assert np.all(L.real >= floor)
+    if floor == -math.inf:
+        assert np.array_equal(keep, np.arange(size))
+
+
+FLOORS = (-math.inf, -1e-1, -1e-4, -1e-7, -1e-10)
+
+
+def test_both_logs_share_one_contract(rng):
+    skipped = compared = 0
+    for n in (1, 2, 5, 30):
+        f = FatouFunction(FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n)))
+        thetas = np.concatenate([rng.uniform(0, TWO_PI, 2000), f.peak_thetas])
+        radii = np.sqrt(rng.uniform(size=2000))
+        interior = radii * np.exp(1j * rng.uniform(0, TWO_PI, 2000))
+        skipped += np.count_nonzero(radii < _skip_radius(n, FLOORS[2]))
+        inputs = (
+            (log_fatou, interior),
+            (log_fatou, np.exp(1j * thetas)),
+            (log_fatou_on_circle, thetas),
+        )
+        for log, x in inputs:
+            L_all, _ = log(f, x)
+            for floor in FLOORS:
+                L, keep = log(f, x, floor)
+                check_log_contract(L, keep, x.size, floor)
+                # a floor drops exactly the inputs below it and changes no
+                # kept value, whatever the log drops before forming it
+                above = (L_all.real >= floor).nonzero()[0]
+                assert np.array_equal(keep, above) and np.array_equal(L, L_all[above])
+        # the two logs agree on the circle, away from the peaks (where the
+        # rounding of the points counts) and from the floor edge
+        gap = np.abs((thetas[:, None] - f.peak_thetas[None, :] + np.pi) % TWO_PI - np.pi)
+        away = np.min(gap, axis=1) > 1e-6
+        L_all, _ = log_fatou_on_circle(f, thetas)
+        for floor in FLOORS:
+            Lc, kc = log_fatou_on_circle(f, thetas, floor)
+            Lp, kp = log_fatou(f, np.exp(1j * thetas), floor)
+            clear = away & (np.abs(L_all.real - floor) > 1e-9)
+            assert np.array_equal(kc[clear[kc]], kp[clear[kp]])
+            both = np.intersect1d(kc, kp)
+            both = both[away[both]]
+            diff = Lc[np.searchsorted(kc, both)] - Lp[np.searchsorted(kp, both)]
+            assert np.all(np.abs(diff) < 1e-9)
+            compared += both.size
+    # the skip radius drops some interior points before the per-peak loop
+    assert skipped and compared > 10_000
 
 
 # ---------------------------------------------------------------- off-arc sup

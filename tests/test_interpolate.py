@@ -24,12 +24,17 @@ from diskinterp import (
     single_stage,
 )
 import diskinterp.interpolate
-from diskinterp.fatou import FatouFunction, eval_fatou, log_fatou, log_fatou_on_circle
+from diskinterp.fatou import (
+    FatouFunction,
+    _skip_radius,
+    eval_fatou,
+    log_fatou,
+    log_fatou_on_circle,
+)
 from diskinterp.interpolate import (
     CHUNK,
     LOG_TERM_FLOOR,
     TERM_FLOOR,
-    _skip_radius,
     _terms_sum,
 )
 from conftest import random_problem
@@ -293,7 +298,7 @@ def _term_by_term(stages, zs):
     total = np.zeros(zs.shape, dtype=complex)
     for s in stages:
         for lam, c in zip(s.lambdas, s.coefficients):
-            total += s.normalization * c * np.exp(s.power * log_fatou(lam, zs))
+            total += s.normalization * c * np.exp(s.power * log_fatou(lam, zs)[0])
     return total
 
 
@@ -343,7 +348,7 @@ def test_skipped_terms_stay_within_floor_bound(name):
 
 def _floor_only_sum(terms, zs):
     """The kernel without the skip radius: every point of a chunk goes
-    through log_fatou, and the floor test alone drops terms."""
+    through log_fatou with no floor, and the floor test alone drops terms."""
     groups = {}
     for lam, power, scale in sorted(terms, key=lambda t: t[1]):
         groups.setdefault(lam, []).append((power, scale))
@@ -352,20 +357,14 @@ def _floor_only_sum(terms, zs):
     for start in range(0, flat.size, CHUNK):
         out = total[start : start + CHUNK]
         for lam, group in groups.items():
-            L = log_fatou(lam, flat[start : start + CHUNK])
-            idx = None
+            L, idx = log_fatou(lam, flat[start : start + CHUNK])
             for power, scale in group:
                 keep = (L.real >= LOG_TERM_FLOOR / power).nonzero()[0]
                 if keep.size < L.size:
                     if not keep.size:
                         break
-                    L = L[keep]
-                    idx = keep if idx is None else idx[keep]
-                p = scale * np.exp(power * L)
-                if idx is None:
-                    out += p
-                else:
-                    out[idx] += p
+                    L, idx = L[keep], idx[keep]
+                out[idx] += scale * np.exp(power * L)
     return total.reshape(zs.shape)
 
 
@@ -382,7 +381,10 @@ def test_skip_radius_matches_floor_bit_for_bit(name):
     data = _kernel_problems()[name]
     g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
     # the skip acts on these points: some radius reaches past the 0.5 contour
-    radii = [_skip_radius(lam.peak_points.size, p) for lam, p, _ in _terms(g.stages)]
+    radii = [
+        _skip_radius(lam.peak_points.size, LOG_TERM_FLOOR / p)
+        for lam, p, _ in _terms(g.stages)
+    ]
     assert max(radii) > 0.5
     interior = np.random.default_rng(5)
     point_sets = {
@@ -406,12 +408,16 @@ def test_skip_radius_keeps_the_tight_origin():
     # one peak: lambda(0) = 1/2, so lambda(0)^60 is TERM_FLOOR itself, which
     # the floor test keeps, and the skip radius for power 60 is exactly 0
     lam = FatouFunction(FiniteBoundarySet.from_thetas([0.0]))
-    assert _skip_radius(1, 60) == 0.0
+    assert _skip_radius(1, LOG_TERM_FLOOR / 60) == 0.0
     zs = np.array([0j, 1e-300, 1e-3, -1e-3j, 0.01])
     for power in (59, 60, 61):
         term = [(lam, power, 1.0)]
-        assert np.array_equal(_terms_sum(term, zs), _floor_only_sum(term, zs)), power
-    assert _terms_sum([(lam, 60, 1.0)], zs)[0] == pytest.approx(TERM_FLOOR, rel=1e-13)
+        assert np.array_equal(
+            _terms_sum(term, zs, log_fatou), _floor_only_sum(term, zs)
+        ), power
+    assert _terms_sum([(lam, 60, 1.0)], zs, log_fatou)[0] == pytest.approx(
+        TERM_FLOOR, rel=1e-13
+    )
 
 
 @pytest.mark.parametrize("peak_count", [1, 2, 3, 10, 300])
@@ -425,7 +431,7 @@ def test_skip_radius_covers_rounding(peak_count):
     with mpmath.workdps(50):
         mu = mpmath.mpf(peak_count) / (peak_count + 1)
         for power in (20, 60, 61, 100, 10**3, 10**5, 10**7, 2 * 10**9, 10**11):
-            r = _skip_radius(peak_count, power)
+            r = _skip_radius(peak_count, LOG_TERM_FLOOR / power)
             if r == 0.0:
                 continue
             skipping += 1
@@ -441,9 +447,10 @@ def test_terms_on_their_peaks_are_exactly_scale():
     g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
     for s in g.stages:
         for lam, c in zip(s.lambdas, s.coefficients):
-            assert np.all(log_fatou(lam, lam.peak_points) == 0.0)
+            L, keep = log_fatou(lam, lam.peak_points)
+            assert np.all(L == 0.0) and keep.size == lam.peak_points.size
             scale = s.normalization * c
-            at_peaks = _terms_sum([(lam, s.power, scale)], lam.peak_points)
+            at_peaks = _terms_sum([(lam, s.power, scale)], lam.peak_points, log_fatou)
             assert np.all(at_peaks == scale)
 
 
@@ -455,7 +462,9 @@ def test_terms_on_their_peak_angles_are_exactly_scale():
             L, keep = log_fatou_on_circle(lam, lam.peak_thetas)
             assert np.all(L == 0.0) and keep.size == lam.peak_thetas.size
             scale = s.normalization * c
-            at_peaks = _terms_sum([(lam, s.power, scale)], lam.peak_thetas, on_circle=True)
+            at_peaks = _terms_sum(
+                [(lam, s.power, scale)], lam.peak_thetas, log_fatou_on_circle
+            )
             assert np.all(at_peaks == scale)
     # so on E the interpolant is the sum of the stage scales of each point
     at_e = eval_on_circle(g, data.set.thetas())
@@ -474,8 +483,8 @@ def test_eval_is_exactly_zero_where_lambda_vanishes():
     data = BoundaryData.from_pairs([0.0], [1.0])
     g = iterative_interpolant(data, 0.01, 5, GRID, MARGIN)
     assert len(g.stages) > 1
-    log = log_fatou(g.stages[0].lambdas[0], np.array([-1.0 + 0j]))
-    assert log[0] == -math.inf
+    L, keep = log_fatou(g.stages[0].lambdas[0], np.array([-1.0 + 0j]))
+    assert L[0] == -math.inf and keep.size == 1
     zs = np.array([-1.0 + 0j, 0.5 + 0j])
     with np.errstate(all="raise"):
         assert eval_interpolant(g, -1.0 + 0j) == 0.0

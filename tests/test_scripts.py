@@ -1,10 +1,13 @@
-"""Smoke tests: each script's ``main`` runs on tiny arguments, so that a
-change of the library API the scripts call fails here."""
+"""Smoke tests: each script's ``main`` runs on tiny arguments, and the
+README's library quickstart runs as written, so that a change of the
+library API they call fails here."""
 
 import importlib.util
+import re
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -31,3 +34,11 @@ def test_power_growth_runs(tmp_path):
     powers = [int(line.split(",")[2]) for line in lines[1:]]
     assert len(powers) == 3
     assert powers == sorted(powers)
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    assert "print(" in code and capsys.readouterr().out

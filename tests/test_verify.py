@@ -195,6 +195,24 @@ def test_full_report_passes_on_pipeline_output(rng):
     assert max_modulus.params["grid_size"] == GRID
 
 
+def test_negative_seed_fails_before_any_evaluation(monkeypatch):
+    data = BoundaryData.from_pairs([0.0, 2.0], [1.0, -0.5j])
+    g = iterative_interpolant(data, 0.01, 3, GRID, 1e-9)
+    calls = []
+    original = verify_mod.eval_on_circle
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify_mod, "eval_on_circle", counted)
+    with pytest.raises(ValueError, match="seed"):
+        verify_interpolant(g, data, grid_size=4096, seed=-1)
+    assert not calls
+    assert verify_interpolant(g, data, grid_size=4096, seed=0).overall
+    assert calls
+
+
 def test_report_deterministic(rng):
     data, g = pipeline_output(rng)
     a = verify_interpolant(g, data, grid_size=GRID, seed=21)
