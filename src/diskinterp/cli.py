@@ -7,9 +7,14 @@ Three subcommands:
 * ``verify``       re-run a certificate's problem and compare field by field
 
 Problem files are JSON objects with the ProblemSpec field names; angles are
-radians, complex values are split into re/im. Certificates serialize floats
-with shortest round-trip precision and fixed key order, so identical inputs
-produce byte-identical files. Exit codes: 0 success, 2 parse error,
+radians, complex values are split into re/im. Each certificate section is
+serialized from the dataclass that holds it: ``problem`` is ``ProblemSpec``
+field for field, its points as objects keyed by ``POINT_KEYS``;
+``certificate`` is ``BoundsCertificate`` plus the stage lists; each
+``report.checks`` entry is a ``CheckResult``. So a field added to one of
+them reaches the file and ``verify``'s comparison with no edit here. Floats
+keep shortest round-trip precision and keys a fixed order, so identical
+inputs produce byte-identical files. Exit codes: 0 success, 2 parse error,
 3 validation error, 4 certification/verification failure.
 """
 
@@ -19,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,6 +54,7 @@ DEFAULT_N_MAX = 20
 DEFAULT_SAFETY_MARGIN = 1e-9
 DEFAULT_SEED = 0
 FIELD_MATCH_TOL = 1e-12
+POINT_KEYS = ("theta", "value_re", "value_im")
 
 
 class ParseFailure(Exception):
@@ -81,7 +87,7 @@ def _require_int(obj, key, where, default=None) -> int:
 class ProblemSpec:
     """Validated interpolation problem: points, budget, and run parameters."""
 
-    points: tuple[tuple[float, float, float], ...]  # (theta, value_re, value_im)
+    points: tuple[tuple[float, float, float], ...]  # in POINT_KEYS order
     eta: float
     n_max: int
     grid_size: int
@@ -99,13 +105,8 @@ class ProblemSpec:
         for i, entry in enumerate(raw_points):
             if not isinstance(entry, dict):
                 raise ParseFailure(f"problem: points[{i}] must be an object")
-            where = f"points[{i}]"
             points.append(
-                (
-                    _require_number(entry, "theta", where),
-                    _require_number(entry, "value_re", where),
-                    _require_number(entry, "value_im", where),
-                )
+                tuple(_require_number(entry, k, f"points[{i}]") for k in POINT_KEYS)
             )
         spec = cls(
             points=tuple(points),
@@ -146,17 +147,9 @@ class ProblemSpec:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "points": [
-                {"theta": t, "value_re": re, "value_im": im}
-                for t, re, im in self.points
-            ],
-            "eta": self.eta,
-            "n_max": self.n_max,
-            "grid_size": self.grid_size,
-            "safety_margin": self.safety_margin,
-            "seed": self.seed,
-        }
+        obj = asdict(self)
+        obj["points"] = [dict(zip(POINT_KEYS, p)) for p in self.points]
+        return obj
 
 
 def _load_json(path: str):
@@ -186,7 +179,6 @@ def _grid_csv(thetas: np.ndarray, values: np.ndarray) -> str:
     # numpy's modulus, the one the audit takes, which can differ from
     # Python's abs(complex) in the last bit
     for t, v, m in zip(thetas, values, np.abs(values)):
-        v = complex(v)
         lines.append(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(m)}")
     return "\n".join(lines) + "\n"
 
@@ -197,23 +189,14 @@ def _certificate_payload(
     return {
         "problem": spec.to_json_obj(),
         "certificate": {
-            **{k: float(v) for k, v in asdict(interpolant.certificate).items()},
+            **asdict(interpolant.certificate),
             "n_stages": len(interpolant.stages),
-            "stage_powers": [int(s.power) for s in interpolant.stages],
-            "stage_epsilons": [float(s.epsilon) for s in interpolant.stages],
+            "stage_powers": [s.power for s in interpolant.stages],
+            "stage_epsilons": [s.epsilon for s in interpolant.stages],
         },
         "report": {
-            "overall": bool(report.overall),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": bool(c.passed),
-                    "measured": float(c.measured),
-                    "threshold": float(c.threshold),
-                    "params": {k: v for k, v in c.params.items()},
-                }
-                for c in report.checks
-            ],
+            "overall": report.overall,
+            "checks": [asdict(c) for c in report.checks],
         },
     }
 
@@ -253,13 +236,13 @@ def _run_pipeline(spec: ProblemSpec):
     report = verify_interpolant(
         interpolant, data, grid_size=spec.grid_size, seed=spec.seed
     )
-    return data, interpolant, report
+    return interpolant, report
 
 
 def cmd_interpolate(args) -> int:
     spec = ProblemSpec.from_json_obj(_load_json(args.problem_file))
     try:
-        _, interpolant, report = _run_pipeline(spec)
+        interpolant, report = _run_pipeline(spec)
     except (CertificationError, NoContractionError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
@@ -294,8 +277,6 @@ def _compare_value(path: str, stored, fresh) -> str | None:
             if abs(float(stored) - float(fresh)) <= FIELD_MATCH_TOL
             else path
         )
-    if isinstance(fresh, str):
-        return None if stored == fresh else path
     if isinstance(fresh, list):
         if not isinstance(stored, list) or len(stored) != len(fresh):
             return path
@@ -329,11 +310,7 @@ def cmd_verify(args) -> int:
     spec = ProblemSpec.from_json_obj(_load_json(args.problem_file))
     recorded = ProblemSpec.from_json_obj(stored["problem"])
     if recorded != spec:
-        name = next(
-            f.name
-            for f in fields(ProblemSpec)
-            if getattr(recorded, f.name) != getattr(spec, f.name)
-        )
+        name = next(k for k, v in asdict(spec).items() if getattr(recorded, k) != v)
         print(
             f"verification failure: problem field {name!r} differs "
             "between certificate and problem file",
@@ -341,7 +318,7 @@ def cmd_verify(args) -> int:
         )
         return EXIT_CERTIFICATION
     try:
-        _, interpolant, report = _run_pipeline(spec)
+        interpolant, report = _run_pipeline(spec)
     except (CertificationError, NoContractionError) as exc:
         print(f"verification failure: pipeline failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION

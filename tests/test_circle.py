@@ -45,6 +45,21 @@ def test_normalize_rejects_non_finite(bad):
         normalize_angle(bad)
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        (math.inf, "finite"),
+        (math.nan, "finite"),
+        (-1e-300, "outside"),
+        (TWO_PI, "outside"),
+        (7.0, "outside"),
+    ],
+)
+def test_angle_rejects_non_finite_or_out_of_range(theta, message):
+    with pytest.raises(ValueError, match=message):
+        Angle(theta)
+
+
 @given(st.floats(-1e9, 1e9))
 def test_normalize_lands_in_range(theta):
     a = normalize_angle(theta)
@@ -386,6 +401,15 @@ def _four_singletons():
 
 def _with_clusters(c, clusters):
     return Clustering(c.data, tuple(clusters), c.oscillation_bound)
+
+
+def test_clustering_rejects_bad_bound_or_no_clusters():
+    c = _four_singletons()
+    for bound in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="oscillation_bound"):
+            Clustering(c.data, c.clusters, bound)
+    with pytest.raises(ValueError, match="at least one cluster"):
+        _with_clusters(c, ())
 
 
 def test_clustering_rejects_gap_or_overlap_in_ranges():

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diskinterp.verify
 from diskinterp import make_schedule
 from diskinterp.cli import (
     EXIT_CERTIFICATION,
@@ -31,6 +34,20 @@ PROBLEM = {
     "safety_margin": 1e-9,
     "seed": 11,
 }
+
+# opposite values 1e-4 apart: the off-arc bound of their clusters reaches 1,
+# so the build fails with NoContractionError
+CLOSE_PAIR = dict(
+    PROBLEM,
+    points=[
+        {"theta": 0.0, "value_re": 1.0, "value_im": 0.0},
+        {"theta": 1e-4, "value_re": -1.0, "value_im": 0.0},
+        {"theta": 2.2, "value_re": 0.6, "value_im": 0.3},
+        {"theta": 3.9, "value_re": -0.2, "value_im": 0.7},
+    ],
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_json(path, obj):
@@ -90,6 +107,27 @@ def test_fatou_bad_json_is_parse_error(tmp_path):
     bad = tmp_path / "peaks.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["fatou", str(bad)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "peaks, message",
+    [
+        ([0.0], "expected an object with a 'thetas' list"),
+        ({"thetas": [0.0, "1.0"]}, "'thetas' must be a list of numbers"),
+    ],
+    ids=["not_an_object", "string_theta"],
+)
+def test_fatou_malformed_peaks_is_parse_error(tmp_path, capsys, peaks, message):
+    path = write_json(tmp_path / "peaks.json", peaks)
+    assert main(["fatou", path]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error:") and message in err[0]
+
+
+def test_fatou_empty_grid_is_validation_error(tmp_path, capsys):
+    peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.0]})
+    assert main(["fatou", peaks, "--eval-grid", "0"]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------- interpolate
@@ -162,6 +200,42 @@ def test_interpolate_missing_eta_is_parse_error(tmp_path):
     assert main(["interpolate", problem]) == EXIT_PARSE
 
 
+def _with_first_point(**fields):
+    return dict(PROBLEM, points=[dict(PROBLEM["points"][0], **fields)])
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        ([PROBLEM], "problem must be a JSON object"),
+        (dict(PROBLEM, points={"theta": 0.0}), "'points' must be a list"),
+        (dict(PROBLEM, points=[[0.0, 1.0, 0.0]]), "points[0] must be an object"),
+        (_with_first_point(theta="0.5"), "field 'theta' must be a number"),
+        (_with_first_point(theta=True), "field 'theta' must be a number"),
+        (dict(PROBLEM, n_max=2.5), "field 'n_max' must be an integer"),
+        (dict(PROBLEM, n_max=True), "field 'n_max' must be an integer"),
+        (dict(PROBLEM, n_max=None), "missing integer field 'n_max'"),
+    ],
+    ids=[
+        "not_an_object",
+        "points_not_a_list",
+        "point_not_an_object",
+        "theta_string",
+        "theta_bool",
+        "n_max_float",
+        "n_max_bool",
+        "n_max_null",
+    ],
+)
+def test_interpolate_malformed_problem_is_parse_error(
+    tmp_path, capsys, problem, message
+):
+    path = write_json(tmp_path / "bad.json", problem)
+    assert main(["interpolate", path]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error:") and message in err[0]
+
+
 def test_interpolate_nonpositive_eta_is_validation_error(tmp_path):
     spec = dict(PROBLEM)
     spec["eta"] = 0.0
@@ -188,6 +262,33 @@ def test_interpolate_small_grid_rejected(tmp_path):
     spec["grid_size"] = 1024
     problem = write_json(tmp_path / "grid.json", spec)
     assert main(["interpolate", problem]) == EXIT_VALIDATION
+
+
+def test_interpolate_pipeline_failure_writes_no_certificate(tmp_path, capsys):
+    problem = write_json(tmp_path / "close.json", CLOSE_PAIR)
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem, "--out", str(out)]) == EXIT_CERTIFICATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("certification failure: ")
+    assert not out.exists()
+
+
+def test_interpolate_failed_check_is_written_and_reported(
+    tmp_path, problem_file, capsys, monkeypatch
+):
+    # a negative tolerance fails the two checks that take it; the
+    # certificate is still written, and records the failure
+    monkeypatch.setattr(diskinterp.verify, "SUP_TOL", -1.0)
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_CERTIFICATION
+    report = json.loads(out.read_text())["report"]
+    assert report["overall"] is False
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["boundary_sup", "max_modulus"]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split()[:3] for line in err] == [
+        ["check", "failed:", name] for name in failed
+    ]
 
 
 def test_grid_size_default_ignores_environment(tmp_path, monkeypatch):
@@ -238,6 +339,22 @@ def test_verify_detects_seed_mismatch(tmp_path, problem_file, capsys):
     other = write_json(tmp_path / "other.json", spec)
     assert main(["verify", str(out), other]) == EXIT_CERTIFICATION
     assert "seed" in capsys.readouterr().err
+
+
+def test_verify_pipeline_failure(tmp_path, problem_file, capsys):
+    # a certificate whose recorded problem matches the problem file, but
+    # whose problem the pipeline cannot build
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK
+    forged = write_json(
+        tmp_path / "forged.json", dict(json.loads(out.read_text()), problem=CLOSE_PAIR)
+    )
+    close = write_json(tmp_path / "close.json", CLOSE_PAIR)
+    capsys.readouterr()
+    assert main(["verify", forged, close]) == EXIT_CERTIFICATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("verification failure: pipeline failed: ")
 
 
 def test_verify_rejects_non_certificate(tmp_path, problem_file):
@@ -302,12 +419,14 @@ def test_certificate_deterministic_bytes(tmp_path, problem_file):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_module_entry_point(tmp_path):
+@pytest.mark.parametrize("module", ["diskinterp", "diskinterp.cli"])
+def test_module_entry_point(tmp_path, module):
     peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.0]})
     proc = subprocess.run(
-        [sys.executable, "-m", "diskinterp.cli", "fatou", str(peaks), "--eval-grid", "4"],
+        [sys.executable, "-m", module, "fatou", str(peaks), "--eval-grid", "4"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("theta,re,im,abs")

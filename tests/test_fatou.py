@@ -333,6 +333,21 @@ def check_log_contract(L, keep, size, floor):
 FLOORS = (-math.inf, -1e-1, -1e-4, -1e-7, -1e-10)
 
 
+def test_log_on_circle_retests_the_computed_real_part():
+    # cotangent sums just below the edge y0 of the floor pass the widened
+    # |y| pre-test, but their real part lies below the floor
+    lam = FatouFunction(FiniteBoundarySet.from_thetas([0.0]))
+    floor = -1e-3
+    y0 = 1.0 / math.sqrt(math.expm1(-2.0 * floor))
+    ys = y0 * np.array([1.0 - 1e-10, 1.0 - 5e-10, 2.0, -2.0, 1.0 + 1e-10])
+    thetas = np.mod(2.0 * np.arctan(1.0 / ys), TWO_PI)  # cot(theta/2) = y
+    ratio = _cotangent_sum(lam, thetas[:2]) / y0
+    assert np.all((1.0 - 1e-9 < ratio) & (ratio < 1.0))
+    L, keep = log_fatou_on_circle(lam, thetas, floor)
+    assert keep.tolist() == [2, 3, 4]
+    assert np.all(L.real >= floor)
+
+
 def test_both_logs_share_one_contract(rng):
     skipped = compared = 0
     for n in (1, 2, 5, 30):
@@ -464,6 +479,14 @@ def test_choose_power_minimal(rho, epsilon, n_clusters):
         assert n == brute_force_power(rho, target)
 
 
+def test_choose_power_corrects_the_log_estimate_downward():
+    # here ceil(log t / log rho) rounds one above the smallest power
+    rho, target = 0.9999999999979714, 2.275245882052251e-12
+    n = choose_power((rho,), target, 1)
+    assert n == 13215488246594 == math.ceil(math.log(target) / math.log(rho)) - 1
+    assert rho**n < target <= rho ** (n - 1)
+
+
 def test_off_arc_sup_validation():
     with pytest.raises(ValueError):
         choose_power((1.0,), 0.01, 1)
@@ -471,3 +494,5 @@ def test_off_arc_sup_validation():
         choose_power((), 0.01, 1)
     with pytest.raises(ValueError):
         choose_power((0.5,), -1.0, 1)
+    with pytest.raises(ValueError, match="n_clusters"):
+        choose_power((0.5,), 0.01, 0)

@@ -80,6 +80,21 @@ def test_schedule_rejects_bad_inputs():
         make_schedule(1e-320, 20)
 
 
+@pytest.mark.parametrize(
+    "eta, terms, message",
+    [
+        (0.0, (0.1,), "eta must be positive"),
+        (math.nan, (0.1,), "eta must be positive"),
+        (1.0, (), "at least one term"),
+        (1.0, (0.25, 0.0), "terms must be positive"),
+        (1.0, (0.25, -0.1), "terms must be positive"),
+    ],
+)
+def test_schedule_constructor_guards(eta, terms, message):
+    with pytest.raises(ValueError, match=message):
+        EtaSchedule(eta, terms)
+
+
 @example(eta=5e-324, n_max=1)
 @example(eta=1.7976931348623157e308, n_max=1022)
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 1022))
@@ -167,6 +182,28 @@ def test_stage_pinned_power_certification_failure(monkeypatch):
     data = BoundaryData.from_pairs([0.0, 2.0], [1.0, 1.0 + 1.0j])
     with pytest.raises(CertificationError):
         single_stage(data, 1e-3, MARGIN)
+
+
+def test_stage_residual_contract_enforced(monkeypatch):
+    # values on E off by 0.1 miss the contract eps*(1 + 2 sup) = 0.003
+    terms_sum = diskinterp.interpolate._terms_sum
+    monkeypatch.setattr(
+        diskinterp.interpolate, "_terms_sum", lambda *a: terms_sum(*a) + 0.1
+    )
+    data = BoundaryData.from_pairs([0.0, 2.1, 4.0], [1.0, -0.4 + 0.3j, 0.1 - 0.8j])
+    with pytest.raises(CertificationError, match="not below its contract bound 0.003"):
+        single_stage(data, 1e-3, MARGIN)
+
+
+def test_stage_constructor_guards():
+    stage = single_stage(BoundaryData.from_pairs([0.0, 2.0], [1.0, -1.0]), 1e-3, MARGIN)
+    for power in (0, -3):
+        with pytest.raises(ValueError, match="power"):
+            dataclasses.replace(stage, power=power)
+    for normalization in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="normalization"):
+            dataclasses.replace(stage, normalization=normalization)
+    assert dataclasses.replace(stage, normalization=1.0).normalization == 1.0
 
 
 # ---------------------------------------------------------------- pipeline
@@ -269,6 +306,18 @@ def test_pipeline_stage_over_budget_rejected(monkeypatch):
     monkeypatch.setattr(diskinterp.interpolate, "_build_stage", over_budget)
     data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, -1.0, 1.0j])
     with pytest.raises(CertificationError, match="exceeds its budget"):
+        iterative_interpolant(data, 0.01, 3, GRID, MARGIN)
+
+
+@pytest.mark.parametrize(
+    "tol, message",
+    [("SUP_CERT_TOL", "boundary sup bound"), ("RESIDUAL_CERT_TOL", "truncation bound")],
+)
+def test_pipeline_final_bounds_enforced(monkeypatch, tol, message):
+    # a slack of -1 puts the final bound below what any build reaches
+    monkeypatch.setattr(diskinterp.interpolate, tol, -1.0)
+    data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, -1.0, 1.0j])
+    with pytest.raises(CertificationError, match=message):
         iterative_interpolant(data, 0.01, 3, GRID, MARGIN)
 
 
