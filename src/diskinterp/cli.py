@@ -6,10 +6,11 @@ Three subcommands:
 * ``interpolate``  full certified pipeline run, certificate JSON out
 * ``verify``       re-run a certificate's problem and compare field by field
 
-Problem files are JSON objects with the ProblemSpec field names; angles are
+Problem files are JSON objects with the ProblemSpec field names, their
+points objects with the ``POINT_KEYS``, and no other key; angles are
 radians, complex values are split into re/im. Each certificate section is
 serialized from the dataclass that holds it: ``problem`` is ``ProblemSpec``
-field for field, its points as objects keyed by ``POINT_KEYS``;
+field for field, in the problem file's format;
 ``certificate`` is ``BoundsCertificate`` plus the stage lists; each
 ``report.checks`` entry is a ``CheckResult``. So a field added to one of
 them reaches the file and ``verify``'s comparison with no edit here. Floats
@@ -24,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -83,6 +84,13 @@ def _require_int(obj, key, where, default=None) -> int:
     return int(val)
 
 
+def _reject_unknown_keys(obj, known, where) -> None:
+    """A misspelled key would otherwise leave its field at the default."""
+    unknown = [k for k in obj if k not in known]
+    if unknown:
+        raise ParseFailure(f"{where}: unknown field {unknown[0]!r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Validated interpolation problem: points, budget, and run parameters."""
@@ -98,6 +106,7 @@ class ProblemSpec:
     def from_json_obj(cls, obj) -> "ProblemSpec":
         if not isinstance(obj, dict):
             raise ParseFailure("problem must be a JSON object")
+        _reject_unknown_keys(obj, [f.name for f in fields(cls)], "problem")
         raw_points = obj.get("points")
         if not isinstance(raw_points, list):
             raise ParseFailure("problem: 'points' must be a list")
@@ -105,6 +114,7 @@ class ProblemSpec:
         for i, entry in enumerate(raw_points):
             if not isinstance(entry, dict):
                 raise ParseFailure(f"problem: points[{i}] must be an object")
+            _reject_unknown_keys(entry, POINT_KEYS, f"points[{i}]")
             points.append(
                 tuple(_require_number(entry, k, f"points[{i}]") for k in POINT_KEYS)
             )

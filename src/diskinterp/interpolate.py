@@ -21,7 +21,7 @@ maximum modulus principle the same bound holds on the whole disk. Residuals
 are evaluated on the set itself. Violated bounds raise CertificationError
 instead of being recorded.
 
-All evaluation goes through one kernel over (lambda, N, scale) terms,
+All evaluation goes through one traversal of (lambda, N, scale) terms,
 scale = c_k/(1+eps), and one of two logs with the same contract:
 ``log_fatou`` on points of the closed disk (``eval_interpolant`` and
 ``eval_stage``), or ``log_fatou_on_circle`` on angles of points on the
@@ -29,8 +29,13 @@ circle (``eval_on_circle``, and the build's values on the set). Later
 stages often rebuild an earlier cluster, so terms with equal peak functions
 are grouped, and each group costs one log call per chunk of ``CHUNK``
 points, so memory does not grow with the number of points beyond the
-result. A term is skipped where |lambda|^N < TERM_FLOOR = 2^-60, so a value
-moves by less than 2^-60 * sum |scale|. The kernel hands the log the floor
+result. Two reducers share that traversal: the values, scale * exp(N log
+lambda), and the real modulus bound ``modulus_bound_on_circle``,
+|scale| * exp(N Re log lambda), with real exponentials and no phase; so
+the audit bounds the boundary at every grid angle and evaluates it only
+where the bound reaches the maximum. A term is skipped where |lambda|^N <
+TERM_FLOOR = 2^-60, in the values and the bound alike, so a value moves by
+less than 2^-60 * sum |scale|. The kernel hands the log the floor
 log(TERM_FLOOR)/N of the group's lowest power; the log returns log lambda
 only where that floor is met, with the indices of those points, and each
 higher power tests its own floor on what is left. Each power is
@@ -141,29 +146,25 @@ class Interpolant:
     certificate: BoundsCertificate
 
 
-def _terms_sum(
+def _kept_terms(
     terms: Iterable[tuple[FatouFunction, int, complex]],
-    xs: np.ndarray,
+    flat: np.ndarray,
     log,
-) -> np.ndarray:
-    """Sum of scale * lambda^N over (lambda, N, scale) terms at ``xs``, with
-    log lambda from ``log``, ``log_fatou`` on points of the closed disk or
-    ``log_fatou_on_circle`` on angles.
+):
+    """The kept (offset, idx, power, scale, L) of (lambda, N, scale) terms
+    on a 1-d array ``flat`` of points or angles: log lambda = L at
+    ``flat[offset + idx]``, where Re L >= log(TERM_FLOOR)/N.
 
-    Terms with equal peak functions share one log call per chunk of
-    ``CHUNK`` points, at the floor log(TERM_FLOOR)/N of their lowest power,
-    and each power is exp(N log lambda) where Re log lambda >=
-    log(TERM_FLOOR)/N. Terms go in ascending power, so within a group each
-    higher power keeps a subset of the points the previous one kept.
+    Terms with equal peak functions share one ``log`` call per chunk of
+    ``CHUNK`` points, at the floor log(TERM_FLOOR)/N of their lowest power.
+    Terms go in ascending power, so within a group each higher power keeps
+    a subset of the points the previous one kept.
     """
     groups: dict[FatouFunction, list[tuple[int, complex]]] = {}
     for lam, power, scale in sorted(terms, key=lambda t: t[1]):
         groups.setdefault(lam, []).append((power, scale))
-    flat = xs.reshape(-1)
-    total = np.zeros(flat.shape, dtype=complex)
     for start in range(0, flat.size, CHUNK):
         chunk = flat[start : start + CHUNK]
-        out = total[start : start + CHUNK]
         for lam, group in groups.items():
             lowest = group[0][0]
             L, idx = log(lam, chunk, LOG_TERM_FLOOR / lowest)
@@ -174,7 +175,25 @@ def _terms_sum(
                         L, idx = L[keep], idx[keep]
                 if not idx.size:
                     break
-                out[idx] += scale * np.exp(power * L)
+                yield start, idx, power, scale, L
+
+
+def _terms_sum(terms, xs: np.ndarray, log) -> np.ndarray:
+    """Sum of scale * lambda^N = scale * exp(N log lambda) over the kept
+    terms at ``xs``, with log lambda from ``log``, ``log_fatou`` on points
+    of the closed disk or ``log_fatou_on_circle`` on angles."""
+    total = np.zeros(xs.size, dtype=complex)
+    for start, idx, power, scale, L in _kept_terms(terms, xs.reshape(-1), log):
+        total[start : start + CHUNK][idx] += scale * np.exp(power * L)
+    return total.reshape(xs.shape)
+
+
+def _terms_bound(terms, xs: np.ndarray, log) -> np.ndarray:
+    """Sum of |scale| * exp(N Re log lambda) over the kept terms at ``xs``:
+    a real bound on the modulus of ``_terms_sum`` (see ``bound_slack``)."""
+    total = np.zeros(xs.size)
+    for start, idx, power, scale, L in _kept_terms(terms, xs.reshape(-1), log):
+        total[start : start + CHUNK][idx] += abs(scale) * np.exp(power * L.real)
     return total.reshape(xs.shape)
 
 
@@ -345,21 +364,30 @@ def iterative_interpolant(
     return Interpolant(tuple(stages), schedule, certificate)
 
 
+def _all_terms(stages: Iterable[StageApproximant]):
+    """The (lambda, N, scale) terms of ``stages``, stage by stage."""
+    return (
+        term
+        for s in stages
+        for term in _stage_terms(s.lambdas, s.coefficients, s.power, s.normalization)
+    )
+
+
 def _eval_stages(stages: Iterable[StageApproximant], xs: np.ndarray, log):
     """Sum of ``stages`` at checked points or angles ``xs``, with ``log`` the
     log that takes them; a 0-d array gives a complex."""
-    vals = _terms_sum(
-        (
-            term
-            for s in stages
-            for term in _stage_terms(s.lambdas, s.coefficients, s.power, s.normalization)
-        ),
-        xs,
-        log,
-    )
+    vals = _terms_sum(_all_terms(stages), xs, log)
     if xs.ndim == 0:
         return complex(vals[()])
     return vals
+
+
+def _finite_angles(thetas) -> np.ndarray:
+    """``thetas`` as a float array, after checking that every angle is finite."""
+    ts = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("evaluation angle not finite")
+    return ts
 
 
 def eval_stage(stage: StageApproximant, z):
@@ -376,7 +404,42 @@ def eval_on_circle(interpolant: Interpolant, thetas):
     """Evaluate the stage sum at e^(i*theta) for a finite angle or an array
     of them. The values come from the angles, never from rounded points, so
     they stay accurate next to a peak for powers up to about 1e10."""
-    ts = np.asarray(thetas, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise DomainError("evaluation angle not finite")
-    return _eval_stages(interpolant.stages, ts, log_fatou_on_circle)
+    return _eval_stages(interpolant.stages, _finite_angles(thetas), log_fatou_on_circle)
+
+
+def modulus_bound_on_circle(interpolant: Interpolant, thetas) -> np.ndarray:
+    """B(theta) = sum |scale| exp(N Re log lambda) over the terms that
+    ``eval_on_circle`` keeps at e^(i*theta), for an array of finite angles.
+
+    It takes the same logs and the same kept terms as the values, but real
+    exponentials and no phase, and bounds the computed values:
+    |eval_on_circle(interpolant, thetas)| <= B * (1 + bound_slack(interpolant))
+    at every angle.
+    """
+    return _terms_bound(
+        _all_terms(interpolant.stages), _finite_angles(thetas), log_fatou_on_circle
+    )
+
+
+def bound_slack(interpolant: Interpolant) -> float:
+    """(2K + 16) * 2^-53 for an interpolant of K terms: the relative slack
+    by which the computed modulus of a value may exceed its computed
+    ``modulus_bound_on_circle``.
+
+    Both take the same x = N Re log lambda: the real part of the complex
+    product N * log lambda is the rounded real product. Let u = 2^-53 and
+    exp, cos, sin and hypot be within 1 ulp (2u), as numpy tests them. A
+    complex term scale * exp(N log lambda) then has modulus at most
+    |scale| e^x (1 + 5u) (1 + sqrt(5) u): the exponential, cosine and sine,
+    and their products; then the complex product. The real term
+    |scale| * exp(x) is at least |scale| e^x (1 - 5u). So a term's ratio is
+    below 1 + 12.3u to first order. A value adds at most K terms to 0, with
+    K - 1 roundings: the complex sum is off by at most (K - 1) u sum |term|
+    (componentwise, and the moduli add by Minkowski), and the real sum of
+    nonnegative terms loses at most (K - 1) u, so 2(K - 1) u more. The final
+    modulus adds 2u and the rounding of B * (1 + slack) u: 2K + 13.3 in all,
+    and the second-order terms, of order (K u)^2, fit in the rest of 16.
+    2K + 16 is even, so 1 + slack is exact.
+    """
+    terms = sum(len(s.lambdas) for s in interpolant.stages)
+    return (2 * terms + 16) * 2.0**-53

@@ -5,11 +5,13 @@ interpolant on a declared grid or sample and records the grid parameters,
 tolerance, and seed it used, so a report is reproducible. A full report
 takes a grid size and a seed; its tolerances and sizes are the constants
 below, and a ``check_*`` call with its own parameters tightens one claim.
-The boundary grid is evaluated once per report: the maximum-modulus check
-takes its ceiling from the boundary-sup check's grid maximum. Points on the
+The boundary grid is bounded at every grid angle and evaluated where the
+bound reaches the maximum, once per report: the maximum-modulus check takes
+its ceiling from the boundary-sup check's grid maximum. Points on the
 circle, the boundary grid and the data's set, are evaluated from their
-angles (``eval_on_circle``); the interior samples and Cauchy contours from
-points (``eval_interpolant``). Checks are pure and deterministic given
+angles (``eval_on_circle``, with ``modulus_bound_on_circle`` for the
+bound); the interior samples and Cauchy contours from points
+(``eval_interpolant``). Checks are pure and deterministic given
 their parameters.
 """
 
@@ -22,8 +24,15 @@ from typing import Mapping
 import numpy as np
 
 from .circle import BoundaryData
-# The checks call both evaluators by their names here, so a tracer can wrap them.
-from .interpolate import Interpolant, eval_interpolant, eval_on_circle
+# The checks call the evaluators and the bound by their names here, so a
+# tracer can wrap them.
+from .interpolate import (
+    Interpolant,
+    bound_slack,
+    eval_interpolant,
+    eval_on_circle,
+    modulus_bound_on_circle,
+)
 
 DEFAULT_GRID_SIZE = 1 << 16
 SUP_TOL = 1e-9          # boundary sup and maximum modulus
@@ -86,11 +95,26 @@ def boundary_grid(grid_size: int) -> np.ndarray:
 def check_boundary_sup(
     interpolant: Interpolant, bound: float, grid_size: int, tol: float
 ) -> CheckResult:
-    """Maximum modulus over a uniform boundary grid against ``bound + tol``."""
+    """Maximum modulus over a uniform boundary grid against ``bound + tol``.
+
+    The maximum is that of the values at every grid angle, to the bit, but
+    the values are formed only where they can reach it. One pass bounds
+    the modulus at every grid angle by B (``modulus_bound_on_circle``);
+    the value at the angle of the largest B is the seed ``best``, and the
+    values are formed at the angles where not B * (1 + slack) < best, with
+    slack the interpolant's ``bound_slack``. Elsewhere the value is below
+    ``best``. An angle with a NaN bound stays a candidate, a NaN seed makes
+    every angle one, and a NaN among the values formed makes the maximum
+    NaN, which fails the check.
+    """
     if grid_size < MIN_SUP_CHECK_GRID:
         raise ValueError(f"grid_size must be >= {MIN_SUP_CHECK_GRID}")
-    values = eval_on_circle(interpolant, boundary_grid(grid_size))
-    measured = float(np.max(np.abs(values)))
+    grid = boundary_grid(grid_size)
+    bounds = modulus_bound_on_circle(interpolant, grid)
+    best = np.abs(eval_on_circle(interpolant, grid[[np.argmax(bounds)]]))
+    candidates = grid[~(bounds * (1.0 + bound_slack(interpolant)) < best)]
+    values = np.abs(eval_on_circle(interpolant, candidates))
+    measured = float(np.max(np.append(values, best)))
     threshold = float(bound) + float(tol)
     return CheckResult(
         name="boundary_sup",

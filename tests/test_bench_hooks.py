@@ -1,7 +1,8 @@
 """The benchmark (perfbench/) traces the pipeline by replacing module-level
 names where the library looks them up. These tests keep those names bound,
-keep the audit calling through them, and pin the audit to one boundary grid
-pass per report and the evaluation, on points and on angles, to one peak
+keep the audit calling through them, and pin the audit to one bound pass over
+the boundary grid per report, with values formed on a strict subset of it,
+and the evaluation and the bound, on points and on angles, to one peak
 function (log) call per distinct peak set and chunk, in bounded memory."""
 
 import dataclasses
@@ -36,7 +37,8 @@ CHECK_HOOKS = (
     "check_cauchy_identity",
 )
 GRID = 4096
-EVAL_HOOKS = ("eval_interpolant", "eval_on_circle")
+ANGLE_HOOKS = ("eval_on_circle", "modulus_bound_on_circle")
+EVAL_HOOKS = ("eval_interpolant",) + ANGLE_HOOKS
 
 
 def small_problem():
@@ -54,15 +56,15 @@ def test_traced_names_are_bound():
 def test_audit_calls_through_traced_names(monkeypatch):
     data, g = small_problem()
     calls = Counter()
-    angles = []
+    angles = {name: [] for name in ANGLE_HOOKS}
 
     def counted(name):
         original = getattr(verify_mod, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "eval_on_circle":
-                angles.append(np.size(args[1]))
+            if name in ANGLE_HOOKS:
+                angles[name].append(np.asarray(args[1]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(verify_mod, name, wrapper)
@@ -73,9 +75,20 @@ def test_audit_calls_through_traced_names(monkeypatch):
     assert report.overall
     assert all(calls[name] >= 1 for name in EVAL_HOOKS + CHECK_HOOKS), calls
     assert calls["check_cauchy_identity"] == verify_mod.CAUCHY_PAIRS
-    # one boundary grid, plus the points of E for the value check, all as
-    # angles on the circle
-    assert sum(angles) == GRID + len(data.set)
+    # the bound sees the whole boundary grid, once per report
+    grid = verify_mod.boundary_grid(GRID)
+    [bounded] = angles["modulus_bound_on_circle"]
+    assert np.array_equal(bounded, grid)
+    # the values: the points of E for the value check, and for the boundary
+    # check a candidate set that is a strict subset of the grid
+    evaluated = angles["eval_on_circle"]
+    on_e = [a for a in evaluated if np.array_equal(a, data.set.thetas())]
+    assert len(on_e) == 1
+    candidates = np.concatenate(
+        [a for a in evaluated if not np.array_equal(a, data.set.thetas())]
+    )
+    assert np.isin(candidates, grid).all()
+    assert np.unique(candidates).size < GRID
 
 
 def count_log_calls(monkeypatch, name):
@@ -116,6 +129,16 @@ def test_eval_on_circle_calls_each_distinct_peak_function_once_per_chunk(monkeyp
     assert len(sizes) == distinct_lambdas(g) * 3
     assert max(sizes) == CHUNK
     assert not points
+
+
+def test_bound_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
+    _, g = small_problem()
+    sizes = count_log_calls(monkeypatch, "log_fatou_on_circle")
+    thetas = 2 * np.pi * np.arange(2 * CHUNK + 1) / (2 * CHUNK + 1)
+    bound = interpolate_mod.modulus_bound_on_circle(g, thetas)
+    assert len(sizes) == distinct_lambdas(g) * 3
+    assert max(sizes) == CHUNK
+    assert bound.shape == thetas.shape
 
 
 class CountingPeak(complex):

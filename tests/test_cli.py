@@ -215,6 +215,8 @@ def _with_first_point(**fields):
         (dict(PROBLEM, n_max=2.5), "field 'n_max' must be an integer"),
         (dict(PROBLEM, n_max=True), "field 'n_max' must be an integer"),
         (dict(PROBLEM, n_max=None), "missing integer field 'n_max'"),
+        (dict(PROBLEM, nmax=5), "problem: unknown field 'nmax'"),
+        (_with_first_point(value_imag=0.5), "points[0]: unknown field 'value_imag'"),
     ],
     ids=[
         "not_an_object",
@@ -225,6 +227,8 @@ def _with_first_point(**fields):
         "n_max_float",
         "n_max_bool",
         "n_max_null",
+        "misspelled_key",
+        "misspelled_point_key",
     ],
 )
 def test_interpolate_malformed_problem_is_parse_error(
@@ -311,6 +315,16 @@ def test_verify_round_trip(tmp_path, problem_file, capsys):
     assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK
     assert main(["verify", str(out), problem_file]) == EXIT_OK
     assert "verified" in capsys.readouterr().out
+
+
+def test_verify_reads_the_problem_section_it_wrote(tmp_path, problem_file):
+    # the certificate's problem section has only known keys, so the strict
+    # parser takes it back field for field
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK
+    recorded = json.loads(out.read_text())["problem"]
+    assert ProblemSpec.from_json_obj(recorded) == ProblemSpec.from_json_obj(PROBLEM)
+    assert main(["verify", str(out), write_json(tmp_path / "p.json", recorded)]) == EXIT_OK
 
 
 def test_verify_detects_tampered_value(tmp_path, problem_file, capsys):

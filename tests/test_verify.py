@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from diskinterp import (
     BoundaryData,
@@ -12,10 +14,12 @@ from diskinterp import (
     check_peak_values,
     eval_fatou,
     eval_interpolant,
+    eval_on_circle,
     iterative_interpolant,
     verify_interpolant,
 )
 import diskinterp.verify as verify_mod
+from diskinterp.interpolate import bound_slack, modulus_bound_on_circle
 from conftest import random_problem
 
 GRID = 1 << 14
@@ -97,6 +101,95 @@ def test_boundary_sup_pipeline(rng):
     data, g = pipeline_output(rng)
     res = check_boundary_sup(g, data.sup_norm + 0.01, GRID, 1e-9)
     assert res.passed
+
+
+# opposite values 1e-3 apart: the last stages reach N of about 2e9
+CLOSE_PAIR = ([1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j])
+
+
+def step_problem():
+    thetas = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
+    return BoundaryData.from_pairs(thetas, np.where(thetas < math.pi, 1.0, -1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@example(*CLOSE_PAIR)
+@given(
+    st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True), min_size=1, max_size=8),
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=8, max_size=8),
+)
+def test_modulus_bound_covers_the_values(thetas, values):
+    # at every grid angle, and at exact angles next to each point, where the
+    # peaks of width sqrt(8/N) sit between grid nodes
+    t = np.sort(thetas)
+    assume(np.min(np.diff(t, append=t[0] + 2 * math.pi)) > 1e-3)
+    data = BoundaryData.from_pairs(thetas, values[: len(thetas)])
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    width = 4 * math.sqrt(8 / max([s.power for s in g.stages], default=1))
+    near = np.add.outer(data.set.thetas(), np.linspace(-width, width, 257))
+    angles = np.concatenate([verify_mod.boundary_grid(GRID), near.ravel()])
+    bound = modulus_bound_on_circle(g, angles)
+    assert np.all(np.abs(eval_on_circle(g, angles)) <= bound * (1 + bound_slack(g)))
+
+
+@pytest.mark.parametrize("problem", ["random", "step", "close_pair", "zero"])
+def test_boundary_sup_is_the_grid_maximum(rng, problem):
+    data = {
+        "random": lambda: random_problem(rng, 12),
+        "step": step_problem,
+        "close_pair": lambda: BoundaryData.from_pairs(*CLOSE_PAIR),
+        "zero": lambda: zero_interpolant()[0],
+    }[problem]()
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    full = np.max(np.abs(eval_on_circle(g, verify_mod.boundary_grid(GRID))))
+    assert check_boundary_sup(g, 2.0, GRID, 1e-9).measured == full
+
+
+def test_bound_slack_is_exact_in_one_plus_slack():
+    g = pipeline_output(np.random.default_rng(5))[1]
+    terms = sum(len(s.lambdas) for s in g.stages)
+    assert bound_slack(g) == (2 * terms + 16) * 2.0**-53
+    assert (1.0 + bound_slack(g)) - 1.0 == bound_slack(g)
+    assert bound_slack(zero_interpolant()[1]) == 16 * 2.0**-53
+
+
+def test_boundary_sup_fails_on_a_nan_value(monkeypatch):
+    g = peak_interpolant([0.0, 2.5])
+    values = verify_mod.eval_on_circle
+
+    def nan_values(g, thetas):
+        out = values(g, thetas)
+        out[:1] = np.nan
+        return out
+
+    monkeypatch.setattr(verify_mod, "eval_on_circle", nan_values)
+    assert not check_boundary_sup(g, 1.0, GRID, 1e-9).passed
+
+
+def test_boundary_sup_evaluates_where_the_bound_is_nan(monkeypatch):
+    # two NaN bounds off the peaks: the first is the seed, whose value is
+    # small; the second must still be evaluated, and its NaN value fails
+    g = peak_interpolant([0.0, 2.5])
+    assert check_boundary_sup(g, 1.0, GRID, 1e-9).passed
+    grid = verify_mod.boundary_grid(GRID)
+    seed, other = grid[GRID // 8], grid[GRID // 4]
+    bound, values = verify_mod.modulus_bound_on_circle, verify_mod.eval_on_circle
+
+    def nan_bound(g, thetas):
+        out = bound(g, thetas)
+        out[np.isin(thetas, [seed, other])] = np.nan
+        return out
+
+    def nan_at_other(g, thetas):
+        out = values(g, thetas)
+        out[thetas == other] = np.nan
+        return out
+
+    monkeypatch.setattr(verify_mod, "modulus_bound_on_circle", nan_bound)
+    monkeypatch.setattr(verify_mod, "eval_on_circle", nan_at_other)
+    res = check_boundary_sup(g, 1.0, GRID, 1e-9)
+    assert math.isnan(res.measured)
+    assert not res.passed
 
 
 def test_boundary_sup_grid_validation():
