@@ -37,7 +37,7 @@ def main(argv=None) -> None:
     ap.add_argument("--eta", type=float, default=0.01)
     ap.add_argument("--n-max", type=int, default=20)
     ap.add_argument("--grid-size", type=int, default=1 << 16,
-                    help="boundary grid of the audit")
+                    help="passed on to the library, which uses no grid")
     ap.add_argument("--safety-margin", type=float, default=1e-9)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)

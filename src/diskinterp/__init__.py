@@ -5,7 +5,8 @@ builds a function analytic on the open disk and continuous up to the
 boundary that matches the data up to an explicit truncation bound while its
 boundary modulus stays within a user budget of the data's sup norm. The
 build bounds the boundary modulus without a grid; ``verify`` audits every
-claim independently on declared grids.
+claim independently, and proves the boundary bound on the whole circle
+from arc ends.
 """
 
 from .circle import (

@@ -8,15 +8,19 @@ Three subcommands:
 
 Problem files are JSON objects with the ProblemSpec field names, their
 points objects with the ``POINT_KEYS``, and no other key; angles are
-radians, complex values are split into re/im. Each certificate section is
-serialized from the dataclass that holds it: ``problem`` is ``ProblemSpec``
-field for field, in the problem file's format;
+radians, complex values are split into re/im. ``grid_size`` sizes only the
+``--grid-out`` table: the build and the audit use no grid. A certificate
+carries a top-level ``format_version`` (``FORMAT_VERSION``), and ``verify``
+refuses any other version before it re-runs anything. Each certificate
+section is serialized from the dataclass that holds it: ``problem`` is
+``ProblemSpec`` field for field, in the problem file's format;
 ``certificate`` is ``BoundsCertificate`` plus the stage lists; each
-``report.checks`` entry is a ``CheckResult``. So a field added to one of
-them reaches the file and ``verify``'s comparison with no edit here. Floats
-keep shortest round-trip precision and keys a fixed order, so identical
-inputs produce byte-identical files. Exit codes: 0 success, 2 parse error,
-3 validation error, 4 certification/verification failure.
+``report.checks`` entry is a ``CheckResult``, whose ``boundary_sup``
+measurement is the proved upper bound on the circle. So a field added to
+one of them reaches the file and ``verify``'s comparison with no edit
+here. Floats keep shortest round-trip precision and keys a fixed order, so
+identical inputs produce byte-identical files. Exit codes: 0 success, 2
+parse error, 3 validation error, 4 certification/verification failure.
 """
 
 from __future__ import annotations
@@ -38,13 +42,7 @@ from .interpolate import (
     iterative_interpolant,
     make_schedule,
 )
-from .verify import (
-    DEFAULT_GRID_SIZE,
-    MIN_SUP_CHECK_GRID,
-    VerificationReport,
-    boundary_grid,
-    verify_interpolant,
-)
+from .verify import VerificationReport, boundary_grid, verify_interpolant
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,9 +50,14 @@ EXIT_VALIDATION = 3
 EXIT_CERTIFICATION = 4
 
 DEFAULT_N_MAX = 20
+DEFAULT_GRID_SIZE = 1 << 16   # rows of --grid-out
+MIN_GRID_SIZE = 1 << 12
 DEFAULT_SAFETY_MARGIN = 1e-9
 DEFAULT_SEED = 0
 FIELD_MATCH_TOL = 1e-12
+# the certificate file's layout; files without it predate the proved
+# boundary sup, whose report records differ
+FORMAT_VERSION = 1
 POINT_KEYS = ("theta", "value_re", "value_im")
 
 
@@ -135,16 +138,15 @@ class ProblemSpec:
         """Raise ValidationFailure unless the library accepts the data and
         the schedule; grid_size, safety_margin and seed are checked here,
         before the build, as the library checks them only in the build
-        (safety_margin) or when the audit starts (grid_size, seed)."""
+        (safety_margin) or when the audit starts (seed), and grid_size,
+        which sizes only ``--grid-out``, not at all."""
         try:
             self.boundary_data()
             make_schedule(self.eta, self.n_max)
         except ValueError as exc:
             raise ValidationFailure(f"problem: {exc}") from exc
-        if self.grid_size < MIN_SUP_CHECK_GRID:
-            raise ValidationFailure(
-                f"problem: grid_size must be >= {MIN_SUP_CHECK_GRID}"
-            )
+        if self.grid_size < MIN_GRID_SIZE:
+            raise ValidationFailure(f"problem: grid_size must be >= {MIN_GRID_SIZE}")
         if not (math.isfinite(self.safety_margin) and self.safety_margin > 0.0):
             raise ValidationFailure("problem: safety_margin must be positive")
         if self.seed < 0:
@@ -197,6 +199,7 @@ def _certificate_payload(
     spec: ProblemSpec, interpolant: Interpolant, report: VerificationReport
 ) -> dict:
     return {
+        "format_version": FORMAT_VERSION,
         "problem": spec.to_json_obj(),
         "certificate": {
             **asdict(interpolant.certificate),
@@ -243,9 +246,7 @@ def _run_pipeline(spec: ProblemSpec):
     interpolant = iterative_interpolant(
         data, spec.eta, spec.n_max, spec.grid_size, spec.safety_margin
     )
-    report = verify_interpolant(
-        interpolant, data, grid_size=spec.grid_size, seed=spec.seed
-    )
+    report = verify_interpolant(interpolant, data, seed=spec.seed)
     return interpolant, report
 
 
@@ -317,6 +318,14 @@ def cmd_verify(args) -> int:
             f"{args.certificate_file}: not a certificate file "
             "(needs problem/certificate/report)"
         )
+    version = stored.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        print(
+            f"verification failure: unsupported certificate version {version!r} "
+            f"(this version reads {FORMAT_VERSION})",
+            file=sys.stderr,
+        )
+        return EXIT_CERTIFICATION
     spec = ProblemSpec.from_json_obj(_load_json(args.problem_file))
     recorded = ProblemSpec.from_json_obj(stored["problem"])
     if recorded != spec:

@@ -263,19 +263,26 @@ def sup_off_arc(
     |lambda| = |y|/sqrt(1+y^2) is largest at one of the two arc endpoints;
     the supremum is the larger endpoint value.
 
-    Raises NoContractionError when the inflated supremum reaches 1.
+    Raises NoContractionError when the inflated supremum reaches 1, and when
+    an arc end rounds onto a peak, where |lambda| = 1 (points a few ulps
+    apart on the circle).
     """
     if not (math.isfinite(safety_margin) and safety_margin > 0.0):
         raise ValueError("safety_margin must be positive")
     # Arc.contains on plain floats: numpy's per-call overhead would cost more
     # than this loop for the few peaks most clusters have
     center, half_width = excluded.center.theta, excluded.half_width
+    ends = [center + half_width, center + TWO_PI - half_width]
     for theta in fatou.peak_thetas.tolist():
         d = abs(theta - center)
         if not (d < half_width or TWO_PI - d < half_width):
             raise ValueError(f"peak at angle {theta!r} lies outside the excluded arc")
-    ends = np.array([center + half_width, center + TWO_PI - half_width])
-    rho = float(np.max(_boundary_modulus(fatou, ends)))
+        if theta in ends:
+            raise NoContractionError(
+                f"an end of the excluded arc rounds onto the peak at {theta!r}; "
+                "separate close boundary points"
+            )
+    rho = float(np.max(_boundary_modulus(fatou, np.array(ends))))
     rho *= 1.0 + safety_margin
     if not rho < 1.0:
         raise NoContractionError(

@@ -30,13 +30,13 @@ stages often rebuild an earlier cluster, so terms with equal peak functions
 are grouped, and each group costs one log call per chunk of ``CHUNK``
 points, so memory does not grow with the number of points beyond the
 result. Two reducers share that traversal: the values, scale * exp(N log
-lambda), and the real modulus bound ``modulus_bound_on_circle``,
-|scale| * exp(N Re log lambda), with real exponentials and no phase; so
-the audit bounds the boundary at every grid angle and evaluates it only
-where the bound reaches the maximum. A term is skipped where |lambda|^N <
-TERM_FLOOR = 2^-60, in the values and the bound alike, so a value moves by
-less than 2^-60 * sum |scale|. The kernel hands the log the floor
-log(TERM_FLOOR)/N of the group's lowest power; the log returns log lambda
+lambda), and the arc envelope ``arc_envelope``, which takes each term's
+modulus |scale| * exp(N Re log lambda), with real exponentials and no
+phase, at the two ends of an arc and keeps the larger; so the audit bounds
+|g| on whole arcs of the circle from their ends. A term is skipped where
+|lambda|^N < TERM_FLOOR = 2^-60, in the values and the envelope alike, so a
+value moves by less than 2^-60 * sum |scale|. The kernel hands the log the
+floor log(TERM_FLOOR)/N of the group's lowest power; the log returns log lambda
 only where that floor is met, with the indices of those points, and each
 higher power tests its own floor on what is left. Each power is
 exp(N log lambda) there; on the peaks log lambda is exactly 0, so a term
@@ -185,15 +185,6 @@ def _terms_sum(terms, xs: np.ndarray, log) -> np.ndarray:
     total = np.zeros(xs.size, dtype=complex)
     for start, idx, power, scale, L in _kept_terms(terms, xs.reshape(-1), log):
         total[start : start + CHUNK][idx] += scale * np.exp(power * L)
-    return total.reshape(xs.shape)
-
-
-def _terms_bound(terms, xs: np.ndarray, log) -> np.ndarray:
-    """Sum of |scale| * exp(N Re log lambda) over the kept terms at ``xs``:
-    a real bound on the modulus of ``_terms_sum`` (see ``bound_slack``)."""
-    total = np.zeros(xs.size)
-    for start, idx, power, scale, L in _kept_terms(terms, xs.reshape(-1), log):
-        total[start : start + CHUNK][idx] += abs(scale) * np.exp(power * L.real)
     return total.reshape(xs.shape)
 
 
@@ -407,39 +398,77 @@ def eval_on_circle(interpolant: Interpolant, thetas):
     return _eval_stages(interpolant.stages, _finite_angles(thetas), log_fatou_on_circle)
 
 
-def modulus_bound_on_circle(interpolant: Interpolant, thetas) -> np.ndarray:
-    """B(theta) = sum |scale| exp(N Re log lambda) over the terms that
-    ``eval_on_circle`` keeps at e^(i*theta), for an array of finite angles.
+def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray]:
+    """(envelope, at_ends) for arcs of the circle given by the angles of
+    their two ends, an (arcs, 2) array of finite angles.
 
-    It takes the same logs and the same kept terms as the values, but real
-    exponentials and no phase, and bounds the computed values:
-    |eval_on_circle(interpolant, thetas)| <= B * (1 + bound_slack(interpolant))
-    at every angle.
+    ``at_ends`` has the shape of ``ends``: B(theta) = sum |scale| exp(N Re
+    log lambda) over the terms that ``eval_on_circle`` keeps at e^(i*theta).
+    ``envelope`` is, per arc, sum |scale| max(exp(N Re log lambda(a)),
+    exp(N Re log lambda(b))) over the terms. Both add (TERM_FLOOR + s) *
+    sum |scale|, s the ``envelope_slack``, for the dropped terms and the
+    rounding, so they bound the true moduli.
+
+    On an arc with no peak of any term inside it, each term's modulus is
+    largest at an end (``fatou.sup_off_arc``), so ``envelope`` bounds |g| on
+    the whole arc; B(theta) bounds |g(e^(i*theta))|. The ends go to the
+    kernel interleaved, a0 b0 a1 b1 ..., so that both ends of an arc land in
+    one chunk (``CHUNK`` is even).
     """
-    return _terms_bound(
-        _all_terms(interpolant.stages), _finite_angles(thetas), log_fatou_on_circle
+    ends = _finite_angles(ends)
+    flat = ends.reshape(-1)
+    at_ends = np.zeros(flat.size)
+    envelope = np.zeros(ends.shape[0])
+    terms = list(_all_terms(interpolant.stages))
+    for start, idx, power, scale, L in _kept_terms(terms, flat, log_fatou_on_circle):
+        moduli = np.zeros(min(CHUNK, flat.size - start))
+        moduli[idx] = abs(scale) * np.exp(power * L.real)
+        at_ends[start : start + CHUNK] += moduli
+        envelope[start // 2 : (start + CHUNK) // 2] += moduli.reshape(-1, 2).max(axis=1)
+    allowance = (TERM_FLOOR + envelope_slack(interpolant)) * math.fsum(
+        abs(scale) for _, _, scale in terms
     )
+    return envelope + allowance, at_ends.reshape(ends.shape) + allowance
 
 
-def bound_slack(interpolant: Interpolant) -> float:
-    """(2K + 16) * 2^-53 for an interpolant of K terms: the relative slack
-    by which the computed modulus of a value may exceed its computed
-    ``modulus_bound_on_circle``.
+def envelope_slack(interpolant: Interpolant) -> float:
+    """s = (84 (m + 2) + 7 m max(121, ceil(sqrt(N))) + K + 260) * 2^-53,
+    rounded up to an even multiple of 2^-53, for an interpolant of K terms
+    with at most m peaks per peak function and largest power N: the
+    rounding of a term's modulus at an angle, in units of its |scale|, and
+    of their sum.
 
-    Both take the same x = N Re log lambda: the real part of the complex
-    product N * log lambda is the rounded real product. Let u = 2^-53 and
-    exp, cos, sin and hypot be within 1 ulp (2u), as numpy tests them. A
-    complex term scale * exp(N log lambda) then has modulus at most
-    |scale| e^x (1 + 5u) (1 + sqrt(5) u): the exponential, cosine and sine,
-    and their products; then the complex product. The real term
-    |scale| * exp(x) is at least |scale| e^x (1 - 5u). So a term's ratio is
-    below 1 + 12.3u to first order. A value adds at most K terms to 0, with
-    K - 1 roundings: the complex sum is off by at most (K - 1) u sum |term|
-    (componentwise, and the moduli add by Minkowski), and the real sum of
-    nonnegative terms loses at most (K - 1) u, so 2(K - 1) u more. The final
-    modulus adds 2u and the rounding of B * (1 + slack) u: 2K + 13.3 in all,
-    and the second-order terms, of order (K u)^2, fit in the rest of 16.
-    2K + 16 is even, so 1 + slack is exact.
+    Let u = 2^-53, y the cotangent sum at the angle and ell = Re log lambda
+    = -log1p(1/y^2)/2. A kept term has |N ell| <= 60 log 2 < 42; on its own
+    peak it is exactly |scale|. To first order in u:
+    - Given the computed y: 1/y, its square, log1p (within 1 ulp, and its
+      condition number x/((1+x) log1p(x)) is at most 1), N * ell and exp
+      put exp(N ell) within 6u * 42 + 3u < 255u of the exact value for that
+      y; the product with |scale| adds u.
+    - The cotangent sum: N d(ell)/d(log|y|) = N/(1+y^2) = 2 N |ell| x/((1+x)
+      log1p(x)) <= 84, x = 1/y^2. Each cotangent and the m - 1 additions
+      err by at most (m + 2)u times the sum of the moduli of the terms,
+      which is |y| where the terms share a sign, as they do next to a
+      peak; that moves exp(N ell) by at most 84 (m + 2)u relatively.
+    - Each angle difference theta - theta_j (|.| < 4 pi) is rounded by at
+      most a = 4 pi u, which moves its cotangent by (a/2)(1 + cot^2), so y
+      by at most 2 pi u (m + y^2) where the terms share a sign, and N ell by
+      2 pi u N (m + y^2)/(|y| (1 + y^2)) <= 2 pi u m N/|y|. Times the
+      modulus M = exp(N ell) = (1 + 1/y^2)^(-N/2): for |y| >= 1, M N/|y|
+      <= sqrt(N), its largest value over y; for |y| < 1, M <= 2^(-N/2) keeps
+      only N <= 120, and M N/|y| <= N. So 7 m max(121, sqrt(N)) u covers
+      it, 7 > 2 pi.
+    - Summing K terms of modulus at most |scale| adds K u sum |scale|, and
+      the allowance in ``arc_envelope`` and the final addition a few u more.
+    The terms do not share a sign only where the cotangent sum cancels, away
+    from the peaks of its peak function; the slack does not cover a sum that
+    cancels to far below its terms. Tests check it against mpmath at arc
+    ends next to peaks for powers up to 2.2e9.
     """
-    terms = sum(len(s.lambdas) for s in interpolant.stages)
-    return (2 * terms + 16) * 2.0**-53
+    terms = [(lam, s.power) for s in interpolant.stages for lam in s.lambdas]
+    if not terms:
+        return 0.0
+    m = max(lam.peak_thetas.size for lam, _ in terms)
+    root = max(121, math.isqrt(max(power for _, power in terms) - 1) + 1)
+    units = 84 * (m + 2) + 7 * m * root + len(terms) + 260
+    return (units + units % 2) * 2.0**-53

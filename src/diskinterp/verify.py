@@ -1,18 +1,23 @@
 """Independent numerical audits of interpolants.
 
-Each check re-measures one certificate-level claim by evaluating the
-interpolant on a declared grid or sample and records the grid parameters,
-tolerance, and seed it used, so a report is reproducible. A full report
-takes a grid size and a seed; its tolerances and sizes are the constants
-below, and a ``check_*`` call with its own parameters tightens one claim.
-The boundary grid is bounded at every grid angle and evaluated where the
-bound reaches the maximum, once per report: the maximum-modulus check takes
-its ceiling from the boundary-sup check's grid maximum. Points on the
-circle, the boundary grid and the data's set, are evaluated from their
-angles (``eval_on_circle``, with ``modulus_bound_on_circle`` for the
-bound); the interior samples and Cauchy contours from points
-(``eval_interpolant``). Checks are pure and deterministic given
-their parameters.
+Each check re-measures one certificate-level claim and records the
+parameters, tolerance, and seed it used, so a report is reproducible. A
+full report takes a seed; its tolerances and sizes are the constants below,
+and a ``check_*`` call with its own parameters tightens one claim.
+
+The boundary sup is proved on the whole circle, not sampled. Every peak of
+every term is a point of the data's set E, so on an arc between two
+neighbouring points of E each term's modulus is largest at an end of the
+arc, and ``arc_envelope`` bounds |g| on the arc from its two ends. The
+check starts from the arcs between consecutive points of E and bisects the
+arcs whose envelope exceeds the certified ``boundary_sup_bound`` plus
+``SUP_TOL``, for at most ``ENVELOPE_ROUNDS`` rounds and ``ENVELOPE_ARCS``
+arcs per point of E; its measurement is the proved upper bound, and the
+maximum-modulus check takes its ceiling from it. Points on the circle, the
+set and the arc ends, are evaluated from their angles (``eval_on_circle``,
+``arc_envelope``); the interior samples and Cauchy contours from points
+(``eval_interpolant``). Checks are pure and deterministic given their
+parameters.
 """
 
 from __future__ import annotations
@@ -23,25 +28,24 @@ from typing import Mapping
 
 import numpy as np
 
-from .circle import BoundaryData
-# The checks call the evaluators and the bound by their names here, so a
+from .circle import TWO_PI, BoundaryData
+# The checks call the evaluators and the envelope by their names here, so a
 # tracer can wrap them.
 from .interpolate import (
     Interpolant,
-    bound_slack,
+    arc_envelope,
     eval_interpolant,
     eval_on_circle,
-    modulus_bound_on_circle,
 )
 
-DEFAULT_GRID_SIZE = 1 << 16
 SUP_TOL = 1e-9          # boundary sup and maximum modulus
 RESIDUAL_TOL = 1e-12    # values on the set beyond the truncation bound
 IDENTITY_TOL = 1e-10    # Cauchy identities
 INTERIOR_SAMPLES = 10_000
 QUAD_POINTS = 4096      # nodes per Cauchy contour
 CAUCHY_PAIRS = 10       # seeded (z0, radius) pairs per report
-MIN_SUP_CHECK_GRID = 1 << 12
+ENVELOPE_ROUNDS = 16    # bisection rounds of the boundary-sup proof
+ENVELOPE_ARCS = 32      # arcs per point of E it may evaluate, over all rounds
 MIN_QUAD_POINTS = 1 << 10
 MIN_INTERIOR_SAMPLES = 1000
 INTERIOR_SHRINK = 1e-9  # random interior samples stay within radius 1 - this
@@ -88,40 +92,85 @@ def check_peak_values(
 
 
 def boundary_grid(grid_size: int) -> np.ndarray:
-    """The angles 2*pi*k/grid_size, k = 0..grid_size-1, of the boundary grid."""
+    """The angles 2*pi*k/grid_size, k = 0..grid_size-1, of a uniform boundary
+    grid (the CLI's tables; the audit uses none)."""
     return 2.0 * math.pi * np.arange(grid_size) / grid_size
 
 
 def check_boundary_sup(
-    interpolant: Interpolant, bound: float, grid_size: int, tol: float
+    interpolant: Interpolant, bound: float, tol: float
 ) -> CheckResult:
-    """Maximum modulus over a uniform boundary grid against ``bound + tol``.
+    """Proof that |g| <= T = ``bound + tol`` on the whole circle, by arc
+    envelopes (``arc_envelope``) from the peak angles of the interpolant.
 
-    The maximum is that of the values at every grid angle, to the bit, but
-    the values are formed only where they can reach it. One pass bounds
-    the modulus at every grid angle by B (``modulus_bound_on_circle``);
-    the value at the angle of the largest B is the seed ``best``, and the
-    values are formed at the angles where not B * (1 + slack) < best, with
-    slack the interpolant's ``bound_slack``. Elsewhere the value is below
-    ``best``. An angle with a NaN bound stays a candidate, a NaN seed makes
-    every angle one, and a NaN among the values formed makes the maximum
-    NaN, which fails the check.
+    The arcs run between consecutive peak angles, which are points of E, so
+    no peak lies inside one. Each round evaluates the envelope of every open
+    arc; an arc whose envelope is at most T is proved, and each other one is
+    split at its midpoint for the next round. The check fails at once when
+    the bound B at an evaluated angle exceeds T (no arc with that end can
+    be proved), or is NaN, and fails as unresolved when arcs remain after
+    ``ENVELOPE_ROUNDS`` rounds, or when the next round would take the arcs
+    evaluated past ``ENVELOPE_ARCS`` per peak angle.
+
+    ``measured`` is the largest envelope over arcs that cover the circle,
+    the proved ones and the last round's: an upper bound on |g| that is
+    finite whenever the moduli are. ``params`` give the rounds, the number
+    of angles evaluated for envelopes, and ``evaluated_max``, the largest
+    |g| at an arc end (the peak angles included), a lower bound on the sup.
     """
-    if grid_size < MIN_SUP_CHECK_GRID:
-        raise ValueError(f"grid_size must be >= {MIN_SUP_CHECK_GRID}")
-    grid = boundary_grid(grid_size)
-    bounds = modulus_bound_on_circle(interpolant, grid)
-    best = np.abs(eval_on_circle(interpolant, grid[[np.argmax(bounds)]]))
-    candidates = grid[~(bounds * (1.0 + bound_slack(interpolant)) < best)]
-    values = np.abs(eval_on_circle(interpolant, candidates))
-    measured = float(np.max(np.append(values, best)))
     threshold = float(bound) + float(tol)
+    peaks = np.sort(
+        np.concatenate(
+            [lam.peak_thetas for s in interpolant.stages for lam in s.lambdas]
+            or [np.empty(0)]
+        )
+    )
+    peaks = peaks[np.diff(peaks, prepend=-math.inf) > 0.0]
+    measured = proved = evaluated_max = 0.0
+    rounds = evaluations = 0
+    passed = not peaks.size and 0.0 <= threshold
+    if peaks.size:
+        budget = ENVELOPE_ARCS * peaks.size
+        # the last arc wraps to the first peak; its end is evaluated there
+        lo, hi = peaks, np.append(peaks[1:], peaks[0] + TWO_PI)
+        wrap, new, arcs = hi[-1], peaks, 0
+        while True:
+            rounds += 1
+            arcs += lo.size
+            ends = np.stack([lo, np.where(hi == wrap, peaks[0], hi)], axis=1)
+            envelope, at_ends = arc_envelope(interpolant, ends)
+            evaluations += ends.size
+            values = np.abs(eval_on_circle(interpolant, new))
+            evaluated_max = max(evaluated_max, float(np.max(values)))
+            measured = float(np.max(np.append(envelope, proved)))
+            if not np.all(at_ends <= threshold):
+                break
+            open_ = ~(envelope <= threshold)
+            if not open_.any():
+                passed = True
+                break
+            proved = max(proved, float(np.max(envelope[~open_], initial=0.0)))
+            lo, hi = lo[open_], hi[open_]
+            mid = lo + 0.5 * (hi - lo)
+            if (
+                rounds == ENVELOPE_ROUNDS
+                or arcs + 2 * lo.size > budget
+                or not np.all((lo < mid) & (mid < hi))
+            ):
+                break
+            lo, hi, new = np.concatenate([lo, mid]), np.concatenate([mid, hi]), mid
     return CheckResult(
         name="boundary_sup",
-        passed=measured <= threshold,
+        passed=passed,
         measured=measured,
         threshold=threshold,
-        params={"grid_size": int(grid_size), "bound": float(bound), "tol": float(tol)},
+        params={
+            "bound": float(bound),
+            "tol": float(tol),
+            "rounds": rounds,
+            "evaluations": evaluations,
+            "evaluated_max": evaluated_max,
+        },
     )
 
 
@@ -132,9 +181,9 @@ def check_max_modulus(
     tol: float,
     seed: int = 0,
 ) -> CheckResult:
-    """Interior maximum (seeded uniform disk samples) against the grid
-    maximum of ``boundary``, a ``check_boundary_sup`` result, plus ``tol``;
-    an analyticity witness."""
+    """Interior maximum (seeded uniform disk samples) against the proved
+    boundary bound of ``boundary``, a ``check_boundary_sup`` result, plus
+    ``tol``; an analyticity witness."""
     if interior_samples < MIN_INTERIOR_SAMPLES:
         raise ValueError(f"interior_samples must be >= {MIN_INTERIOR_SAMPLES}")
     rng = np.random.default_rng(seed)
@@ -150,7 +199,6 @@ def check_max_modulus(
         threshold=threshold,
         params={
             "interior_samples": int(interior_samples),
-            "grid_size": boundary.params["grid_size"],
             "tol": float(tol),
             "seed": int(seed),
         },
@@ -213,18 +261,20 @@ def verify_interpolant(
     interpolant: Interpolant,
     data: BoundaryData,
     *,
-    grid_size: int = DEFAULT_GRID_SIZE,
+    grid_size: object = None,
     seed: int = 0,
 ) -> VerificationReport:
-    """Full audit of a pipeline output: value matching on the set, boundary
-    sup against sup + eta, the maximum-modulus inequality, and a batch of
-    seeded contour-integral identities, at the module's tolerances. A
-    negative ``seed`` raises ValueError before anything is evaluated."""
+    """Full audit of a pipeline output: value matching on the set, the
+    boundary sup proved against the certified ``boundary_sup_bound``, the
+    maximum-modulus inequality against the proved bound, and a batch of
+    seeded contour-integral identities, at the module's tolerances. The
+    audit uses no boundary grid and does not read ``grid_size``; the keyword
+    stays for callers that pass it. A negative ``seed`` raises ValueError
+    before anything is evaluated."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    cert = interpolant.certificate
     boundary = check_boundary_sup(
-        interpolant, cert.sup_norm_input + cert.eta, grid_size, SUP_TOL
+        interpolant, interpolant.certificate.boundary_sup_bound, SUP_TOL
     )
     checks = [
         check_peak_values(interpolant, data, RESIDUAL_TOL),

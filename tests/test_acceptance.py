@@ -179,8 +179,8 @@ def test_criterion_7_analyticity_witnesses(pipeline_batch):
     ok = True
     detail = ""
     for j, (data, g) in enumerate(batch):
-        grid = check_boundary_sup(g, data.sup_norm + 0.01, GRID_16, 1e-9)
-        mm = check_max_modulus(g, 10_000, grid, 1e-9, seed=j)
+        boundary = check_boundary_sup(g, data.sup_norm + 0.01, 1e-9)
+        mm = check_max_modulus(g, 10_000, boundary, 1e-9, seed=j)
         if not mm.passed:
             ok, detail = False, f"max_modulus on problem {j}"
             break

@@ -1,9 +1,9 @@
 """The benchmark (perfbench/) traces the pipeline by replacing module-level
 names where the library looks them up. These tests keep those names bound,
-keep the audit calling through them, and pin the audit to one bound pass over
-the boundary grid per report, with values formed on a strict subset of it,
-and the evaluation and the bound, on points and on angles, to one peak
-function (log) call per distinct peak set and chunk, in bounded memory."""
+keep the audit calling through them, pin the audit to arc ends, a bounded
+multiple of the data's points and no boundary grid, and pin the evaluation
+and the arc envelope, on points and on angles, to one peak function (log)
+call per distinct peak set and chunk, in bounded memory."""
 
 import dataclasses
 import tracemalloc
@@ -37,7 +37,7 @@ CHECK_HOOKS = (
     "check_cauchy_identity",
 )
 GRID = 4096
-ANGLE_HOOKS = ("eval_on_circle", "modulus_bound_on_circle")
+ANGLE_HOOKS = ("eval_on_circle", "arc_envelope")
 EVAL_HOOKS = ("eval_interpolant",) + ANGLE_HOOKS
 
 
@@ -71,24 +71,28 @@ def test_audit_calls_through_traced_names(monkeypatch):
 
     for name in EVAL_HOOKS + CHECK_HOOKS:
         counted(name)
+    sizes = count_log_calls(monkeypatch, "log_fatou_on_circle")
     report = verify_interpolant(g, data, grid_size=GRID, seed=1)
     assert report.overall
     assert all(calls[name] >= 1 for name in EVAL_HOOKS + CHECK_HOOKS), calls
     assert calls["check_cauchy_identity"] == verify_mod.CAUCHY_PAIRS
-    # the bound sees the whole boundary grid, once per report
-    grid = verify_mod.boundary_grid(GRID)
-    [bounded] = angles["modulus_bound_on_circle"]
-    assert np.array_equal(bounded, grid)
-    # the values: the points of E for the value check, and for the boundary
-    # check a candidate set that is a strict subset of the grid
+    # the envelope starts from the arcs between the points of E
+    first = angles["arc_envelope"][0]
+    e = data.set.thetas()
+    assert np.array_equal(first[:, 0], e)
+    assert np.array_equal(first[:, 1], np.roll(e, -1))
+    # the values: E and each round's new arc ends for the boundary check,
+    # then E for the value check
     evaluated = angles["eval_on_circle"]
-    on_e = [a for a in evaluated if np.array_equal(a, data.set.thetas())]
-    assert len(on_e) == 1
-    candidates = np.concatenate(
-        [a for a in evaluated if not np.array_equal(a, data.set.thetas())]
-    )
-    assert np.isin(candidates, grid).all()
-    assert np.unique(candidates).size < GRID
+    assert np.array_equal(evaluated[0], e) and np.array_equal(evaluated[-1], e)
+    boundary = next(c for c in report.checks if c.name == "boundary_sup")
+    assert boundary.params["rounds"] == 2 and len(evaluated) == 3
+    assert not np.isin(np.concatenate(evaluated[1:-1]), e).any()
+    # no grid reaches the circle log: each distinct peak function sees at
+    # most 3 ENVELOPE_ARCS angles per point of E over the whole audit
+    # (2 per arc for the envelope, at most one new end per split, and E)
+    assert max(sizes) < GRID
+    assert sum(sizes) <= distinct_lambdas(g) * 3 * verify_mod.ENVELOPE_ARCS * e.size
 
 
 def count_log_calls(monkeypatch, name):
@@ -132,13 +136,17 @@ def test_eval_on_circle_calls_each_distinct_peak_function_once_per_chunk(monkeyp
 
 
 def test_bound_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
+    # the envelope's ends go to the log interleaved, so both ends of an arc
+    # land in one chunk
     _, g = small_problem()
     sizes = count_log_calls(monkeypatch, "log_fatou_on_circle")
-    thetas = 2 * np.pi * np.arange(2 * CHUNK + 1) / (2 * CHUNK + 1)
-    bound = interpolate_mod.modulus_bound_on_circle(g, thetas)
+    thetas = 2 * np.pi * np.arange(CHUNK + 1) / (CHUNK + 1)
+    ends = np.stack([thetas, np.roll(thetas, -1)], axis=1)
+    envelope, at_ends = interpolate_mod.arc_envelope(g, ends)
     assert len(sizes) == distinct_lambdas(g) * 3
     assert max(sizes) == CHUNK
-    assert bound.shape == thetas.shape
+    assert envelope.shape == thetas.shape and at_ends.shape == ends.shape
+    assert np.all(envelope >= at_ends.max(axis=1))
 
 
 class CountingPeak(complex):

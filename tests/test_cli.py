@@ -13,6 +13,7 @@ import diskinterp.verify
 from diskinterp import make_schedule
 from diskinterp.cli import (
     EXIT_CERTIFICATION,
+    FORMAT_VERSION,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
@@ -166,9 +167,10 @@ def test_interpolate_writes_certificate_and_grid(tmp_path, problem_file):
 
 
 def test_interpolate_grid_is_the_audit_grid(tmp_path):
-    # the CSV evaluates the boundary grid of the boundary_sup check, with
-    # its angles, so its largest modulus is that check's measurement; no
-    # point of the data lies on the grid, so the maximum is not a data value
+    # the CSV evaluates the problem's boundary grid, with its angles; the
+    # boundary_sup check proves an upper bound on the whole circle, so no
+    # row exceeds its measurement. No point of the data lies on the grid,
+    # so the grid misses the maxima at the data's points
     spec = dict(PROBLEM)
     spec["points"] = [dict(p, theta=p["theta"] + 0.3) for p in PROBLEM["points"]]
     problem = write_json(tmp_path / "shifted.json", spec)
@@ -179,7 +181,9 @@ def test_interpolate_grid_is_the_audit_grid(tmp_path):
     checks = json.loads(out.read_text())["report"]["checks"]
     measured = next(c["measured"] for c in checks if c["name"] == "boundary_sup")
     rows = [line.split(",") for line in grid_out.read_text().strip().splitlines()[1:]]
-    assert max(float(row[3]) for row in rows) == measured < 1.0
+    csv_max = max(float(row[3]) for row in rows)
+    assert csv_max <= measured
+    assert csv_max < 1.0
     n = PROBLEM["grid_size"]
     assert [float(row[0]) for row in rows] == [2.0 * math.pi * k / n for k in range(n)]
 
@@ -369,6 +373,48 @@ def test_verify_pipeline_failure(tmp_path, problem_file, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("verification failure: pipeline failed: ")
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", True, 1.0])
+def test_verify_refuses_other_certificate_versions(
+    tmp_path, problem_file, capsys, version
+):
+    # any version but FORMAT_VERSION is refused as such, before a field
+    # comparison could report a field that differs
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["format_version"] == FORMAT_VERSION == 1
+    payload["format_version"] = version
+    old = write_json(tmp_path / "old.json", payload)
+    capsys.readouterr()
+    assert main(["verify", old, problem_file]) == EXIT_CERTIFICATION
+    err = capsys.readouterr().err
+    assert "unsupported certificate version" in err
+    assert "does not reproduce" not in err
+
+
+def test_verify_refuses_a_parent_format_certificate(tmp_path, problem_file, capsys):
+    # the layout before format_version: no version key, and a boundary_sup
+    # record measured on a grid against sup + eta
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    del payload["format_version"]
+    for check in payload["report"]["checks"]:
+        if check["name"] == "boundary_sup":
+            check["params"] = {"grid_size": 8192, "bound": 1.01, "tol": 1e-9}
+            check["threshold"] = 1.010000001
+        if check["name"] == "max_modulus":
+            check["params"]["grid_size"] = 8192
+    parent = write_json(tmp_path / "parent.json", payload)
+    capsys.readouterr()
+    assert main(["verify", parent, problem_file]) == EXIT_CERTIFICATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "verification failure: unsupported certificate version None "
+        f"(this version reads {FORMAT_VERSION})"
+    ]
 
 
 def test_verify_rejects_non_certificate(tmp_path, problem_file):

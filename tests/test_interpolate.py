@@ -176,6 +176,24 @@ def test_stage_propagates_no_contraction():
         single_stage(data, 0.1, 1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "thetas, values",
+    [
+        ((2.196, 0.0, 6.2831853071795845), (0, 1, 0)),
+        ((1.0, 0.0, 6.2831853071795845), (0, 0, 1)),
+    ],
+)
+def test_points_one_ulp_apart_across_the_seam_fail_typed(thetas, values):
+    # 0.0 and the double below 2 pi are 2.4e-16 apart on the circle: an end
+    # of a cluster's arc rounds onto one of its own peaks, where |lambda| = 1,
+    # so the build raises NoContractionError, with no warning from the
+    # cotangent sum
+    data = BoundaryData.from_pairs(thetas, values)
+    with pytest.raises(NoContractionError):
+        iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+
+
 def test_stage_pinned_power_certification_failure(monkeypatch):
     # power 1 leaves heavy cross-cluster leakage; the stage contract breaks
     monkeypatch.setattr(diskinterp.interpolate, "choose_power", lambda *a: 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from diskinterp import (
     iterative_interpolant,
     verify_interpolant,
 )
+import diskinterp.interpolate as interpolate_mod
 import diskinterp.verify as verify_mod
-from diskinterp.interpolate import bound_slack, modulus_bound_on_circle
+from diskinterp.interpolate import arc_envelope, envelope_slack
 from conftest import random_problem
 
 GRID = 1 << 14
@@ -83,23 +85,26 @@ def test_peak_values_rejects_negative_tol():
 
 def test_boundary_sup_zero():
     _, g = zero_interpolant()
-    res = check_boundary_sup(g, 0.0, GRID, 1e-9)
+    res = check_boundary_sup(g, 0.0, 1e-9)
     assert res.passed
     assert res.measured == 0.0
+    assert res.params["rounds"] == 0
 
 
 def test_boundary_sup_peak_function():
+    # one peak, so one arc from the peak round to itself: both of its ends
+    # are the peak, where |lambda^N| attains its maximum 1
     g = peak_interpolant([0.0])
-    res = check_boundary_sup(g, 1.0, GRID, 1e-9)
+    res = check_boundary_sup(g, 1.0, 1e-9)
     assert res.passed
-    assert res.measured <= 1.0
-    # grid node 0 is the peak, where |lambda^N| attains its maximum 1
-    assert res.measured == abs(eval_interpolant(g, 1 + 0j))
+    assert res.params["rounds"] == 1 and res.params["evaluations"] == 2
+    assert res.params["evaluated_max"] == abs(eval_interpolant(g, 1 + 0j))
+    assert abs(eval_interpolant(g, 1 + 0j)) <= res.measured <= 1.0
 
 
 def test_boundary_sup_pipeline(rng):
     data, g = pipeline_output(rng)
-    res = check_boundary_sup(g, data.sup_norm + 0.01, GRID, 1e-9)
+    res = check_boundary_sup(g, data.sup_norm + 0.01, 1e-9)
     assert res.passed
 
 
@@ -119,21 +124,25 @@ def step_problem():
     st.lists(st.complex_numbers(max_magnitude=1.0), min_size=8, max_size=8),
 )
 def test_modulus_bound_covers_the_values(thetas, values):
-    # at every grid angle, and at exact angles next to each point, where the
-    # peaks of width sqrt(8/N) sit between grid nodes
+    # the proved bound is at least |g| on E and next to each point of E
     t = np.sort(thetas)
     assume(np.min(np.diff(t, append=t[0] + 2 * math.pi)) > 1e-3)
     data = BoundaryData.from_pairs(thetas, values[: len(thetas)])
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
+    assert res.passed
+    # exact angles within 4 sqrt(8/N) of each point, where the peaks of
+    # width sqrt(8/N) sit
     width = 4 * math.sqrt(8 / max([s.power for s in g.stages], default=1))
     near = np.add.outer(data.set.thetas(), np.linspace(-width, width, 257))
-    angles = np.concatenate([verify_mod.boundary_grid(GRID), near.ravel()])
-    bound = modulus_bound_on_circle(g, angles)
-    assert np.all(np.abs(eval_on_circle(g, angles)) <= bound * (1 + bound_slack(g)))
+    angles = np.concatenate([data.set.thetas(), near.ravel()])
+    assert np.all(np.abs(eval_on_circle(g, angles)) <= res.measured)
 
 
 @pytest.mark.parametrize("problem", ["random", "step", "close_pair", "zero"])
-def test_boundary_sup_is_the_grid_maximum(rng, problem):
+def test_boundary_sup_is_proved(rng, problem):
+    # against the certified bound, in at most two rounds, and between the
+    # largest value it formed (E among them) and that bound
     data = {
         "random": lambda: random_problem(rng, 12),
         "step": step_problem,
@@ -141,61 +150,187 @@ def test_boundary_sup_is_the_grid_maximum(rng, problem):
         "zero": lambda: zero_interpolant()[0],
     }[problem]()
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
-    full = np.max(np.abs(eval_on_circle(g, verify_mod.boundary_grid(GRID))))
-    assert check_boundary_sup(g, 2.0, GRID, 1e-9).measured == full
+    res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
+    assert res.passed
+    assert res.params["rounds"] <= 2
+    assert res.params["evaluations"] <= 2 * verify_mod.ENVELOPE_ARCS * len(data.set)
+    on_e = np.max(np.abs(eval_on_circle(g, data.set.thetas())))
+    assert on_e <= res.params["evaluated_max"] <= res.measured <= res.threshold
+    grid = np.max(np.abs(eval_on_circle(g, verify_mod.boundary_grid(GRID))))
+    assert grid <= res.measured
+
+
+def test_close_pair_peaks_between_grid_nodes_are_bounded():
+    # opposite values 1e-3 apart reach N = 2.2e9, so the peaks, of width
+    # sqrt(8/N) = 6e-5, are narrower than the 2^16 grid spacing (9.6e-5):
+    # the grid reads below max |g(E)|, the proof does not
+    data = BoundaryData.from_pairs(*CLOSE_PAIR)
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    assert max(s.power for s in g.stages) > 2e9
+    on_e = np.max(np.abs(eval_on_circle(g, data.set.thetas())))
+    grid = np.max(np.abs(eval_on_circle(g, verify_mod.boundary_grid(1 << 16))))
+    assert grid < on_e
+    res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
+    assert res.passed
+    assert on_e <= res.params["evaluated_max"] <= res.measured
 
 
 def test_bound_slack_is_exact_in_one_plus_slack():
     g = pipeline_output(np.random.default_rng(5))[1]
-    terms = sum(len(s.lambdas) for s in g.stages)
-    assert bound_slack(g) == (2 * terms + 16) * 2.0**-53
-    assert (1.0 + bound_slack(g)) - 1.0 == bound_slack(g)
-    assert bound_slack(zero_interpolant()[1]) == 16 * 2.0**-53
+    terms = [(lam, s.power) for s in g.stages for lam in s.lambdas]
+    m = max(lam.peak_thetas.size for lam, _ in terms)
+    root = max(121, math.ceil(math.sqrt(max(power for _, power in terms))))
+    units = 84 * (m + 2) + 7 * m * root + len(terms) + 260
+    assert envelope_slack(g) == (units + units % 2) * 2.0**-53
+    assert (1.0 + envelope_slack(g)) - 1.0 == envelope_slack(g)
+    assert envelope_slack(zero_interpolant()[1]) == 0.0
+
+
+# the pair across the seam at angle 0, also 1e-3 apart
+SEAM_PAIR = ([2 * math.pi - 5e-4, 5e-4, 2.0, 4.0], CLOSE_PAIR[1])
+
+
+@pytest.mark.parametrize("problem", [CLOSE_PAIR, SEAM_PAIR], ids=["close", "seam"])
+def test_envelope_slack_covers_the_rounding(problem):
+    # at arc ends next to the peaks, out to 4 peak widths, and on the
+    # unwrapped frame of the audit's last arc (angle + 2 pi), each term's
+    # computed modulus is within the slack of |lambda|^N formed in mpmath
+    # from the same double angles, and B bounds the true sum
+    mpmath = pytest.importorskip("mpmath")
+    data = BoundaryData.from_pairs(*problem)
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    top = max(s.power for s in g.stages)
+    assert top > 2e9
+    width = math.sqrt(8 / top)
+    offsets = width * np.array([0, 1 / 8, 1 / 2, 1, 2, 4])
+    near = np.add.outer(data.set.thetas(), np.concatenate([-offsets, offsets[1:]]))
+    angles = np.concatenate([near.ravel(), near.ravel() + 2 * math.pi])
+    slack = envelope_slack(g)
+    true_bound = [mpmath.mpf(0)] * angles.size
+    worst = 0.0
+    with mpmath.workdps(40):
+        for stage in g.stages:
+            for lam, c in zip(stage.lambdas, stage.coefficients):
+                L, keep = interpolate_mod.log_fatou_on_circle(
+                    lam, angles, interpolate_mod.LOG_TERM_FLOOR / stage.power
+                )
+                computed = np.zeros(angles.size)
+                computed[keep] = np.exp(stage.power * L.real)
+                scale = abs(stage.normalization * c)
+                for i, a in enumerate(angles.tolist()):
+                    d = [(mpmath.mpf(a) - mpmath.mpf(t)) / 2 for t in lam.peak_thetas]
+                    if any(mpmath.sin(x) == 0 for x in d):
+                        true = mpmath.mpf(1)
+                    else:
+                        y = mpmath.fsum(mpmath.cot(x) for x in d)
+                        true = (y * y / (1 + y * y)) ** (mpmath.mpf(stage.power) / 2)
+                    err = abs(computed[i] - true)
+                    if i not in keep:
+                        err -= interpolate_mod.TERM_FLOOR
+                    worst = max(worst, float(err) / slack)
+                    true_bound[i] += scale * true
+    assert worst <= 1.0
+    ends = angles.reshape(-1, 2)
+    _, at_ends = arc_envelope(g, ends)
+    assert all(float(t) <= b for t, b in zip(true_bound, at_ends.ravel()))
+
+
+def _scaled_stage_zero(g, factor):
+    stage = dataclasses.replace(
+        g.stages[0], coefficients=tuple(factor * c for c in g.stages[0].coefficients)
+    )
+    return dataclasses.replace(g, stages=(stage,) + g.stages[1:])
+
+
+@pytest.mark.parametrize("problem", ["random", "close_pair"])
+def test_boundary_sup_fails_on_mutants(problem):
+    data = {
+        "random": lambda: random_problem(np.random.default_rng(7), 12),
+        "close_pair": lambda: BoundaryData.from_pairs(*CLOSE_PAIR),
+    }[problem]()
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    bound, tol = g.certificate.boundary_sup_bound, verify_mod.SUP_TOL
+    assert check_boundary_sup(g, bound, tol).passed
+    # stage 0's coefficients scaled by 1.01
+    res = check_boundary_sup(_scaled_stage_zero(g, 1.01), bound, tol)
+    assert not res.passed and math.isfinite(res.measured)
+    # a bound 1e-6 below the largest value on E: no refinement can help
+    on_e = float(np.max(np.abs(eval_on_circle(g, data.set.thetas()))))
+    res = check_boundary_sup(g, on_e - 1e-6, tol)
+    assert not res.passed and res.params["rounds"] == 1
+    assert on_e <= res.measured
 
 
 def test_boundary_sup_fails_on_a_nan_value(monkeypatch):
+    # a NaN log at one angle makes that value and its modulus NaN
     g = peak_interpolant([0.0, 2.5])
-    values = verify_mod.eval_on_circle
+    assert check_boundary_sup(g, 1.0, 1e-9).passed
+    log = interpolate_mod.log_fatou_on_circle
 
-    def nan_values(g, thetas):
-        out = values(g, thetas)
-        out[:1] = np.nan
-        return out
+    def nan_log(fatou, thetas, *args):
+        L, keep = log(fatou, thetas, *args)
+        L[:1] = np.nan
+        return L, keep
 
-    monkeypatch.setattr(verify_mod, "eval_on_circle", nan_values)
-    assert not check_boundary_sup(g, 1.0, GRID, 1e-9).passed
+    monkeypatch.setattr(interpolate_mod, "log_fatou_on_circle", nan_log)
+    res = check_boundary_sup(g, 1.0, 1e-9)
+    assert not res.passed
+    assert math.isnan(res.measured)
 
 
 def test_boundary_sup_evaluates_where_the_bound_is_nan(monkeypatch):
-    # two NaN bounds off the peaks: the first is the seed, whose value is
-    # small; the second must still be evaluated, and its NaN value fails
-    g = peak_interpolant([0.0, 2.5])
-    assert check_boundary_sup(g, 1.0, GRID, 1e-9).passed
-    grid = verify_mod.boundary_grid(GRID)
-    seed, other = grid[GRID // 8], grid[GRID // 4]
-    bound, values = verify_mod.modulus_bound_on_circle, verify_mod.eval_on_circle
+    # a NaN bound at a new arc end of the second round, with finite
+    # envelopes: the check forms the value there, then fails at once with a
+    # finite upper bound
+    data = BoundaryData.from_pairs([0.0, 2.5], [1.0, -0.5j])
+    g = iterative_interpolant(data, 0.01, 3, GRID, 1e-9)
+    bound = g.certificate.boundary_sup_bound
+    assert check_boundary_sup(g, bound, 1e-9).params["rounds"] == 2
+    envelope, values = verify_mod.arc_envelope, verify_mod.eval_on_circle
+    rounds, evaluated = [], []
 
-    def nan_bound(g, thetas):
-        out = bound(g, thetas)
-        out[np.isin(thetas, [seed, other])] = np.nan
-        return out
+    def nan_end(g, ends):
+        env, at_ends = envelope(g, ends)
+        rounds.append(ends)
+        if len(rounds) == 2:
+            at_ends[0, 1] = np.nan
+        return env, at_ends
 
-    def nan_at_other(g, thetas):
-        out = values(g, thetas)
-        out[thetas == other] = np.nan
-        return out
+    def recorded(g, thetas):
+        evaluated.extend(np.asarray(thetas).tolist())
+        return values(g, thetas)
 
-    monkeypatch.setattr(verify_mod, "modulus_bound_on_circle", nan_bound)
-    monkeypatch.setattr(verify_mod, "eval_on_circle", nan_at_other)
-    res = check_boundary_sup(g, 1.0, GRID, 1e-9)
-    assert math.isnan(res.measured)
+    monkeypatch.setattr(verify_mod, "arc_envelope", nan_end)
+    monkeypatch.setattr(verify_mod, "eval_on_circle", recorded)
+    res = check_boundary_sup(g, bound, 1e-9)
     assert not res.passed
+    assert len(rounds) == 2 and res.params["rounds"] == 2
+    assert rounds[1][0, 1] in evaluated
+    assert math.isfinite(res.measured)
 
 
 def test_boundary_sup_grid_validation():
-    _, g = zero_interpolant()
-    with pytest.raises(ValueError):
-        check_boundary_sup(g, 0.0, 1024, 1e-9)
+    # the audit reads no grid: a grid_size the CLI would refuse, or none,
+    # leaves the report unchanged
+    data, g = pipeline_output(np.random.default_rng(3))
+    report = verify_interpolant(g, data, seed=4)
+    assert report.overall
+    assert verify_interpolant(g, data, grid_size=1024, seed=4) == report
+    assert verify_interpolant(g, data, grid_size=GRID, seed=4) == report
+
+
+@pytest.mark.parametrize("cap", ["ENVELOPE_ROUNDS", "ENVELOPE_ARCS"])
+def test_boundary_sup_unresolved_is_bounded_and_finite(monkeypatch, cap):
+    # with the caps at 1 the arcs that need a split stay open: the check
+    # fails as unresolved after one round, with a finite upper bound
+    data = BoundaryData.from_pairs(*CLOSE_PAIR)
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    monkeypatch.setattr(verify_mod, cap, 1)
+    res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
+    assert not res.passed
+    assert res.params["rounds"] == 1
+    assert res.params["evaluations"] == 2 * len(data.set)
+    assert math.isfinite(res.measured) and res.measured > res.threshold
 
 
 # ---------------------------------------------------------------- max modulus
@@ -203,33 +338,33 @@ def test_boundary_sup_grid_validation():
 
 def test_max_modulus_zero():
     _, g = zero_interpolant()
-    grid = check_boundary_sup(g, 0.0, GRID, 1e-9)
-    assert check_max_modulus(g, 1000, grid, 1e-9, seed=3).passed
+    boundary = check_boundary_sup(g, 0.0, 1e-9)
+    assert check_max_modulus(g, 1000, boundary, 1e-9, seed=3).passed
 
 
 def test_max_modulus_peak_function():
     g = peak_interpolant([0.0, 2.5])
-    grid = check_boundary_sup(g, 1.0, GRID, 1e-9)
-    res = check_max_modulus(g, 2000, grid, 1e-9, seed=5)
+    boundary = check_boundary_sup(g, 1.0, 1e-9)
+    res = check_max_modulus(g, 2000, boundary, 1e-9, seed=5)
     assert res.passed
     assert res.measured < 1.0
 
 
 def test_max_modulus_deterministic_given_seed():
     g = peak_interpolant([0.4])
-    grid = check_boundary_sup(g, 1.0, GRID, 1e-9)
-    a = check_max_modulus(g, 1500, grid, 1e-9, seed=11)
-    b = check_max_modulus(g, 1500, grid, 1e-9, seed=11)
+    boundary = check_boundary_sup(g, 1.0, 1e-9)
+    a = check_max_modulus(g, 1500, boundary, 1e-9, seed=11)
+    b = check_max_modulus(g, 1500, boundary, 1e-9, seed=11)
     assert a == b
-    c = check_max_modulus(g, 1500, grid, 1e-9, seed=12)
+    c = check_max_modulus(g, 1500, boundary, 1e-9, seed=12)
     assert c.measured != a.measured
 
 
 def test_max_modulus_sample_validation():
     _, g = zero_interpolant()
-    grid = check_boundary_sup(g, 0.0, GRID, 1e-9)
+    boundary = check_boundary_sup(g, 0.0, 1e-9)
     with pytest.raises(ValueError):
-        check_max_modulus(g, 10, grid, 1e-9)
+        check_max_modulus(g, 10, boundary, 1e-9)
 
 
 # ---------------------------------------------------------------- cauchy
@@ -281,11 +416,13 @@ def test_full_report_passes_on_pipeline_output(rng):
     assert report.failed() == ()
     for c in report.checks:
         assert "tol" in c.params
-    # max_modulus reuses the boundary grid maximum as its ceiling
+    # the boundary sup is proved against the certified bound, and
+    # max_modulus takes the proved upper bound as its ceiling
     by_name = {c.name: c for c in report.checks}
     boundary, max_modulus = by_name["boundary_sup"], by_name["max_modulus"]
+    assert boundary.threshold == g.certificate.boundary_sup_bound + verify_mod.SUP_TOL
     assert max_modulus.threshold == boundary.measured + verify_mod.SUP_TOL
-    assert max_modulus.params["grid_size"] == GRID
+    assert "grid_size" not in max_modulus.params
 
 
 def test_negative_seed_fails_before_any_evaluation(monkeypatch):
@@ -319,7 +456,7 @@ def test_report_monotone_in_tol(rng):
     cert = g.certificate
 
     def report(tol):
-        boundary = check_boundary_sup(g, cert.sup_norm_input + cert.eta, GRID, tol)
+        boundary = check_boundary_sup(g, cert.sup_norm_input + cert.eta, tol)
         checks = [
             check_peak_values(g, data, tol),
             boundary,
@@ -342,7 +479,7 @@ def test_report_monotone_in_tol(rng):
 def test_report_overall_is_conjunction():
     # force one failing check by auditing a nonzero interpolant against bound 0
     g = peak_interpolant([0.0])
-    failing = check_boundary_sup(g, 0.0, GRID, 1e-9)
+    failing = check_boundary_sup(g, 0.0, 1e-9)
     assert not failing.passed
     from diskinterp import VerificationReport
 
