@@ -36,8 +36,6 @@ def main(argv=None) -> None:
     ap.add_argument("--points", type=int, default=6)
     ap.add_argument("--eta", type=float, default=0.01)
     ap.add_argument("--n-max", type=int, default=20)
-    ap.add_argument("--grid-size", type=int, default=1 << 16,
-                    help="passed on to the library, which uses no grid")
     ap.add_argument("--safety-margin", type=float, default=1e-9)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
@@ -46,9 +44,8 @@ def main(argv=None) -> None:
     print(f"problem: {len(data.set)} boundary points, sup norm {data.sup_norm:.6f}")
 
     t0 = time.perf_counter()
-    g = iterative_interpolant(
-        data, args.eta, args.n_max, args.grid_size, args.safety_margin
-    )
+    # the fourth argument, a grid size, is not read: the build uses no grid
+    g = iterative_interpolant(data, args.eta, args.n_max, None, args.safety_margin)
     build_s = time.perf_counter() - t0
     cert = g.certificate
     print(f"built {len(g.stages)} stages in {build_s:.2f}s")
@@ -59,14 +56,14 @@ def main(argv=None) -> None:
           f"(bound {cert.residual_bound_theoretical:.3e})")
 
     t0 = time.perf_counter()
-    rep = verify_interpolant(g, data, grid_size=args.grid_size, seed=args.seed)
+    rep = verify_interpolant(g, data, seed=args.seed)
     print(f"audit: overall={'PASS' if rep.overall else 'FAIL'} "
           f"({len(rep.checks)} checks, {time.perf_counter() - t0:.2f}s)")
 
     print("\n    theta        target                 achieved")
-    vals = eval_on_circle(g, data.set.thetas())
-    for p, target, got in zip(data.set.points, data.values, np.atleast_1d(vals)):
-        print(f"  {p.theta:8.5f}  {target.real:+.6f}{target.imag:+.6f}i  "
+    vals = eval_on_circle(g, data.set.thetas)
+    for theta, target, got in zip(data.set.thetas, data.values, vals):
+        print(f"  {theta:8.5f}  {target.real:+.6f}{target.imag:+.6f}i  "
               f"{got.real:+.6f}{got.imag:+.6f}i")
 
 

@@ -35,7 +35,7 @@ def main(argv=None) -> None:
     rhos = []
     for c in clustering.clusters:
         lam = FatouFunction(
-            FiniteBoundarySet(tuple(data.set.points[i] for i in sorted(c.members)))
+            FiniteBoundarySet.from_thetas(data.set.thetas[list(c.members)])
         )
         rhos.append(sup_off_arc(lam, c.arc, args.safety_margin))
 

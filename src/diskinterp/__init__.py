@@ -6,7 +6,8 @@ boundary that matches the data up to an explicit truncation bound while its
 boundary modulus stays within a user budget of the data's sup norm. The
 build bounds the boundary modulus without a grid; ``verify`` audits every
 claim independently, and proves the boundary bound on the whole circle
-from arc ends.
+from arc ends. The set and the data are read-only arrays, which every layer
+reads; a cluster's peak set is a slice of the set's angles.
 """
 
 from .circle import (

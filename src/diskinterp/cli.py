@@ -42,7 +42,7 @@ from .interpolate import (
     iterative_interpolant,
     make_schedule,
 )
-from .verify import VerificationReport, boundary_grid, verify_interpolant
+from .verify import VerificationReport, verify_interpolant
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -153,10 +153,10 @@ class ProblemSpec:
             raise ValidationFailure("problem: seed must be non-negative")
 
     def boundary_data(self) -> BoundaryData:
-        return BoundaryData.from_pairs(
-            (p[0] for p in self.points),
-            (complex(p[1], p[2]) for p in self.points),
-        )
+        pts = np.array(self.points, dtype=float).reshape(-1, len(POINT_KEYS))
+        values = np.empty(len(pts), dtype=complex)
+        values.real, values.imag = pts[:, 1], pts[:, 2]
+        return BoundaryData.from_pairs(pts[:, 0], values)
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)
@@ -184,6 +184,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def boundary_grid(grid_size: int) -> np.ndarray:
+    """The angles 2*pi*k/grid_size, k = 0..grid_size-1, of a uniform boundary
+    grid: the rows of ``fatou`` and ``--grid-out``."""
+    return 2.0 * math.pi * np.arange(grid_size) / grid_size
 
 
 def _grid_csv(thetas: np.ndarray, values: np.ndarray) -> str:
@@ -224,7 +230,7 @@ def _parse_peaks_file(path: str) -> FiniteBoundarySet:
     ):
         raise ParseFailure(f"{path}: 'thetas' must be a list of numbers")
     try:
-        return FiniteBoundarySet.from_thetas(float(t) for t in thetas)
+        return FiniteBoundarySet.from_thetas(thetas)
     except ValueError as exc:
         raise ValidationFailure(f"{path}: {exc}") from exc
 
@@ -275,81 +281,58 @@ def cmd_interpolate(args) -> int:
 
 
 def _compare_value(path: str, stored, fresh) -> str | None:
-    """None when equal (numbers within FIELD_MATCH_TOL), else the field path."""
-    if isinstance(fresh, bool) or isinstance(stored, bool):
-        return None if stored is fresh else path
-    if isinstance(fresh, (int, float)):
-        if isinstance(stored, bool) or not isinstance(stored, (int, float)):
-            return path
-        if isinstance(fresh, int) and isinstance(stored, int):
-            return None if stored == fresh else path
-        return (
-            None
-            if abs(float(stored) - float(fresh)) <= FIELD_MATCH_TOL
-            else path
-        )
-    if isinstance(fresh, list):
-        if not isinstance(stored, list) or len(stored) != len(fresh):
-            return path
-        for i, (s, f) in enumerate(zip(stored, fresh)):
-            bad = _compare_value(f"{path}[{i}]", s, f)
-            if bad is not None:
-                return bad
-        return None
-    if isinstance(fresh, dict):
-        if not isinstance(stored, dict) or set(stored) != set(fresh):
-            return path
-        for key in fresh:
-            bad = _compare_value(f"{path}.{key}", stored[key], fresh[key])
-            if bad is not None:
-                return bad
-        return None
-    return None if stored == fresh else path
+    """None when equal (a float within FIELD_MATCH_TOL of a number, anything
+    else of the same JSON type and equal), else the first differing path."""
+    kinds = {type(stored), type(fresh)}
+    if float in kinds and kinds <= {int, float}:
+        return None if abs(stored - fresh) <= FIELD_MATCH_TOL else path
+    if type(stored) is not type(fresh):
+        return path
+    if isinstance(fresh, dict) and stored.keys() == fresh.keys():
+        children = [(f"{path}.{k}", stored[k], fresh[k]) for k in fresh]
+    elif isinstance(fresh, list) and len(stored) == len(fresh):
+        pairs = enumerate(zip(stored, fresh))
+        children = [(f"{path}[{i}]", s, f) for i, (s, f) in pairs]
+    else:
+        return None if stored == fresh else path
+    return next(filter(None, (_compare_value(*c) for c in children)), None)
+
+
+def _verification_failure(message: str) -> int:
+    print(f"verification failure: {message}", file=sys.stderr)
+    return EXIT_CERTIFICATION
 
 
 def cmd_verify(args) -> int:
     stored = _load_json(args.certificate_file)
-    if not isinstance(stored, dict) or not {
-        "problem",
-        "certificate",
-        "report",
-    } <= set(stored):
+    sections = {"problem", "certificate", "report"}
+    if not isinstance(stored, dict) or not sections <= stored.keys():
         raise ParseFailure(
             f"{args.certificate_file}: not a certificate file "
             "(needs problem/certificate/report)"
         )
     version = stored.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
-        print(
-            f"verification failure: unsupported certificate version {version!r} "
-            f"(this version reads {FORMAT_VERSION})",
-            file=sys.stderr,
+        return _verification_failure(
+            f"unsupported certificate version {version!r} "
+            f"(this version reads {FORMAT_VERSION})"
         )
-        return EXIT_CERTIFICATION
     spec = ProblemSpec.from_json_obj(_load_json(args.problem_file))
     recorded = ProblemSpec.from_json_obj(stored["problem"])
     if recorded != spec:
         name = next(k for k, v in asdict(spec).items() if getattr(recorded, k) != v)
-        print(
-            f"verification failure: problem field {name!r} differs "
-            "between certificate and problem file",
-            file=sys.stderr,
+        return _verification_failure(
+            f"problem field {name!r} differs between certificate and problem file"
         )
-        return EXIT_CERTIFICATION
     try:
         interpolant, report = _run_pipeline(spec)
     except (CertificationError, NoContractionError) as exc:
-        print(f"verification failure: pipeline failed: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+        return _verification_failure(f"pipeline failed: {exc}")
     fresh = _certificate_payload(spec, interpolant, report)
     for section in ("certificate", "report"):
         bad = _compare_value(section, stored[section], fresh[section])
         if bad is not None:
-            print(
-                f"verification failure: field {bad!r} does not reproduce",
-                file=sys.stderr,
-            )
-            return EXIT_CERTIFICATION
+            return _verification_failure(f"field {bad!r} does not reproduce")
     print("certificate verified")
     return EXIT_OK
 

@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class NoContractionError(ArithmeticError):
-    """An off-arc modulus estimate reached 1, so no power can contract it.
+    """An off-arc modulus estimate reached 1, so no power can contract it, or
+    points are too close for a cluster's arc to hold them in floating point.
 
     Raised instead of silently capping the estimate; the caller must
     separate close boundary points or reduce the safety margin.

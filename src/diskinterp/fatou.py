@@ -2,7 +2,8 @@
 
 For a finite boundary set the rational function built here equals 1 at every
 point of the set and has modulus strictly below 1 everywhere else on the
-closed disk. It is assembled from the half-plane sum
+closed disk. It reads the peak angles from the set's array and makes the
+peak points once. It is assembled from the half-plane sum
 
     F(z) = sum_j (a_j + z) / (a_j - z),   a_j the peak points,
 
@@ -54,26 +55,20 @@ FEW_ANGLES = 256      # cotangent sums up to this many angles use one broadcast
 @dataclass(frozen=True)
 class FatouFunction:
     """Peak function for a finite boundary set: exactly 1 on ``peaks`` and
-    below 1 in modulus everywhere else on the closed disk."""
+    below 1 in modulus everywhere else on the closed disk. The angles are
+    ``peaks.thetas``; ``peak_points``, the read-only array of the points
+    e^(i*theta), is made once; equality and hash go by ``peaks``."""
 
     peaks: FiniteBoundarySet
-    # peak angles and points as arrays and the hash, made once; equality
-    # goes by ``peaks``
-    peak_thetas: np.ndarray = field(init=False, compare=False, repr=False)
     peak_points: np.ndarray = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        thetas = self.peaks.thetas()
-        points = np.exp(1j * thetas)
-        thetas.setflags(write=False)
+        points = np.exp(1j * self.peaks.thetas)
         points.setflags(write=False)
-        object.__setattr__(self, "peak_thetas", thetas)
         object.__setattr__(self, "peak_points", points)
-        object.__setattr__(self, "_hash", hash(self.peaks))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __hash__(self) -> int:  # one call: the evaluation kernel's dict hashes often
+        return hash(self.peaks._key)
 
 
 def require_closed_disk(z) -> np.ndarray:
@@ -192,14 +187,14 @@ def _cotangent_sum(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
     The difference of two nearby angles is exact, so y keeps full relative
     precision next to a peak."""
     if thetas.size <= FEW_ANGLES:
-        d = thetas[None, :] - fatou.peak_thetas[:, None]
+        d = thetas[None, :] - fatou.peaks.thetas[:, None]
         d *= 0.5
         np.tan(d, out=d)
         np.divide(1.0, d, out=d)
         return np.cumsum(d, axis=0)[-1]
     y = np.zeros(thetas.shape)
     d = np.empty(thetas.shape)
-    for tj in fatou.peak_thetas:
+    for tj in fatou.peaks.thetas:
         np.subtract(thetas, tj, out=d)
         d *= 0.5
         np.tan(d, out=d)
@@ -269,13 +264,12 @@ def sup_off_arc(
     """
     if not (math.isfinite(safety_margin) and safety_margin > 0.0):
         raise ValueError("safety_margin must be positive")
-    # Arc.contains on plain floats: numpy's per-call overhead would cost more
-    # than this loop for the few peaks most clusters have
+    # a loop on plain floats: numpy's per-call overhead would cost more than
+    # it for the few peaks most clusters have
     center, half_width = excluded.center.theta, excluded.half_width
     ends = [center + half_width, center + TWO_PI - half_width]
-    for theta in fatou.peak_thetas.tolist():
-        d = abs(theta - center)
-        if not (d < half_width or TWO_PI - d < half_width):
+    for theta in fatou.peaks.thetas.tolist():
+        if not excluded._holds(theta):
             raise ValueError(f"peak at angle {theta!r} lies outside the excluded arc")
         if theta in ends:
             raise NoContractionError(

@@ -8,6 +8,8 @@ and forms the normalized sum
 
 Post-normalization, the stage's boundary modulus never exceeds the input sup
 norm while the mismatch on the boundary set stays below eps*(1 + 2*sup).
+Every stage shares the set's angle array; its data is the residual array
+and each peak set a slice of the angles, so no stage makes a per-point object.
 Stacking stages against the successive residuals with a summable budget
 schedule yields a function analytic on the disk and continuous up to the
 boundary whose boundary modulus stays below sup + eta and whose values on
@@ -54,12 +56,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circle import (
-    BoundaryData,
-    Clustering,
-    FiniteBoundarySet,
-    cluster_by_oscillation,
-)
+from .circle import BoundaryData, Clustering, cluster_by_oscillation
 from .errors import CertificationError, DomainError
 # The entry points look the two logs up by their names here at call time, so
 # a tracer can wrap them.
@@ -206,9 +203,7 @@ def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
     clustering = cluster_by_oscillation(data, epsilon)
     k = len(clustering)
     lambdas = tuple(
-        FatouFunction(
-            FiniteBoundarySet(tuple(data.set.points[i] for i in sorted(c.members)))
-        )
+        FatouFunction(data.set._circular_range(c.start, c.size))
         for c in clustering.clusters
     )
     rhos = [
@@ -216,14 +211,13 @@ def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
         for lam, c in zip(lambdas, clustering.clusters)
     ]
     power = choose_power(rhos, epsilon, k)
-    coefficients = tuple(
-        data.values[c.representative] for c in clustering.clusters
-    )
+    representatives = [c.representative for c in clustering.clusters]
+    coefficients = tuple(data.values[representatives].tolist())
     normalization = 1.0 / (1.0 + epsilon)
 
     at_e = _terms_sum(
         _stage_terms(lambdas, coefficients, power, normalization),
-        data.set.thetas(),
+        data.set.thetas,
         log_fatou_on_circle,
     )
 
@@ -231,7 +225,7 @@ def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
     certified_sup = normalization * (
         max(moduli) + math.fsum(m * rho**power for m, rho in zip(moduli, rhos))
     )
-    certified_residual = float(np.max(abs(data.value_array() - at_e)))
+    certified_residual = float(np.max(abs(data.values - at_e)))
     if certified_sup > data.sup_norm:
         raise CertificationError(
             f"stage boundary sup bound {certified_sup} exceeds input sup norm "
@@ -315,7 +309,7 @@ def iterative_interpolant(
     the parameter stays for callers that pass it positionally.
     """
     schedule = make_schedule(eta, n_max)
-    residual = data.value_array()
+    residual = data.values
     stages: list[StageApproximant] = []
     for n in range(1, n_max + 1):
         res_sup = float(np.max(abs(residual)))
@@ -323,7 +317,7 @@ def iterative_interpolant(
             break
         eta_n = schedule.terms[n - 1]
         eps_n = eta_n / (1.0 + 2.0 * res_sup)
-        stage_data = BoundaryData(data.set, tuple(residual.tolist()))
+        stage_data = BoundaryData(data.set, residual)
         stage, at_e = _build_stage(stage_data, eps_n, safety_margin)
         if stage.certified_residual > eta_n:
             raise CertificationError(
@@ -468,7 +462,7 @@ def envelope_slack(interpolant: Interpolant) -> float:
     terms = [(lam, s.power) for s in interpolant.stages for lam in s.lambdas]
     if not terms:
         return 0.0
-    m = max(lam.peak_thetas.size for lam, _ in terms)
+    m = max(len(lam.peaks) for lam, _ in terms)
     root = max(121, math.isqrt(max(power for _, power in terms) - 1) + 1)
     units = 84 * (m + 2) + 7 * m * root + len(terms) + 260
     return (units + units % 2) * 2.0**-53

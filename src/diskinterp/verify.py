@@ -79,9 +79,9 @@ def check_peak_values(
     with threshold the certificate's truncation bound plus ``tol``."""
     if tol < 0.0:
         raise ValueError("tol must be non-negative")
-    vals = eval_on_circle(interpolant, data.set.thetas())
+    vals = eval_on_circle(interpolant, data.set.thetas)
     threshold = interpolant.certificate.residual_bound_theoretical + tol
-    measured = float(np.max(np.abs(vals - data.value_array())))
+    measured = float(np.max(np.abs(vals - data.values)))
     return CheckResult(
         name="peak_values",
         passed=measured <= threshold,
@@ -89,12 +89,6 @@ def check_peak_values(
         threshold=threshold,
         params={"n_points": len(data.set), "tol": float(tol)},
     )
-
-
-def boundary_grid(grid_size: int) -> np.ndarray:
-    """The angles 2*pi*k/grid_size, k = 0..grid_size-1, of a uniform boundary
-    grid (the CLI's tables; the audit uses none)."""
-    return 2.0 * math.pi * np.arange(grid_size) / grid_size
 
 
 def check_boundary_sup(
@@ -119,12 +113,8 @@ def check_boundary_sup(
     |g| at an arc end (the peak angles included), a lower bound on the sup.
     """
     threshold = float(bound) + float(tol)
-    peaks = np.sort(
-        np.concatenate(
-            [lam.peak_thetas for s in interpolant.stages for lam in s.lambdas]
-            or [np.empty(0)]
-        )
-    )
+    sets = {lam.peaks for s in interpolant.stages for lam in s.lambdas}  # distinct
+    peaks = np.sort(np.concatenate([p.thetas for p in sets] or [np.empty(0)]))
     peaks = peaks[np.diff(peaks, prepend=-math.inf) > 0.0]
     measured = proved = evaluated_max = 0.0
     rounds = evaluations = 0

@@ -89,7 +89,7 @@ def test_criterion_3_peak_contract():
         n = int(rng.integers(1, 21))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
         f = FatouFunction(E)
-        peaks = E.complex_points()
+        peaks = np.exp(1j * E.thetas)
         if not np.all(eval_fatou(f, peaks) == 1.0):
             ok = False
             break
@@ -123,9 +123,9 @@ def test_criterion_4_stage_bounds():
         for eps in (0.2, 0.05):
             stage = single_stage(data, eps, 1e-9)
             pre_sup = stage.certified_sup / stage.normalization
-            at_e = np.asarray(eval_stage(stage, data.set.complex_points()))
+            at_e = np.asarray(eval_stage(stage, np.exp(1j * data.set.thetas)))
             pre_res = float(
-                np.max(np.abs(data.value_array() - at_e / stage.normalization))
+                np.max(np.abs(data.values - at_e / stage.normalization))
             )
             checks = (
                 pre_sup <= (1 + eps) * sup + 1e-9

@@ -78,7 +78,7 @@ def test_audit_calls_through_traced_names(monkeypatch):
     assert calls["check_cauchy_identity"] == verify_mod.CAUCHY_PAIRS
     # the envelope starts from the arcs between the points of E
     first = angles["arc_envelope"][0]
-    e = data.set.thetas()
+    e = data.set.thetas
     assert np.array_equal(first[:, 0], e)
     assert np.array_equal(first[:, 1], np.roll(e, -1))
     # the values: E and each round's new arc ends for the boundary check,

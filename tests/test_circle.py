@@ -12,11 +12,13 @@ from diskinterp import (
     BoundaryData,
     Cluster,
     Clustering,
+    FatouFunction,
     FiniteBoundarySet,
     angular_distance,
     cluster_by_oscillation,
     normalize_angle,
 )
+from diskinterp.circle import _normalized
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,16 +113,96 @@ def test_arc_membership():
     assert not arc.contains(Angle(math.pi))
 
 
+@pytest.mark.parametrize(
+    "thetas, message",
+    [
+        ([], "non-empty 1-d"),
+        ([[0.5, 1.0]], "non-empty 1-d"),
+        ([1.0, 0.5], "unsorted"),
+        ([0.5, 0.5], "duplicate"),
+        ([0.5, math.nan], "finite"),
+        ([math.nan, 0.5], "finite"),
+        ([0.5, math.inf, 1.0], "finite"),
+        ([-1e-300, 0.5], "unreduced"),
+        ([0.5, TWO_PI], "unreduced"),
+        ([0.5, 7.0], "unreduced"),
+    ],
+)
+def test_set_rejects_invalid_angle_arrays(thetas, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteBoundarySet(np.array(thetas))
+
+
 def test_set_rejects_empty_and_duplicates():
     with pytest.raises(ValueError):
         FiniteBoundarySet(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         FiniteBoundarySet.from_thetas([0.0, TWO_PI])  # same point after reduction
+    with pytest.raises(ValueError, match="non-finite"):
+        FiniteBoundarySet.from_thetas([0.0, math.nan])
 
 
 def test_set_sorted_from_unsorted_input():
     s = FiniteBoundarySet.from_thetas([4.0, 1.0, 2.0])
-    assert [p.theta for p in s.points] == [1.0, 2.0, 4.0]
+    assert s.thetas.tolist() == [1.0, 2.0, 4.0]
+    # the Angle view is made on request, one per point
+    assert s.points == (Angle(1.0), Angle(2.0), Angle(4.0))
+
+
+def test_batch_normalization_is_normalize_angle_bit_for_bit(rng):
+    period = np.nextafter(TWO_PI, 0.0)
+    thetas = np.concatenate(
+        [
+            rng.uniform(-1e9, 1e9, 2000),
+            rng.uniform(-20.0, 20.0, 2000),
+            [0.0, -0.0, -1e-300, -5e-324, TWO_PI, -TWO_PI, 3 * TWO_PI],
+            [period, -period, TWO_PI - 1e-15, -TWO_PI + 1e-16],
+        ]
+    )
+    batch = _normalized(thetas)
+    one_by_one = np.array([normalize_angle(t).theta for t in thetas.tolist()])
+    assert np.array_equal(batch.view(np.int64), one_by_one.view(np.int64))
+
+
+def test_arrays_are_read_only():
+    data = BoundaryData.from_pairs([0.5, 2.0, 4.0], [1.0, 1j, -1.0])
+    lam = FatouFunction(data.set)
+    for array in (data.set.thetas, data.values, lam.peaks.thetas, lam.peak_points):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.25
+    # the set and the data copy what they are given
+    thetas, values = np.array([0.5, 2.0]), np.array([1.0, 2.0j])
+    copied = BoundaryData(FiniteBoundarySet(thetas), values)
+    thetas[0], values[0] = 0.25, 5.0
+    assert copied.set.thetas[0] == 0.5 and copied.values[0] == 1.0
+
+
+def test_equal_sets_from_separate_arrays_are_one_key():
+    a = FiniteBoundarySet(np.array([0.0, 1.0, 2.5]))
+    b = FiniteBoundarySet.from_thetas([2.5, 1.0, TWO_PI])
+    assert a.thetas is not b.thetas
+    assert a == b and hash(a) == hash(b)
+    assert a != FiniteBoundarySet(np.array([0.0, 1.0])) and a != (0.0, 1.0, 2.5)
+    # -0.0 is the point 0.0
+    c = FiniteBoundarySet(np.array([-0.0, 1.0, 2.5]))
+    assert c == a and hash(c) == hash(a)
+    # peak functions on equal sets merge in a dict, as the evaluation
+    # kernel groups its terms
+    terms = {FatouFunction(a): 1}
+    terms[FatouFunction(b)] = 2
+    assert terms == {FatouFunction(c): 2}
+
+
+def test_circular_range_is_a_sorted_subset():
+    s = FiniteBoundarySet.from_thetas([0.5, 1.5, 3.0, 4.5, 6.0])
+    inside = s._circular_range(1, 3)
+    assert inside.thetas.tolist() == [1.5, 3.0, 4.5]
+    assert inside.thetas.base is s.thetas  # a slice, not a copy
+    across = s._circular_range(3, 4)  # 4.5, 6.0, then 0.5, 1.5 past the seam
+    assert across.thetas.tolist() == [0.5, 1.5, 4.5, 6.0]
+    assert across == FiniteBoundarySet.from_thetas([4.5, 6.0, 0.5, 1.5])
+    assert not across.thetas.flags.writeable
+    assert s._circular_range(2, 5) == s
 
 
 def test_boundary_data_sup_norm():
@@ -130,10 +212,19 @@ def test_boundary_data_sup_norm():
     assert zero.sup_norm == 0.0
 
 
+def test_boundary_data_sup_norm_is_pythons_abs_bit_for_bit(rng):
+    values = (rng.normal(size=5000) + 1j * rng.normal(size=5000)) * 10.0 ** rng.uniform(
+        -200, 200, 5000
+    )
+    data = BoundaryData.from_pairs(np.linspace(0.0, 6.0, 5000), values)
+    assert data.sup_norm == max(abs(v) for v in values.tolist())
+
+
 def test_boundary_data_length_mismatch():
     s = FiniteBoundarySet.from_thetas([0.0, 1.0])
-    with pytest.raises(ValueError):
-        BoundaryData(s, (1.0,))
+    for values in ((1.0,), np.ones(3), np.ones((2, 1)), 1.0):
+        with pytest.raises(ValueError, match="values for 2 boundary points"):
+            BoundaryData(s, values)
 
 
 def test_from_pairs_rejects_length_mismatch():
@@ -145,8 +236,20 @@ def test_from_pairs_rejects_length_mismatch():
 
 
 def test_boundary_data_rejects_non_finite_values():
-    with pytest.raises(ValueError):
-        BoundaryData.from_pairs([0.0], [complex(math.inf, 0)])
+    s = FiniteBoundarySet(np.array([0.0, 1.0]))
+    for bad in (complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0)):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryData.from_pairs([0.0, 1.0], [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryData(s, np.array([bad, 1.0]))
+
+
+def test_from_pairs_sorts_angles_and_values_together():
+    data = BoundaryData.from_pairs(np.array([4.0, -1.0, 2.0]), [1.0, 2.0j, 3.0])
+    assert data.set.thetas.tolist() == [2.0, 4.0, TWO_PI - 1.0]
+    assert data.values.tolist() == [3.0, 1.0, 2.0j]
+    with pytest.raises(ValueError, match="non-finite"):
+        BoundaryData.from_pairs([0.0, math.inf], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------- clustering
@@ -205,7 +308,7 @@ def _partition_props(clustering, data):
     n = len(data.set)
     seen = sorted(i for cl in clustering.clusters for i in cl.members)
     assert seen == list(range(n))
-    pts = data.set.points
+    pts = [Angle(t) for t in data.set.thetas.tolist()]
     for j, cj in enumerate(clustering.clusters):
         for i in cj.members:
             assert cj.arc.contains(pts[i])
@@ -249,11 +352,11 @@ def test_clustering_deterministic(rng):
 def _reference_sweep(data, eps):
     """The greedy sweep with plain pairwise loops: blocks of indices."""
     n = len(data.set)
-    thetas = [p.theta for p in data.set.points]
+    thetas = data.set.thetas.tolist()
     gaps = [thetas[(i + 1) % n] - thetas[i] for i in range(n - 1)]
     gaps.append(thetas[0] + TWO_PI - thetas[-1])
     start = (gaps.index(max(gaps)) + 1) % n
-    v = data.values
+    v = data.values.tolist()  # Python complex, with Python's abs
     blocks = [[start]]
     for idx in [(start + j) % n for j in range(1, n)]:
         if all(abs(v[idx] - v[j]) < eps for j in blocks[-1]):
@@ -325,14 +428,14 @@ def test_clustering_rotation_equivariance(case):
     def base_point(theta):
         """Index of the base point at ``theta`` on the circle (0 == 2*pi)."""
         angle = normalize_angle(theta)
-        dists = [angular_distance(angle, p) for p in base.set.points]
+        dists = [angular_distance(angle, Angle(t)) for t in base.set.thetas.tolist()]
         i = int(np.argmin(dists))
         assert dists[i] < 1e-8
         return i
 
     def partition(clustering, dat, shift):
         return sorted(
-            sorted(base_point(dat.set.points[i].theta - shift) for i in cl.members)
+            sorted(base_point(dat.set.thetas[i] - shift) for i in cl.members)
             for cl in clustering.clusters
         )
 
@@ -347,7 +450,7 @@ def test_representative_examples():
     data = BoundaryData.from_pairs([0.0, 0.01], [0.1, 0.2])
     c = cluster_by_oscillation(data, 0.5)
     rep = c.clusters[0].representative
-    assert data.set.points[rep].theta == 0.0
+    assert data.set.thetas[rep] == 0.0
     assert data.values[rep] == 0.1 + 0j
     # a cluster across the seam starts at its circularly first member
     wrapped = cluster_by_oscillation(
@@ -368,11 +471,11 @@ def test_representative_rotates_with_input(rng):
         BoundaryData.from_pairs([(t + phi) % TWO_PI for t in thetas], vals), 0.4
     )
     base_reps = sorted(
-        (base.data.set.points[cl.representative].theta + phi) % TWO_PI
+        (base.data.set.thetas[cl.representative] + phi) % TWO_PI
         for cl in base.clusters
     )
     rot_reps = sorted(
-        rot.data.set.points[cl.representative].theta for cl in rot.clusters
+        rot.data.set.thetas[cl.representative] for cl in rot.clusters
     )
     assert base_reps == pytest.approx(rot_reps, abs=1e-12)
 

@@ -48,7 +48,20 @@ CLOSE_PAIR = dict(
     ],
 )
 
+# 0.0 and the double below 2 pi, 8.9e-16 apart on the circle, in different
+# clusters: the arc of one cannot hold its members in floating point
+SEAM_PAIR = dict(
+    PROBLEM,
+    points=[
+        {"theta": 0.0, "value_re": 1.0, "value_im": 0.0},
+        {"theta": 2.2, "value_re": 0.0, "value_im": 1.0},
+        {"theta": 5.9, "value_re": -1.0, "value_im": 0.0},
+        {"theta": 6.283185307179585, "value_re": -1.0, "value_im": 0.0},
+    ],
+)
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_json(path, obj):
@@ -281,6 +294,15 @@ def test_interpolate_pipeline_failure_writes_no_certificate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_interpolate_points_across_the_seam_fail_typed(tmp_path, capsys):
+    problem = write_json(tmp_path / "seam.json", SEAM_PAIR)
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem, "--out", str(out)]) == EXIT_CERTIFICATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("certification failure: ")
+    assert "cluster arc" in err[0] and not out.exists()
+
+
 def test_interpolate_failed_check_is_written_and_reported(
     tmp_path, problem_file, capsys, monkeypatch
 ):
@@ -319,6 +341,16 @@ def test_verify_round_trip(tmp_path, problem_file, capsys):
     assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK
     assert main(["verify", str(out), problem_file]) == EXIT_OK
     assert "verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["seam_cluster", "close_pair_1e-3"])
+def test_verify_reproduces_checked_in_certificates(name, capsys):
+    # written by an earlier build: one problem has clusters across angle 0,
+    # the other a pair 1e-3 apart (powers above 1e9); a moved stage power, a
+    # changed clustering or a number moved by more than FIELD_MATCH_TOL fails
+    cert, problem = (str(DATA / f"{name}.{kind}.json") for kind in ("cert", "problem"))
+    assert main(["verify", cert, problem]) == EXIT_OK
+    assert capsys.readouterr().out == "certificate verified\n"
 
 
 def test_verify_reads_the_problem_section_it_wrote(tmp_path, problem_file):

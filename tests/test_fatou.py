@@ -89,7 +89,7 @@ def test_peak_values_exactly_one(rng):
         n = int(rng.integers(1, 15))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
         f = FatouFunction(E)
-        vals = eval_fatou(f, E.complex_points())
+        vals = eval_fatou(f, np.exp(1j * E.thetas))
         assert np.all(vals == 1.0)
 
 
@@ -176,7 +176,7 @@ def test_strict_contraction(rng):
         n = int(rng.integers(1, 12))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
         f = FatouFunction(E)
-        peaks = E.complex_points()
+        peaks = np.exp(1j * E.thetas)
         mask = np.ones(len(grid), dtype=bool)
         for a in peaks:
             mask &= np.abs(grid - a) > 1e-9
@@ -194,7 +194,7 @@ def test_radial_limit_monotone(rng):
         n = int(rng.integers(1, 8))
         E = FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n))
         f = FatouFunction(E)
-        for a in E.complex_points():
+        for a in np.exp(1j * E.thetas):
             gaps = [abs(eval_fatou(f, a * (1 - 10.0**-k)) - 1) for k in range(2, 9)]
             assert all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
             assert gaps[-1] < 1e-6
@@ -283,7 +283,7 @@ def test_boundary_modulus_matches_eval(rng):
         f = FatouFunction(E)
         thetas = rng.uniform(0, TWO_PI, 10**4)
         dist = np.min(
-            np.abs(np.exp(1j * thetas)[:, None] - E.complex_points()[None, :]),
+            np.abs(np.exp(1j * thetas)[:, None] - np.exp(1j * E.thetas)[None, :]),
             axis=1,
         )
         thetas = thetas[dist > 1e-6]
@@ -305,7 +305,7 @@ def test_cotangent_sum_does_not_depend_on_the_split(rng):
 
 def test_log_on_circle_floor_keeps_exactly_the_points_above_it(rng):
     f = FatouFunction(FiniteBoundarySet.from_thetas([0.5, 0.6, 3.0]))
-    thetas = np.concatenate([rng.uniform(0, TWO_PI, 3000), f.peak_thetas])
+    thetas = np.concatenate([rng.uniform(0, TWO_PI, 3000), f.peaks.thetas])
     L, keep = log_fatou_on_circle(f, thetas)
     assert np.array_equal(keep, np.arange(thetas.size))
     assert np.all(L[-3:] == 0.0)
@@ -352,7 +352,7 @@ def test_both_logs_share_one_contract(rng):
     skipped = compared = 0
     for n in (1, 2, 5, 30):
         f = FatouFunction(FiniteBoundarySet.from_thetas(rng.uniform(0, TWO_PI, n)))
-        thetas = np.concatenate([rng.uniform(0, TWO_PI, 2000), f.peak_thetas])
+        thetas = np.concatenate([rng.uniform(0, TWO_PI, 2000), f.peaks.thetas])
         radii = np.sqrt(rng.uniform(size=2000))
         interior = radii * np.exp(1j * rng.uniform(0, TWO_PI, 2000))
         skipped += np.count_nonzero(radii < _skip_radius(n, FLOORS[2]))
@@ -372,7 +372,8 @@ def test_both_logs_share_one_contract(rng):
                 assert np.array_equal(keep, above) and np.array_equal(L, L_all[above])
         # the two logs agree on the circle, away from the peaks (where the
         # rounding of the points counts) and from the floor edge
-        gap = np.abs((thetas[:, None] - f.peak_thetas[None, :] + np.pi) % TWO_PI - np.pi)
+        diff = thetas[:, None] - f.peaks.thetas[None, :]
+        gap = np.abs((diff + np.pi) % TWO_PI - np.pi)
         away = np.min(gap, axis=1) > 1e-6
         L_all, _ = log_fatou_on_circle(f, thetas)
         for floor in FLOORS:

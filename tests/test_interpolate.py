@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diskinterp import (
+    Angle,
     BoundaryData,
     CertificationError,
     DomainError,
@@ -22,6 +23,7 @@ from diskinterp import (
     make_schedule,
     residual_bound_after,
     single_stage,
+    verify_interpolant,
 )
 import diskinterp.interpolate
 from diskinterp.fatou import (
@@ -154,8 +156,8 @@ def test_stage_bounds_on_seeded_problems(rng):
         assert pre_sup <= (1 + eps) * sup + 1e-9
         assert st_.certified_sup <= sup
 
-        at_e = eval_stage(st_, data.set.complex_points())
-        pre_res = np.max(np.abs(data.value_array() - at_e / st_.normalization))
+        at_e = eval_stage(st_, np.exp(1j * data.set.thetas))
+        pre_res = np.max(np.abs(data.values - at_e / st_.normalization))
         assert pre_res < eps * (1 + sup)
         assert st_.certified_residual < eps * (1 + 2 * sup)
 
@@ -182,13 +184,16 @@ def test_stage_propagates_no_contraction():
     [
         ((2.196, 0.0, 6.2831853071795845), (0, 1, 0)),
         ((1.0, 0.0, 6.2831853071795845), (0, 0, 1)),
+        ((0.0, 2.2, 5.9, 6.283185307179585), (1, 1j, -1, -1)),
     ],
 )
 def test_points_one_ulp_apart_across_the_seam_fail_typed(thetas, values):
-    # 0.0 and the double below 2 pi are 2.4e-16 apart on the circle: an end
-    # of a cluster's arc rounds onto one of its own peaks, where |lambda| = 1,
-    # so the build raises NoContractionError, with no warning from the
-    # cotangent sum
+    # 0.0 and a double just below 2 pi are 2.4e-16 or 8.9e-16 apart on the
+    # circle. In the first two cases an end of a cluster's arc rounds onto
+    # one of its own peaks, where |lambda| = 1; in the third the arc's
+    # quarter-gap extension rounds away, so the arc cannot hold its last
+    # member. Either way the build raises NoContractionError, with no
+    # warning from the cotangent sum
     data = BoundaryData.from_pairs(thetas, values)
     with pytest.raises(NoContractionError):
         iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
@@ -257,9 +262,9 @@ def test_pipeline_telescoping_and_sup_chain(rng):
     eta, n_max = 0.02, 8
     g = iterative_interpolant(data, eta, n_max, GRID, MARGIN)
     schedule = g.schedule
-    residual = data.value_array()
+    residual = data.values
     res_sup = data.sup_norm
-    e_pts = data.set.complex_points()
+    e_pts = np.exp(1j * data.set.thetas)
     for n, stage in enumerate(g.stages, start=1):
         # stage sup never exceeds the sup norm of its input residual
         assert stage.certified_sup <= res_sup
@@ -290,8 +295,8 @@ def test_one_stage_interpolant_equals_stage(rng):
 def test_pipeline_values_near_data(rng):
     data = random_problem(rng, 6)
     g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
-    vals = eval_interpolant(g, data.set.complex_points())
-    err = np.max(np.abs(vals - data.value_array()))
+    vals = eval_interpolant(g, np.exp(1j * data.set.thetas))
+    err = np.max(np.abs(vals - data.values))
     assert err <= g.certificate.residual_bound_theoretical + 1e-12
 
 
@@ -395,7 +400,7 @@ def test_skipped_terms_stay_within_floor_bound(name):
     interior = np.random.default_rng(3)
     point_sets = {
         "grid": np.exp(2j * np.pi * np.arange(4096) / 4096),
-        "E": data.set.complex_points(),
+        "E": np.exp(1j * data.set.thetas),
         "interior": np.sqrt(interior.uniform(size=1000))
         * np.exp(1j * interior.uniform(0.0, TWO_PI, 1000)),
         "contour": 0.9 * np.exp(2j * np.pi * np.arange(1024) / 1024),
@@ -526,21 +531,21 @@ def test_terms_on_their_peak_angles_are_exactly_scale():
     g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
     for s in g.stages:
         for lam, c in zip(s.lambdas, s.coefficients):
-            L, keep = log_fatou_on_circle(lam, lam.peak_thetas)
-            assert np.all(L == 0.0) and keep.size == lam.peak_thetas.size
+            L, keep = log_fatou_on_circle(lam, lam.peaks.thetas)
+            assert np.all(L == 0.0) and keep.size == lam.peaks.thetas.size
             scale = s.normalization * c
             at_peaks = _terms_sum(
-                [(lam, s.power, scale)], lam.peak_thetas, log_fatou_on_circle
+                [(lam, s.power, scale)], lam.peaks.thetas, log_fatou_on_circle
             )
             assert np.all(at_peaks == scale)
     # so on E the interpolant is the sum of the stage scales of each point
-    at_e = eval_on_circle(g, data.set.thetas())
-    for i, theta in enumerate(data.set.thetas()):
+    at_e = eval_on_circle(g, data.set.thetas)
+    for i, theta in enumerate(data.set.thetas):
         own = [
             s.normalization * c
             for s in g.stages
             for lam, c in zip(s.lambdas, s.coefficients)
-            if theta in lam.peak_thetas
+            if theta in lam.peaks.thetas
         ]
         assert abs(at_e[i] - sum(own)) <= 1e-15
 
@@ -576,7 +581,7 @@ def _mp_interpolant(g, peak_point):
     """z -> g(z) in mpmath; ``peak_point(theta)`` gives a peak as an mpc."""
     import mpmath  # callers skip when it is missing
     peaks = {
-        lam: [peak_point(p.theta) for p in lam.peaks.points]
+        lam: [peak_point(t) for t in lam.peaks.thetas.tolist()]
         for s in g.stages
         for lam in s.lambdas
     }
@@ -608,7 +613,7 @@ def test_kernel_matches_mpmath():
     assert power > 2e9
     # +-4 peak widths sqrt(8/N) around each point of E
     window = math.sqrt(8.0 / power) * np.linspace(-4.0, 4.0, 17)
-    circle = np.exp(1j * np.concatenate([t.theta + window for t in data.set.points]))
+    circle = np.exp(1j * (data.set.thetas[:, None] + window).ravel())
     # bound on the error in g against mpmath at the library's own double
     # precision peak points: the error of the kernel itself
     bounds = {1.0: 1e-10, 1.0 - 8.0 / power: 1e-11, 1.0 - 1e-6: 1e-17}
@@ -640,7 +645,7 @@ def test_eval_on_circle_matches_mpmath_at_exact_angles(power):
     )
     # +-4 peak widths sqrt(8/N) around each point of E, as exact angles
     window = math.sqrt(8.0 / power) * np.linspace(-4.0, 4.0, 17)
-    thetas = np.concatenate([t.theta + window for t in data.set.points])
+    thetas = (data.set.thetas[:, None] + window).ravel()
     with mpmath.workdps(60):
         exact = _mp_interpolant(g, mpmath.expj)
         ref = [exact(mpmath.expj(t)) for t in thetas]
@@ -655,8 +660,7 @@ def test_eval_on_circle_matches_eval_at_points(name):
     power = max(s.power for s in g.stages)
     window = math.sqrt(8.0 / power) * np.linspace(-4.0, 4.0, 17)
     thetas = np.concatenate(
-        [TWO_PI * np.arange(GRID) / GRID]
-        + [t.theta + window for t in data.set.points]
+        [TWO_PI * np.arange(GRID) / GRID, (data.set.thetas[:, None] + window).ravel()]
     )
     on_circle = eval_on_circle(g, thetas)
     assert np.max(np.abs(on_circle - eval_interpolant(g, np.exp(1j * thetas)))) <= 1e-6
@@ -671,6 +675,34 @@ def test_eval_on_circle_rejects_non_finite_angles():
             eval_on_circle(g, bad)
 
 
+def test_no_python_object_per_point(monkeypatch):
+    # E, each stage's data and every peak set are arrays: the build and the
+    # audit make an Angle only for an arc centre, one per cluster per stage
+    data = BoundaryData.from_pairs(
+        np.linspace(0.0, TWO_PI, 48, endpoint=False) + 0.05,
+        np.exp(2j * np.arange(48)) * np.linspace(1.0, 0.2, 48),
+    )
+    made = []
+    check = Angle.__post_init__
+    monkeypatch.setattr(Angle, "__post_init__", lambda a: made.append(check(a)))
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    report = verify_interpolant(g, data, seed=0)
+    monkeypatch.undo()
+    assert report.overall and len(g.stages) == 20
+    assert 0 < len(made) <= sum(len(s.clustering) for s in g.stages)
+    wrapped = 0
+    for s in g.stages:
+        assert s.clustering.data.set is data.set
+        assert type(s.clustering.data.values) is np.ndarray
+        for lam, c in zip(s.lambdas, s.clustering.clusters):
+            # a slice of E's array, or the join of two slices across the seam
+            crosses = c.start + c.size > c.n
+            wrapped += crosses
+            assert (lam.peaks.thetas.base is None) == crosses
+            assert crosses or lam.peaks.thetas.base is data.set.thetas
+    assert wrapped
+
+
 # ---------------------------------------------------------------- properties
 
 
@@ -680,7 +712,7 @@ def test_phase_equivariance(rng):
     data = random_problem(rng, 6)
     g = iterative_interpolant(data, 0.02, 6, GRID, MARGIN)
     c = complex(np.exp(0.7j))
-    scaled = BoundaryData(data.set, tuple(c * v for v in data.values))
+    scaled = BoundaryData(data.set, c * data.values)
     g_scaled = iterative_interpolant(scaled, 0.02, 6, GRID, MARGIN)
     assert [s.power for s in g_scaled.stages] == [s.power for s in g.stages]
     zs = np.concatenate(
@@ -739,7 +771,7 @@ def test_sup_bound_covers_narrow_peaks():
     data = BoundaryData.from_pairs(thetas, [1, -1, 0.6 + 0.3j, -0.2 + 0.7j])
     g = iterative_interpolant(data, 0.01, 4, GRID, MARGIN)
     bound = g.certificate.boundary_sup_bound
-    at_e = np.abs(eval_interpolant(g, data.set.complex_points()))
+    at_e = np.abs(eval_interpolant(g, np.exp(1j * data.set.thetas)))
     assert bound >= np.max(at_e)
     assert bound <= data.sup_norm + 0.01
     near = np.concatenate([t + np.linspace(-2e-3, 2e-3, 4001) for t in thetas])

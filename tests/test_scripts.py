@@ -19,7 +19,7 @@ def load_script(name):
 
 def test_demo_interpolation_runs(capsys):
     demo = load_script("demo_interpolation")
-    demo.main(["--points", "3", "--n-max", "3", "--grid-size", "4096"])
+    demo.main(["--points", "3", "--n-max", "3"])
     out = capsys.readouterr().out
     assert "boundary sup bound:" in out
     assert "overall=PASS" in out

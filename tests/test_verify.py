@@ -21,6 +21,7 @@ from diskinterp import (
 )
 import diskinterp.interpolate as interpolate_mod
 import diskinterp.verify as verify_mod
+from diskinterp.cli import boundary_grid
 from diskinterp.interpolate import arc_envelope, envelope_slack
 from conftest import random_problem
 
@@ -134,8 +135,8 @@ def test_modulus_bound_covers_the_values(thetas, values):
     # exact angles within 4 sqrt(8/N) of each point, where the peaks of
     # width sqrt(8/N) sit
     width = 4 * math.sqrt(8 / max([s.power for s in g.stages], default=1))
-    near = np.add.outer(data.set.thetas(), np.linspace(-width, width, 257))
-    angles = np.concatenate([data.set.thetas(), near.ravel()])
+    near = np.add.outer(data.set.thetas, np.linspace(-width, width, 257))
+    angles = np.concatenate([data.set.thetas, near.ravel()])
     assert np.all(np.abs(eval_on_circle(g, angles)) <= res.measured)
 
 
@@ -154,9 +155,9 @@ def test_boundary_sup_is_proved(rng, problem):
     assert res.passed
     assert res.params["rounds"] <= 2
     assert res.params["evaluations"] <= 2 * verify_mod.ENVELOPE_ARCS * len(data.set)
-    on_e = np.max(np.abs(eval_on_circle(g, data.set.thetas())))
+    on_e = np.max(np.abs(eval_on_circle(g, data.set.thetas)))
     assert on_e <= res.params["evaluated_max"] <= res.measured <= res.threshold
-    grid = np.max(np.abs(eval_on_circle(g, verify_mod.boundary_grid(GRID))))
+    grid = np.max(np.abs(eval_on_circle(g, boundary_grid(GRID))))
     assert grid <= res.measured
 
 
@@ -167,8 +168,8 @@ def test_close_pair_peaks_between_grid_nodes_are_bounded():
     data = BoundaryData.from_pairs(*CLOSE_PAIR)
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
     assert max(s.power for s in g.stages) > 2e9
-    on_e = np.max(np.abs(eval_on_circle(g, data.set.thetas())))
-    grid = np.max(np.abs(eval_on_circle(g, verify_mod.boundary_grid(1 << 16))))
+    on_e = np.max(np.abs(eval_on_circle(g, data.set.thetas)))
+    grid = np.max(np.abs(eval_on_circle(g, boundary_grid(1 << 16))))
     assert grid < on_e
     res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
     assert res.passed
@@ -178,7 +179,7 @@ def test_close_pair_peaks_between_grid_nodes_are_bounded():
 def test_bound_slack_is_exact_in_one_plus_slack():
     g = pipeline_output(np.random.default_rng(5))[1]
     terms = [(lam, s.power) for s in g.stages for lam in s.lambdas]
-    m = max(lam.peak_thetas.size for lam, _ in terms)
+    m = max(lam.peaks.thetas.size for lam, _ in terms)
     root = max(121, math.ceil(math.sqrt(max(power for _, power in terms))))
     units = 84 * (m + 2) + 7 * m * root + len(terms) + 260
     assert envelope_slack(g) == (units + units % 2) * 2.0**-53
@@ -203,7 +204,7 @@ def test_envelope_slack_covers_the_rounding(problem):
     assert top > 2e9
     width = math.sqrt(8 / top)
     offsets = width * np.array([0, 1 / 8, 1 / 2, 1, 2, 4])
-    near = np.add.outer(data.set.thetas(), np.concatenate([-offsets, offsets[1:]]))
+    near = np.add.outer(data.set.thetas, np.concatenate([-offsets, offsets[1:]]))
     angles = np.concatenate([near.ravel(), near.ravel() + 2 * math.pi])
     slack = envelope_slack(g)
     true_bound = [mpmath.mpf(0)] * angles.size
@@ -218,7 +219,7 @@ def test_envelope_slack_covers_the_rounding(problem):
                 computed[keep] = np.exp(stage.power * L.real)
                 scale = abs(stage.normalization * c)
                 for i, a in enumerate(angles.tolist()):
-                    d = [(mpmath.mpf(a) - mpmath.mpf(t)) / 2 for t in lam.peak_thetas]
+                    d = [(mpmath.mpf(a) - mpmath.mpf(t)) / 2 for t in lam.peaks.thetas]
                     if any(mpmath.sin(x) == 0 for x in d):
                         true = mpmath.mpf(1)
                     else:
@@ -255,7 +256,7 @@ def test_boundary_sup_fails_on_mutants(problem):
     res = check_boundary_sup(_scaled_stage_zero(g, 1.01), bound, tol)
     assert not res.passed and math.isfinite(res.measured)
     # a bound 1e-6 below the largest value on E: no refinement can help
-    on_e = float(np.max(np.abs(eval_on_circle(g, data.set.thetas()))))
+    on_e = float(np.max(np.abs(eval_on_circle(g, data.set.thetas))))
     res = check_boundary_sup(g, on_e - 1e-6, tol)
     assert not res.passed and res.params["rounds"] == 1
     assert on_e <= res.measured
