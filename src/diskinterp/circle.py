@@ -276,7 +276,8 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
     The returned arcs have positive clearance: every foreign point of the
     set sits strictly outside each arc, with margin at least a quarter of
     the bounding gap. Raises NoContractionError when, in floating point, an
-    arc cannot hold its members and keep its neighbours out.
+    arc cannot hold its members and keep its neighbours out, or when
+    cot(gap/2) of two neighbours overflows (gaps below about 1.1e-308).
     """
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
@@ -287,6 +288,11 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
         ranges = [(0, 1)]
     else:
         gaps = thetas[1:] - thetas[:-1]
+        # the smallest gap has the largest cotangent of its half; a float
+        # division overflows to inf, one by 0 raises
+        tan = math.tan(0.5 * float(gaps.min()))
+        if tan == 0.0 or math.isinf(1.0 / tan):
+            raise NoContractionError("points too close: cot(gap/2) overflows")
         j = int(gaps.argmax())
         # the gap across the seam comes last: it wins only when strictly larger
         start = 0 if thetas[0] + TWO_PI - thetas[-1] > gaps[j] else j + 1

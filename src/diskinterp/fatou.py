@@ -31,14 +31,15 @@ so it stays accurate next to a peak for powers up to about 1e10.
 The module also provides off-arc suprema and the minimal power that
 contracts those suprema below a target. No grid is needed for the suprema:
 off the peaks the cotangent sum is strictly decreasing, so on a peak-free
-arc |lambda| is largest at an arc endpoint. The suprema and the angle log
-share one cotangent sum.
+arc |lambda| is largest at an arc endpoint, and the suprema are read from
+the angle log there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,15 +58,15 @@ class FatouFunction:
     """Peak function for a finite boundary set: exactly 1 on ``peaks`` and
     below 1 in modulus everywhere else on the closed disk. The angles are
     ``peaks.thetas``; ``peak_points``, the read-only array of the points
-    e^(i*theta), is made once; equality and hash go by ``peaks``."""
+    e^(i*theta), is made on first read; equality and hash go by ``peaks``."""
 
     peaks: FiniteBoundarySet
-    peak_points: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def peak_points(self) -> np.ndarray:
         points = np.exp(1j * self.peaks.thetas)
         points.setflags(write=False)
-        object.__setattr__(self, "peak_points", points)
+        return points
 
     def __hash__(self) -> int:  # one call: the evaluation kernel's dict hashes often
         return hash(self.peaks._key)
@@ -139,7 +140,7 @@ def log_fatou(
     atan2(b, a + |F|^2), for F = a + ib.
     """
     outside = None  # indices outside the skip radius, once some are inside
-    radius = _skip_radius(fatou.peak_points.size, floor)
+    radius = _skip_radius(len(fatou.peaks), floor)
     if radius > 0.0:
         outside = (np.abs(zs) >= radius).nonzero()[0]
         if not outside.size:
@@ -236,15 +237,6 @@ def log_fatou_on_circle(
     return L, keep
 
 
-def _boundary_modulus(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
-    """|lambda(e^(i*theta))| = |y|/sqrt(1+y^2) off the peaks, y the cotangent
-    sum."""
-    y = _cotangent_sum(fatou, thetas)
-    m = np.abs(y) / np.hypot(1.0, y)
-    # y = +-inf (a node collided with a peak) gives nan; the limit is 1
-    return np.where(np.isnan(m), 1.0, m)
-
-
 def sup_off_arc(
     fatou: FatouFunction,
     excluded: Arc,
@@ -256,28 +248,23 @@ def sup_off_arc(
     The complementary closed arc holds no peak, so the cotangent sum y, each
     of whose terms has derivative -csc^2/2, is strictly decreasing on it and
     |lambda| = |y|/sqrt(1+y^2) is largest at one of the two arc endpoints;
-    the supremum is the larger endpoint value.
+    the supremum is exp(max Re log lambda) there (``log_fatou_on_circle``).
 
-    Raises NoContractionError when the inflated supremum reaches 1, and when
-    an arc end rounds onto a peak, where |lambda| = 1 (points a few ulps
-    apart on the circle).
+    Raises NoContractionError when the inflated supremum reaches 1, also
+    where an arc end rounds onto a peak, where log lambda = 0 (points a few
+    ulps apart on the circle).
     """
     if not (math.isfinite(safety_margin) and safety_margin > 0.0):
         raise ValueError("safety_margin must be positive")
     # a loop on plain floats: numpy's per-call overhead would cost more than
     # it for the few peaks most clusters have
-    center, half_width = excluded.center.theta, excluded.half_width
-    ends = [center + half_width, center + TWO_PI - half_width]
     for theta in fatou.peaks.thetas.tolist():
         if not excluded._holds(theta):
             raise ValueError(f"peak at angle {theta!r} lies outside the excluded arc")
-        if theta in ends:
-            raise NoContractionError(
-                f"an end of the excluded arc rounds onto the peak at {theta!r}; "
-                "separate close boundary points"
-            )
-    rho = float(np.max(_boundary_modulus(fatou, np.array(ends))))
-    rho *= 1.0 + safety_margin
+    center, half_width = excluded.center.theta, excluded.half_width
+    ends = np.array([center + half_width, center + TWO_PI - half_width])
+    L, _ = log_fatou_on_circle(fatou, ends)
+    rho = math.exp(float(L.real.max())) * (1.0 + safety_margin)
     if not rho < 1.0:
         raise NoContractionError(
             f"off-arc modulus bound {rho} reached 1; separate close "

@@ -34,8 +34,9 @@ points, so memory does not grow with the number of points beyond the
 result. Two reducers share that traversal: the values, scale * exp(N log
 lambda), and the arc envelope ``arc_envelope``, which takes each term's
 modulus |scale| * exp(N Re log lambda), with real exponentials and no
-phase, at the two ends of an arc and keeps the larger; so the audit bounds
-|g| on whole arcs of the circle from their ends. A term is skipped where
+phase, at the two ends of an arc and keeps the larger, and also sums the
+values there; so the audit bounds |g| on whole arcs of the circle from
+their ends and reads g there in one traversal. A term is skipped where
 |lambda|^N < TERM_FLOOR = 2^-60, in the values and the envelope alike, so a
 value moves by less than 2^-60 * sum |scale|. The kernel hands the log the
 floor log(TERM_FLOOR)/N of the group's lowest power; the log returns log lambda
@@ -392,16 +393,17 @@ def eval_on_circle(interpolant: Interpolant, thetas):
     return _eval_stages(interpolant.stages, _finite_angles(thetas), log_fatou_on_circle)
 
 
-def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray]:
-    """(envelope, at_ends) for arcs of the circle given by the angles of
-    their two ends, an (arcs, 2) array of finite angles.
+def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, ...]:
+    """(envelope, at_ends, values) for arcs of the circle given by the angles
+    of their two ends, an (arcs, 2) array of finite angles.
 
-    ``at_ends`` has the shape of ``ends``: B(theta) = sum |scale| exp(N Re
-    log lambda) over the terms that ``eval_on_circle`` keeps at e^(i*theta).
-    ``envelope`` is, per arc, sum |scale| max(exp(N Re log lambda(a)),
-    exp(N Re log lambda(b))) over the terms. Both add (TERM_FLOOR + s) *
-    sum |scale|, s the ``envelope_slack``, for the dropped terms and the
-    rounding, so they bound the true moduli.
+    ``at_ends`` and ``values`` have the shape of ``ends``; ``values`` is g
+    there, bit for bit ``eval_on_circle`` (same logs, same order), and
+    ``at_ends`` B(theta) = sum |scale| exp(N Re log lambda) over the terms
+    it keeps at e^(i*theta). ``envelope`` is, per arc, sum |scale| max(exp(N
+    Re log lambda(a)), exp(N Re log lambda(b))) over the terms. Both add
+    (TERM_FLOOR + s) * sum |scale|, s the ``envelope_slack``, for the
+    dropped terms and the rounding, so they bound the true moduli.
 
     On an arc with no peak of any term inside it, each term's modulus is
     largest at an end (``fatou.sup_off_arc``), so ``envelope`` bounds |g| on
@@ -412,9 +414,11 @@ def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray
     ends = _finite_angles(ends)
     flat = ends.reshape(-1)
     at_ends = np.zeros(flat.size)
+    values = np.zeros(flat.size, dtype=complex)
     envelope = np.zeros(ends.shape[0])
     terms = list(_all_terms(interpolant.stages))
     for start, idx, power, scale, L in _kept_terms(terms, flat, log_fatou_on_circle):
+        values[start : start + CHUNK][idx] += scale * np.exp(power * L)
         moduli = np.zeros(min(CHUNK, flat.size - start))
         moduli[idx] = abs(scale) * np.exp(power * L.real)
         at_ends[start : start + CHUNK] += moduli
@@ -422,7 +426,8 @@ def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray
     allowance = (TERM_FLOOR + envelope_slack(interpolant)) * math.fsum(
         abs(scale) for _, _, scale in terms
     )
-    return envelope + allowance, at_ends.reshape(ends.shape) + allowance
+    at_ends += allowance
+    return envelope + allowance, at_ends.reshape(ends.shape), values.reshape(ends.shape)
 
 
 def envelope_slack(interpolant: Interpolant) -> float:

@@ -13,11 +13,11 @@ check starts from the arcs between consecutive points of E and bisects the
 arcs whose envelope exceeds the certified ``boundary_sup_bound`` plus
 ``SUP_TOL``, for at most ``ENVELOPE_ROUNDS`` rounds and ``ENVELOPE_ARCS``
 arcs per point of E; its measurement is the proved upper bound, and the
-maximum-modulus check takes its ceiling from it. Points on the circle, the
-set and the arc ends, are evaluated from their angles (``eval_on_circle``,
-``arc_envelope``); the interior samples and Cauchy contours from points
-(``eval_interpolant``). Checks are pure and deterministic given their
-parameters.
+maximum-modulus check takes its ceiling from it. The envelope also hands
+back g at the arc ends, whose largest modulus is a lower bound. The set is
+evaluated from its angles (``eval_on_circle``); the interior samples and
+Cauchy contours from points (``eval_interpolant``). Checks are pure and
+deterministic given their parameters.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ def check_boundary_sup(
     the proved ones and the last round's: an upper bound on |g| that is
     finite whenever the moduli are. ``params`` give the rounds, the number
     of angles evaluated for envelopes, and ``evaluated_max``, the largest
-    |g| at an arc end (the peak angles included), a lower bound on the sup.
+    |g| at an arc end (the peak angles included), a lower bound on the sup
+    read from the envelope's values, so each round traverses the terms once.
     """
     threshold = float(bound) + float(tol)
     sets = {lam.peaks for s in interpolant.stages for lam in s.lambdas}  # distinct
@@ -123,15 +124,14 @@ def check_boundary_sup(
         budget = ENVELOPE_ARCS * peaks.size
         # the last arc wraps to the first peak; its end is evaluated there
         lo, hi = peaks, np.append(peaks[1:], peaks[0] + TWO_PI)
-        wrap, new, arcs = hi[-1], peaks, 0
+        wrap, arcs = hi[-1], 0
         while True:
             rounds += 1
             arcs += lo.size
             ends = np.stack([lo, np.where(hi == wrap, peaks[0], hi)], axis=1)
-            envelope, at_ends = arc_envelope(interpolant, ends)
+            envelope, at_ends, values = arc_envelope(interpolant, ends)
             evaluations += ends.size
-            values = np.abs(eval_on_circle(interpolant, new))
-            evaluated_max = max(evaluated_max, float(np.max(values)))
+            evaluated_max = max(evaluated_max, float(np.max(np.abs(values))))
             measured = float(np.max(np.append(envelope, proved)))
             if not np.all(at_ends <= threshold):
                 break
@@ -148,7 +148,7 @@ def check_boundary_sup(
                 or not np.all((lo < mid) & (mid < hi))
             ):
                 break
-            lo, hi, new = np.concatenate([lo, mid]), np.concatenate([mid, hi]), mid
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     return CheckResult(
         name="boundary_sup",
         passed=passed,

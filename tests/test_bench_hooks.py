@@ -81,18 +81,19 @@ def test_audit_calls_through_traced_names(monkeypatch):
     e = data.set.thetas
     assert np.array_equal(first[:, 0], e)
     assert np.array_equal(first[:, 1], np.roll(e, -1))
-    # the values: E and each round's new arc ends for the boundary check,
-    # then E for the value check
-    evaluated = angles["eval_on_circle"]
-    assert np.array_equal(evaluated[0], e) and np.array_equal(evaluated[-1], e)
+    # the boundary check reads its values at the arc ends from the envelope,
+    # one call per round; the values are formed once more, on E, for the
+    # value check
     boundary = next(c for c in report.checks if c.name == "boundary_sup")
-    assert boundary.params["rounds"] == 2 and len(evaluated) == 3
-    assert not np.isin(np.concatenate(evaluated[1:-1]), e).any()
+    assert boundary.params["rounds"] == 2 == len(angles["arc_envelope"])
+    evaluated = angles["eval_on_circle"]
+    assert len(evaluated) == 1 and np.array_equal(evaluated[0], e)
     # no grid reaches the circle log: each distinct peak function sees at
-    # most 3 ENVELOPE_ARCS angles per point of E over the whole audit
-    # (2 per arc for the envelope, at most one new end per split, and E)
+    # most 2 ENVELOPE_ARCS + 1 angles per point of E over the whole audit
+    # (2 per arc for the envelope, and E)
     assert max(sizes) < GRID
-    assert sum(sizes) <= distinct_lambdas(g) * 3 * verify_mod.ENVELOPE_ARCS * e.size
+    budget = distinct_lambdas(g) * (2 * verify_mod.ENVELOPE_ARCS + 1) * e.size
+    assert sum(sizes) <= budget
 
 
 def count_log_calls(monkeypatch, name):
@@ -142,11 +143,13 @@ def test_bound_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
     sizes = count_log_calls(monkeypatch, "log_fatou_on_circle")
     thetas = 2 * np.pi * np.arange(CHUNK + 1) / (CHUNK + 1)
     ends = np.stack([thetas, np.roll(thetas, -1)], axis=1)
-    envelope, at_ends = interpolate_mod.arc_envelope(g, ends)
+    envelope, at_ends, values = interpolate_mod.arc_envelope(g, ends)
     assert len(sizes) == distinct_lambdas(g) * 3
     assert max(sizes) == CHUNK
     assert envelope.shape == thetas.shape and at_ends.shape == ends.shape
     assert np.all(envelope >= at_ends.max(axis=1))
+    # the values at the ends are eval_on_circle's, bit for bit
+    assert np.array_equal(values, eval_on_circle(g, ends))
 
 
 class CountingPeak(complex):

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 from diskinterp import (
     Angle,
     Arc,
+    BoundaryData,
     DomainError,
     FatouFunction,
     FiniteBoundarySet,
     NoContractionError,
     choose_power,
+    cluster_by_oscillation,
     eval_fatou,
     sup_off_arc,
 )
 from diskinterp.fatou import (
     FEW_ANGLES,
     PEAK_SNAP,
-    _boundary_modulus,
     _cotangent_sum,
     _skip_radius,
     log_fatou,
@@ -257,22 +258,30 @@ def test_boundary_imag_examples():
     assert log_fatou(f, np.array([-1.0 + 0.0j]))[0][0] == -math.inf
 
 
+def circle_modulus(fatou, thetas):
+    """|lambda(e^(i*theta))| = exp(Re log lambda) from the angle log, the one
+    formula the library reads the modulus on the circle from."""
+    L, keep = log_fatou_on_circle(fatou, thetas)
+    assert keep.size == thetas.size
+    return np.exp(L.real)
+
+
 def test_boundary_modulus_examples():
     g = two_peaks()
     # y = 2 at pi/4, so |lambda| = 2/sqrt(5), matching |lambda| computed directly
-    m = _boundary_modulus(g, np.array([math.pi / 4]))[0]
+    m = circle_modulus(g, np.array([math.pi / 4]))[0]
     assert m == pytest.approx(2 / math.sqrt(5), abs=1e-12)
     assert m == pytest.approx(abs(eval_fatou(g, cmath.exp(1j * math.pi / 4))), abs=1e-12)
     # lambda = (1+z)/2 for the single peak at 0 vanishes at -1
     f = single_peak()
-    assert _boundary_modulus(f, np.array([math.pi]))[0] == pytest.approx(0.0, abs=1e-15)
+    assert circle_modulus(f, np.array([math.pi]))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_boundary_modulus_even_around_peak():
     f = single_peak()
     ts = np.array([0.3, 1.0, 2.5])
-    assert _boundary_modulus(f, ts) == pytest.approx(
-        _boundary_modulus(f, TWO_PI - ts), rel=1e-12
+    assert circle_modulus(f, ts) == pytest.approx(
+        circle_modulus(f, TWO_PI - ts), rel=1e-12
     )
 
 
@@ -288,7 +297,7 @@ def test_boundary_modulus_matches_eval(rng):
         )
         thetas = thetas[dist > 1e-6]
         direct = np.abs(eval_fatou(f, np.exp(1j * thetas)))
-        assert np.max(np.abs(direct - _boundary_modulus(f, thetas))) < 1e-10
+        assert np.max(np.abs(direct - circle_modulus(f, thetas))) < 1e-10
 
 
 def test_cotangent_sum_does_not_depend_on_the_split(rng):
@@ -430,6 +439,67 @@ def test_sup_off_arc_parameter_validation():
     arc = Arc(Angle(0.0), 1.0)
     with pytest.raises(ValueError):
         sup_off_arc(f, arc, 0.0)
+
+
+def peak_functions_on_arcs(data, epsilon):
+    """(peak function, arc) of each cluster, as the build forms them."""
+    clustering = cluster_by_oscillation(data, epsilon)
+    return [
+        (FatouFunction(data.set._circular_range(c.start, c.size)), c.arc)
+        for c in clustering.clusters
+    ]
+
+
+def sup_off_arc_cases(rng):
+    cases = []
+    for n in (3, 8, 20):
+        data = BoundaryData.from_pairs(
+            np.sort(rng.uniform(0, TWO_PI, n)), rng.uniform(-1, 1, n)
+        )
+        cases += peak_functions_on_arcs(data, 0.5)
+    # the pair 1e-3 apart, where 1 - rho is about 8e-9
+    pair = BoundaryData.from_pairs(
+        [1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j]
+    )
+    cases += peak_functions_on_arcs(pair, 0.1)
+    return cases
+
+
+def test_sup_off_arc_matches_mpmath_at_the_arc_ends(rng):
+    # rho/(1 + m) is within 4 ulp of the larger |y|/sqrt(1 + y^2) at the two
+    # arc ends, with y formed in mpmath at the same double ends
+    mpmath = pytest.importorskip("mpmath")
+    margin = 1e-9
+    cases = sup_off_arc_cases(rng)
+    assert any(len(f.peaks) > 1 for f, _ in cases)
+    closest = 1.0
+    with mpmath.workdps(40):
+        for f, arc in cases:
+            rho = sup_off_arc(f, arc, margin) / (1.0 + margin)
+            center, hw = arc.center.theta, arc.half_width
+            true = mpmath.mpf(0)
+            for end in (center + hw, center + TWO_PI - hw):
+                y = mpmath.fsum(
+                    mpmath.cot((mpmath.mpf(end) - mpmath.mpf(t)) / 2)
+                    for t in f.peaks.thetas.tolist()
+                )
+                true = max(true, abs(y) / mpmath.sqrt(1 + y * y))
+            assert abs(rho - true) <= 4 * math.ulp(float(true))
+            closest = min(closest, 1.0 - rho)
+    assert closest < 1e-8
+
+
+def test_sup_off_arc_bounds_the_complement_arc(rng):
+    # no angle sampled densely on the complement arc reads a modulus above
+    # the supremum, which the arc ends attain
+    margin = 1e-12
+    for f, arc in sup_off_arc_cases(rng):
+        rho = sup_off_arc(f, arc, margin)
+        center, hw = arc.center.theta, arc.half_width
+        thetas = np.linspace(center + hw, center + TWO_PI - hw, 20_001)
+        moduli = circle_modulus(f, thetas)
+        assert np.max(moduli) <= rho
+        assert np.max(moduli[[0, -1]]) == pytest.approx(rho, rel=1e-11)
 
 
 def test_sup_off_arc_no_contraction():

@@ -199,6 +199,26 @@ def test_points_one_ulp_apart_across_the_seam_fail_typed(thetas, values):
         iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [(1, 1, 0), (0, 0, 1)])
+@pytest.mark.parametrize("gap", [5e-324, 1e-323, 1e-309])
+def test_subnormal_neighbours_fail_typed(gap, values):
+    # 1/tan(gap/2) is not finite: half of 5e-324 rounds to 0, and below
+    # about 1.1e-308 the cotangent overflows, so no cotangent sum holds both
+    # points; the clustering refuses them, with no warning
+    data = BoundaryData.from_pairs([0.0, gap, 2.0], values)
+    with pytest.raises(NoContractionError, match="too close"):
+        iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [(1, 1, 0), (0, 0, 1)])
+def test_neighbours_2e_308_apart_build(values):
+    data = BoundaryData.from_pairs([0.0, 2e-308, 2.0], values)
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    assert g.stages
+
+
 def test_stage_pinned_power_certification_failure(monkeypatch):
     # power 1 leaves heavy cross-cluster leakage; the stage contract breaks
     monkeypatch.setattr(diskinterp.interpolate, "choose_power", lambda *a: 1)

@@ -232,7 +232,7 @@ def test_envelope_slack_covers_the_rounding(problem):
                     true_bound[i] += scale * true
     assert worst <= 1.0
     ends = angles.reshape(-1, 2)
-    _, at_ends = arc_envelope(g, ends)
+    _, at_ends, _ = arc_envelope(g, ends)
     assert all(float(t) <= b for t, b in zip(true_bound, at_ends.ravel()))
 
 
@@ -281,32 +281,31 @@ def test_boundary_sup_fails_on_a_nan_value(monkeypatch):
 
 def test_boundary_sup_evaluates_where_the_bound_is_nan(monkeypatch):
     # a NaN bound at a new arc end of the second round, with finite
-    # envelopes: the check forms the value there, then fails at once with a
+    # envelopes: the check reads the value there, then fails at once with a
     # finite upper bound
     data = BoundaryData.from_pairs([0.0, 2.5], [1.0, -0.5j])
     g = iterative_interpolant(data, 0.01, 3, GRID, 1e-9)
     bound = g.certificate.boundary_sup_bound
     assert check_boundary_sup(g, bound, 1e-9).params["rounds"] == 2
-    envelope, values = verify_mod.arc_envelope, verify_mod.eval_on_circle
-    rounds, evaluated = [], []
+    envelope = verify_mod.arc_envelope
+    rounds, values = [], []
 
     def nan_end(g, ends):
-        env, at_ends = envelope(g, ends)
+        env, at_ends, vals = envelope(g, ends)
         rounds.append(ends)
+        values.append(vals)
         if len(rounds) == 2:
             at_ends[0, 1] = np.nan
-        return env, at_ends
-
-    def recorded(g, thetas):
-        evaluated.extend(np.asarray(thetas).tolist())
-        return values(g, thetas)
+        return env, at_ends, vals
 
     monkeypatch.setattr(verify_mod, "arc_envelope", nan_end)
-    monkeypatch.setattr(verify_mod, "eval_on_circle", recorded)
     res = check_boundary_sup(g, bound, 1e-9)
     assert not res.passed
     assert len(rounds) == 2 and res.params["rounds"] == 2
-    assert rounds[1][0, 1] in evaluated
+    assert not np.isin(rounds[1][0, 1], rounds[0])
+    assert values[1][0, 1] == eval_on_circle(g, rounds[1][0, 1])
+    evaluated_max = max(float(np.max(np.abs(v))) for v in values)
+    assert abs(values[1][0, 1]) <= res.params["evaluated_max"] == evaluated_max
     assert math.isfinite(res.measured)
 
 
