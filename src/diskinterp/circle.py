@@ -38,26 +38,25 @@ class Angle:
 
 def normalize_angle(theta: float) -> Angle:
     """Reduce a finite angle modulo 2*pi into [0, 2*pi)."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"cannot normalize non-finite angle {theta!r}")
-    t = math.fmod(theta, TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
-    if t >= TWO_PI:  # the correction above can round up to the period itself
-        t = 0.0
-    return Angle(t)
+    return Angle(float(_normalized([theta])[0]))
 
 
 def _normalized(thetas) -> np.ndarray:
-    """``normalize_angle`` of every angle of an array-like, bit for bit."""
+    """Every finite angle of an array-like reduced modulo 2*pi into [0, 2*pi):
+    the one reduction rule, ``normalize_angle`` for a single angle."""
     ts = np.asarray(thetas, dtype=float)
     if not np.isfinite(ts).all():
         raise ValueError("cannot normalize non-finite angles")
     ts = np.fmod(ts, TWO_PI)
     ts[ts < 0.0] += TWO_PI
-    ts[ts >= TWO_PI] = 0.0
+    ts[ts >= TWO_PI] = 0.0  # the correction above can round up to the period
     return ts
+
+
+def modulus(values: np.ndarray) -> np.ndarray:
+    """|v| of complex data as the hypot of its parts: Python's abs(complex)
+    bit for bit, where numpy's complex abs can differ in the last bit."""
+    return np.hypot(values.real, values.imag)
 
 
 def _distance(a: float, b: float) -> float:
@@ -153,7 +152,7 @@ class FiniteBoundarySet:
 class BoundaryData:
     """Complex samples on a finite boundary set: ``values``, a read-only
     complex array in the order of ``set.thetas``. ``sup_norm`` caches their
-    maximum modulus, zero exactly when every value is. Data compare by
+    maximum ``modulus``, zero exactly when every value is. Data compare by
     identity."""
 
     set: FiniteBoundarySet
@@ -168,10 +167,7 @@ class BoundaryData:
             raise ValueError("data values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        # hypot is the modulus of Python's abs(complex), bit for bit; numpy's
-        # complex abs can differ in the last bit
-        sup_norm = float(np.hypot(vals.real, vals.imag).max())
-        object.__setattr__(self, "sup_norm", sup_norm)
+        object.__setattr__(self, "sup_norm", float(modulus(vals).max()))
 
     @classmethod
     def from_pairs(cls, thetas, values) -> "BoundaryData":
@@ -269,9 +265,9 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
     newest member first, from one array pass over neighbouring values, then
     one numpy comparison against the rest), then a final wraparound check,
     one value of the last cluster at a time against the first, merges the
-    two when their union still satisfies the bound. A one-point set is
-    always a single cluster. Clusters come back as contiguous circular index
-    ranges.
+    two when their union still satisfies the bound. Differences are taken
+    by ``modulus``. A one-point set is always a single cluster. Clusters
+    come back as contiguous circular index ranges.
 
     The returned arcs have positive clearance: every foreign point of the
     set sits strictly outside each arc, with margin at least a quarter of
@@ -297,16 +293,14 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
         # the gap across the seam comes last: it wins only when strictly larger
         start = 0 if thetas[0] + TWO_PI - thetas[-1] > gaps[j] else j + 1
         swept = np.concatenate((data.values[start:], data.values[:start]))
-        step = swept[1:] - swept[:-1]
-        # hypot is the modulus of Python's abs(complex), bit for bit
-        joins = (np.hypot(step.real, step.imag) < epsilon).tolist()
+        joins = (modulus(swept[1:] - swept[:-1]) < epsilon).tolist()
         heads = [0]  # sweep positions where blocks begin
         for i in range(1, n):
             h = heads[-1]
             # the newest member first: most rejections need no array work
             if not (
                 joins[i - 1]
-                and (h == i - 1 or abs(swept[h : i - 1] - swept[i]).max() < epsilon)
+                and (h == i - 1 or modulus(swept[h : i - 1] - swept[i]).max() < epsilon)
             ):
                 heads.append(i)
         heads.append(n)
@@ -315,11 +309,11 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
         ]
         if len(ranges) >= 2:
             head_block = swept[: heads[1]]
-            if all(abs(head_block - v).max() < epsilon for v in swept[heads[-2] :]):
+            if all(modulus(head_block - v).max() < epsilon for v in swept[heads[-2] :]):
                 last = ranges.pop()
                 ranges[0] = (last[0], last[1] + ranges[0][1])
     try:
-        clusters = []
+        centres, halves = [], []
         for head, size in ranges:
             # centred on the block, extended into the neighbouring gaps by a
             # quarter of the nearer one, capped so the half-width stays below pi
@@ -329,9 +323,12 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
             if len(ranges) > 1:
                 before = (start - float(thetas[head - 1])) % TWO_PI
                 gap = min(before, (float(thetas[(head + size) % n]) - end) % TWO_PI)
-            ext = min(gap / 4.0, (math.pi - span / 2.0) / 2.0)
-            arc = Arc(normalize_angle(start + span / 2.0), span / 2.0 + ext)
-            clusters.append(Cluster(head, size, n, arc))
+            centres.append(start + span / 2.0)
+            halves.append(span / 2.0 + min(gap / 4.0, (math.pi - span / 2.0) / 2.0))
+        clusters = [
+            Cluster(head, size, n, Arc(Angle(c), w))
+            for (head, size), c, w in zip(ranges, _normalized(centres).tolist(), halves)
+        ]
         return Clustering(data, tuple(clusters), epsilon)
     except ValueError as exc:  # the ranges tile the set: only the arcs' rounding fails
         raise NoContractionError(

@@ -76,6 +76,8 @@ def test_audit_calls_through_traced_names(monkeypatch):
     assert report.overall
     assert all(calls[name] >= 1 for name in EVAL_HOOKS + CHECK_HOOKS), calls
     assert calls["check_cauchy_identity"] == verify_mod.CAUCHY_PAIRS
+    # the interior samples, then each Cauchy contour with its centre
+    assert calls["eval_interpolant"] == 1 + verify_mod.CAUCHY_PAIRS
     # the envelope starts from the arcs between the points of E
     first = angles["arc_envelope"][0]
     e = data.set.thetas

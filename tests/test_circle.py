@@ -387,6 +387,28 @@ def test_clustering_matches_reference_sweep(rng):
         assert [cl.members for cl in c.clusters] == _reference_sweep(data, eps)
 
 
+D_NEAR = -0.5442589828573099 - 0.31630015636915454j
+D_AT = 0.9034701816518086 + 0.09401229776087457j  # abs(D_AT) = 0.9083483259544388
+
+
+@pytest.mark.parametrize(
+    "thetas, values, eps, expected",
+    [
+        # Python's |d| is below eps and numpy's is not: all three join
+        ((0.0, 0.1, 0.2), (0, D_NEAR / 2, D_NEAR), 0.6294947413124475, [(0, 1, 2)]),
+        # |v2 - v0| is exactly eps, which the strict bound keeps apart
+        ((0.0, 0.1, 0.2), (0, D_AT / 2, D_AT), abs(D_AT), [(0, 1), (2,)]),
+        # the same pair across the seam: the wraparound merge keeps it apart
+        ((0.0, 0.1, 3.0, 3.1), (0, 10, 20, D_AT), abs(D_AT), [(0,), (1,), (2,), (3,)]),
+    ],
+)
+def test_clustering_takes_pythons_abs(thetas, values, eps, expected):
+    data = BoundaryData.from_pairs(thetas, values)
+    c = cluster_by_oscillation(data, eps)
+    assert _reference_sweep(data, eps) == expected
+    assert [cl.members for cl in c.clusters] == expected
+
+
 @st.composite
 def rotation_cases(draw):
     n = draw(st.integers(1, 8))

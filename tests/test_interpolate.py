@@ -36,6 +36,7 @@ from diskinterp.fatou import (
 from diskinterp.interpolate import (
     CHUNK,
     LOG_TERM_FLOOR,
+    RESIDUAL_FLOOR,
     TERM_FLOOR,
     _terms_sum,
 )
@@ -295,6 +296,27 @@ def test_pipeline_telescoping_and_sup_chain(rng):
         assert res_sup == pytest.approx(stage.certified_residual, abs=1e-14)
 
 
+@pytest.mark.parametrize("eta, n_max, at_floor", [(0.01, 20, False), (1e-9, 40, True)])
+def test_pipeline_measures_each_residual_once(eta, n_max, at_floor):
+    # data normalized by numpy's modulus: numpy's sup and Python's differ in
+    # the last bit
+    rng = np.random.default_rng(7)
+    thetas = np.sort(rng.uniform(0.0, TWO_PI, 4))
+    vals = rng.normal(size=4) + 1j * rng.normal(size=4)
+    data = BoundaryData.from_pairs(thetas, vals / np.max(np.abs(vals)))
+    assert float(np.max(np.abs(data.values))) != data.sup_norm
+    g = iterative_interpolant(data, eta, n_max, GRID, MARGIN)
+    res_sup = data.sup_norm
+    for k, stage in enumerate(g.stages):
+        sup = stage.clustering.data.sup_norm
+        assert sup == res_sup
+        assert stage.epsilon == g.schedule.terms[k] / (1.0 + 2.0 * sup)
+        res_sup = stage.certified_residual
+    assert g.certificate.measured_max_residual_on_E == res_sup
+    # the run stops at n_max, or once the residual drops below the floor
+    assert (len(g.stages) < n_max) == at_floor == (res_sup < RESIDUAL_FLOOR)
+
+
 def test_pipeline_eval_matches_stage_sum(rng):
     data = random_problem(rng, 5)
     g = iterative_interpolant(data, 0.05, 4, GRID, MARGIN)
@@ -342,9 +364,9 @@ def test_pipeline_stage_over_budget_rejected(monkeypatch):
     build = diskinterp.interpolate._build_stage
 
     def over_budget(data, epsilon, safety_margin):
-        stage, at_e = build(data, epsilon, safety_margin)
+        stage, residual = build(data, epsilon, safety_margin)
         eta_n = epsilon * (1.0 + 2.0 * data.sup_norm)
-        return dataclasses.replace(stage, certified_residual=2.0 * eta_n), at_e
+        return dataclasses.replace(stage, certified_residual=2.0 * eta_n), residual
 
     monkeypatch.setattr(diskinterp.interpolate, "_build_stage", over_budget)
     data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, -1.0, 1.0j])
