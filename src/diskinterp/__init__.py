@@ -17,9 +17,7 @@ from .circle import (
     Cluster,
     Clustering,
     FiniteBoundarySet,
-    angular_distance,
     cluster_by_oscillation,
-    normalize_angle,
 )
 from .errors import (
     CertificationError,
@@ -74,7 +72,6 @@ __all__ = [
     "NoContractionError",
     "StageApproximant",
     "VerificationReport",
-    "angular_distance",
     "check_boundary_sup",
     "check_cauchy_identity",
     "check_max_modulus",
@@ -87,7 +84,6 @@ __all__ = [
     "eval_stage",
     "iterative_interpolant",
     "make_schedule",
-    "normalize_angle",
     "residual_bound_after",
     "single_stage",
     "sup_off_arc",

@@ -5,7 +5,9 @@ of angles, and complex data on it as one read-only array of values; and the
 oscillation clustering that partitions a data set into contiguous index
 ranges living on pairwise disjoint arcs with value variation below a given
 bound. No layer holds a Python object per point: an ``Angle`` is made for
-each arc centre, one per cluster.
+each arc centre, one per cluster. One rule each reduces angles
+(``_normalized``), measures between two (``_distance``), tests one against
+an arc (``Arc.contains``) and takes |v| of complex data (``modulus``).
 """
 
 from __future__ import annotations
@@ -31,19 +33,12 @@ class Angle:
         if not math.isfinite(self.theta):
             raise ValueError(f"angle must be finite, got {self.theta!r}")
         if not 0.0 <= self.theta < TWO_PI:
-            raise ValueError(
-                f"angle {self.theta!r} outside [0, 2*pi); use normalize_angle"
-            )
-
-
-def normalize_angle(theta: float) -> Angle:
-    """Reduce a finite angle modulo 2*pi into [0, 2*pi)."""
-    return Angle(float(_normalized([theta])[0]))
+            raise ValueError(f"angle {self.theta!r} outside [0, 2*pi)")
 
 
 def _normalized(thetas) -> np.ndarray:
     """Every finite angle of an array-like reduced modulo 2*pi into [0, 2*pi):
-    the one reduction rule, ``normalize_angle`` for a single angle."""
+    the one reduction rule, for one angle or many alike."""
     ts = np.asarray(thetas, dtype=float)
     if not np.isfinite(ts).all():
         raise ValueError("cannot normalize non-finite angles")
@@ -60,13 +55,9 @@ def modulus(values: np.ndarray) -> np.ndarray:
 
 
 def _distance(a: float, b: float) -> float:
+    """Geodesic distance between two reduced angles, in [0, pi]."""
     d = abs(a - b)
     return min(d, TWO_PI - d)
-
-
-def angular_distance(a: Angle, b: Angle) -> float:
-    """Geodesic distance between two angles, in [0, pi]."""
-    return _distance(a.theta, b.theta)
 
 
 @dataclass(frozen=True)
@@ -85,10 +76,8 @@ class Arc:
                 f"arc half_width must lie in (0, pi), got {self.half_width!r}"
             )
 
-    def contains(self, angle: Angle) -> bool:
-        return self._holds(angle.theta)
-
-    def _holds(self, theta: float) -> bool:
+    def contains(self, theta: float) -> bool:
+        """Whether the reduced angle ``theta`` lies in the open arc."""
         return _distance(theta, self.center.theta) < self.half_width
 
 
@@ -239,17 +228,17 @@ class Clustering:
             arc = c.arc
             first, last = float(ts[c.start]), float(ts[(c.start + c.size - 1) % n])
             lo = arc.center.theta - arc.half_width  # the arc's clockwise edge
-            inside = arc._holds(first) and arc._holds(last)
+            inside = arc.contains(first) and arc.contains(last)
             if not (inside and (first - lo) % TWO_PI <= (last - lo) % TWO_PI):
                 raise ValueError(f"cluster {j}: a member lies outside its arc")
             if k > 1 and (
-                arc._holds(float(ts[(c.start - 1) % n]))
-                or arc._holds(float(ts[(c.start + c.size) % n]))
+                arc.contains(float(ts[(c.start - 1) % n]))
+                or arc.contains(float(ts[(c.start + c.size) % n]))
             ):
                 raise ValueError(f"cluster {j}: a foreign point lies in its arc")
         for j in range(k if k > 2 else k - 1):
             a, b = cs[j].arc, cs[(j + 1) % k].arc
-            if angular_distance(a.center, b.center) < a.half_width + b.half_width:
+            if _distance(a.center.theta, b.center.theta) < a.half_width + b.half_width:
                 raise ValueError(f"arcs of clusters {j} and {(j + 1) % k} overlap")
 
     def __len__(self) -> int:

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .circle import BoundaryData, FiniteBoundarySet
+from .circle import BoundaryData, FiniteBoundarySet, modulus
 from .errors import CertificationError, NoContractionError
 from .fatou import FatouFunction, log_fatou_on_circle
 from .interpolate import (
@@ -52,6 +52,7 @@ EXIT_CERTIFICATION = 4
 DEFAULT_N_MAX = 20
 DEFAULT_GRID_SIZE = 1 << 16   # rows of --grid-out
 MIN_GRID_SIZE = 1 << 12
+MAX_GRID_SIZE = 1 << 20       # CSV rows at most: built in memory, ~100 bytes each
 DEFAULT_SAFETY_MARGIN = 1e-9
 DEFAULT_SEED = 0
 FIELD_MATCH_TOL = 1e-12
@@ -145,8 +146,10 @@ class ProblemSpec:
             make_schedule(self.eta, self.n_max)
         except ValueError as exc:
             raise ValidationFailure(f"problem: {exc}") from exc
-        if self.grid_size < MIN_GRID_SIZE:
-            raise ValidationFailure(f"problem: grid_size must be >= {MIN_GRID_SIZE}")
+        if not MIN_GRID_SIZE <= self.grid_size <= MAX_GRID_SIZE:
+            raise ValidationFailure(
+                f"problem: grid_size must lie in [{MIN_GRID_SIZE}, {MAX_GRID_SIZE}]"
+            )
         if not (math.isfinite(self.safety_margin) and self.safety_margin > 0.0):
             raise ValidationFailure("problem: safety_margin must be positive")
         if self.seed < 0:
@@ -193,10 +196,9 @@ def boundary_grid(grid_size: int) -> np.ndarray:
 
 
 def _grid_csv(thetas: np.ndarray, values: np.ndarray) -> str:
+    """The rows theta,re,im,abs of values at angles; abs is ``modulus``."""
     lines = ["theta,re,im,abs"]
-    # numpy's modulus, the one the audit takes, which can differ from
-    # Python's abs(complex) in the last bit
-    for t, v, m in zip(thetas, values, np.abs(values)):
+    for t, v, m in zip(thetas, values, modulus(values)):
         lines.append(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(m)}")
     return "\n".join(lines) + "\n"
 
@@ -236,12 +238,10 @@ def _parse_peaks_file(path: str) -> FiniteBoundarySet:
 
 
 def cmd_fatou(args) -> int:
-    peaks = _parse_peaks_file(args.peaks_file)
-    fatou = FatouFunction(peaks)
-    k = args.eval_grid
-    if k < 1:
-        raise ValidationFailure("--eval-grid must be at least 1")
-    thetas = boundary_grid(k)
+    fatou = FatouFunction(_parse_peaks_file(args.peaks_file))
+    if not 1 <= args.eval_grid <= MAX_GRID_SIZE:
+        raise ValidationFailure(f"--eval-grid must lie in [1, {MAX_GRID_SIZE}]")
+    thetas = boundary_grid(args.eval_grid)
     L, _ = log_fatou_on_circle(fatou, thetas)  # no floor: every angle is kept
     _write_text(args.out, _grid_csv(thetas, np.exp(L)))
     return EXIT_OK

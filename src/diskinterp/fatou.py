@@ -259,7 +259,7 @@ def sup_off_arc(
     # a loop on plain floats: numpy's per-call overhead would cost more than
     # it for the few peaks most clusters have
     for theta in fatou.peaks.thetas.tolist():
-        if not excluded._holds(theta):
+        if not excluded.contains(theta):
             raise ValueError(f"peak at angle {theta!r} lies outside the excluded arc")
     center, half_width = excluded.center.theta, excluded.half_width
     ends = np.array([center + half_width, center + TWO_PI - half_width])

@@ -8,8 +8,9 @@ and forms the normalized sum
 
 Post-normalization, the stage's boundary modulus never exceeds the input sup
 norm while the mismatch on the boundary set stays below eps*(1 + 2*sup).
-Every stage shares the set's angle array; its data is the residual array
-and each peak set a slice of the angles, so no stage makes a per-point object.
+Every stage shares the set's angle array; its data is the residual record
+the previous stage returned and each peak set a slice of the angles, so no
+stage makes a per-point object.
 Stacking stages against the successive residuals with a summable budget
 schedule yields a function analytic on the disk and continuous up to the
 boundary whose boundary modulus stays below sup + eta and whose values on
@@ -57,7 +58,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circle import BoundaryData, Clustering, cluster_by_oscillation, modulus
+from .circle import BoundaryData, Clustering, cluster_by_oscillation
 from .errors import CertificationError, DomainError
 # The entry points look the two logs up by their names here at call time, so
 # a tracer can wrap them.
@@ -199,11 +200,10 @@ def _stage_terms(
 
 
 def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
-    """Build one stage; returns (stage, residual on E), whose ``modulus`` sup
-    is the stage's ``certified_residual``, the residual's ``sup_norm``."""
+    """Build one stage; returns (stage, residual), the residual on E one
+    ``BoundaryData`` record whose ``sup_norm`` is ``certified_residual``."""
     epsilon = float(epsilon)
     clustering = cluster_by_oscillation(data, epsilon)
-    k = len(clustering)
     lambdas = tuple(
         FatouFunction(data.set._circular_range(c.start, c.size))
         for c in clustering.clusters
@@ -212,31 +212,31 @@ def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
         sup_off_arc(lam, c.arc, safety_margin)
         for lam, c in zip(lambdas, clustering.clusters)
     ]
-    power = choose_power(rhos, epsilon, k)
+    power = choose_power(rhos, epsilon, len(clustering))
     representatives = [c.representative for c in clustering.clusters]
     coefficients = tuple(data.values[representatives].tolist())
     normalization = 1.0 / (1.0 + epsilon)
 
-    residual = data.values - _terms_sum(
+    values_on_E = _terms_sum(
         _stage_terms(lambdas, coefficients, power, normalization),
         data.set.thetas,
         log_fatou_on_circle,
     )
+    residual = BoundaryData(data.set, data.values - values_on_E)
 
     moduli = [abs(c) for c in coefficients]
     certified_sup = normalization * (
         max(moduli) + math.fsum(m * rho**power for m, rho in zip(moduli, rhos))
     )
-    certified_residual = float(modulus(residual).max())
     if certified_sup > data.sup_norm:
         raise CertificationError(
             f"stage boundary sup bound {certified_sup} exceeds input sup norm "
             f"{data.sup_norm}"
         )
     residual_bound = epsilon * (1.0 + 2.0 * data.sup_norm)
-    if not certified_residual < residual_bound:
+    if not residual.sup_norm < residual_bound:
         raise CertificationError(
-            f"stage residual {certified_residual} not below its contract "
+            f"stage residual {residual.sup_norm} not below its contract "
             f"bound {residual_bound}"
         )
     stage = StageApproximant(
@@ -247,7 +247,7 @@ def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
         normalization=normalization,
         epsilon=epsilon,
         certified_sup=certified_sup,
-        certified_residual=certified_residual,
+        certified_residual=residual.sup_norm,
     )
     return stage, residual
 
@@ -301,31 +301,30 @@ def iterative_interpolant(
     Stage n approximates the running residual with stage epsilon
     eta_n/(1 + 2*res_sup), so its measured mismatch must come in below
     eta_n (enforced) while its sup bound stays below the residual sup.
-    Each residual is measured once: res_sup is the data's ``sup_norm``, then
-    the last stage's ``certified_residual``. Iteration stops after n_max
-    stages or once res_sup drops below ``RESIDUAL_FLOOR``; zero data yields
-    a zero interpolant with a trivial certificate. The final certificate
-    records the sum of the stage sup bounds (below sup + eta, enforced) and
-    the last res_sup (below the truncation bound, enforced).
+    The running residual is ``data``, then the record the last stage
+    returned, handed on unchanged; res_sup is its ``sup_norm``, measured
+    once. Iteration stops after n_max stages or once res_sup drops below
+    ``RESIDUAL_FLOOR``; zero data yields a zero interpolant with a trivial
+    certificate. The final certificate records the sum of the stage sup
+    bounds (below sup + eta, enforced) and the last res_sup (below the
+    truncation bound, enforced).
 
     The build evaluates no boundary grid and does not read ``grid_size``;
     the parameter stays for callers that pass it positionally.
     """
     schedule = make_schedule(eta, n_max)
-    residual, res_sup = data.values, data.sup_norm
+    residual = data
     stages: list[StageApproximant] = []
     for n in range(1, n_max + 1):
-        if res_sup < RESIDUAL_FLOOR:
+        if residual.sup_norm < RESIDUAL_FLOOR:
             break
         eta_n = schedule.terms[n - 1]
-        eps_n = eta_n / (1.0 + 2.0 * res_sup)
-        stage, residual = _build_stage(
-            BoundaryData(data.set, residual), eps_n, safety_margin
-        )
-        res_sup = stage.certified_residual
-        if res_sup > eta_n:
+        eps_n = eta_n / (1.0 + 2.0 * residual.sup_norm)
+        stage, residual = _build_stage(residual, eps_n, safety_margin)
+        if stage.certified_residual > eta_n:
             raise CertificationError(
-                f"stage {n} residual {res_sup} exceeds its budget {eta_n}"
+                f"stage {n} residual {stage.certified_residual} exceeds its "
+                f"budget {eta_n}"
             )
         stages.append(stage)
 
@@ -335,16 +334,16 @@ def iterative_interpolant(
         raise CertificationError(
             f"boundary sup bound {sup_bound} exceeds {data.sup_norm} + eta"
         )
-    if res_sup > bound + RESIDUAL_CERT_TOL:
+    if residual.sup_norm > bound + RESIDUAL_CERT_TOL:
         raise CertificationError(
-            f"residual {res_sup} exceeds truncation bound {bound}"
+            f"residual {residual.sup_norm} exceeds truncation bound {bound}"
         )
     certificate = BoundsCertificate(
         sup_norm_input=data.sup_norm,
         eta=schedule.eta,
         boundary_sup_bound=sup_bound,
         residual_bound_theoretical=bound,
-        measured_max_residual_on_E=res_sup,
+        measured_max_residual_on_E=residual.sup_norm,
         safety_margin=float(safety_margin),
     )
     return Interpolant(tuple(stages), schedule, certificate)

@@ -16,8 +16,9 @@ arcs per point of E; its measurement is the proved upper bound, and the
 maximum-modulus check takes its ceiling from it. The envelope also hands
 back g at the arc ends, whose largest modulus is a lower bound. The set is
 evaluated from its angles (``eval_on_circle``); the interior samples and
-Cauchy contours from points (``eval_interpolant``). Checks are pure and
-deterministic given their parameters.
+Cauchy contours from points (``eval_interpolant``). Every modulus a check
+reports is the build's ``circle.modulus``, or Python's ``abs`` of one
+complex. Checks are pure and deterministic given their parameters.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circle import TWO_PI, BoundaryData
+from .circle import TWO_PI, BoundaryData, modulus
 # The checks call the evaluators and the envelope by their names here, so a
 # tracer can wrap them.
 from .interpolate import (
@@ -81,7 +82,7 @@ def check_peak_values(
         raise ValueError("tol must be non-negative")
     vals = eval_on_circle(interpolant, data.set.thetas)
     threshold = interpolant.certificate.residual_bound_theoretical + tol
-    measured = float(np.max(np.abs(vals - data.values)))
+    measured = float(modulus(vals - data.values).max())
     return CheckResult(
         name="peak_values",
         passed=measured <= threshold,
@@ -131,7 +132,7 @@ def check_boundary_sup(
             ends = np.stack([lo, np.where(hi == wrap, peaks[0], hi)], axis=1)
             envelope, at_ends, values = arc_envelope(interpolant, ends)
             evaluations += ends.size
-            evaluated_max = max(evaluated_max, float(np.max(np.abs(values))))
+            evaluated_max = max(evaluated_max, float(modulus(values).max()))
             measured = float(np.max(np.append(envelope, proved)))
             if not np.all(at_ends <= threshold):
                 break
@@ -180,7 +181,7 @@ def check_max_modulus(
     radii = (1.0 - INTERIOR_SHRINK) * np.sqrt(rng.uniform(size=interior_samples))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=interior_samples)
     zs = radii * np.exp(1j * phases)
-    measured = float(np.max(np.abs(eval_interpolant(interpolant, zs))))
+    measured = float(modulus(eval_interpolant(interpolant, zs)).max())
     threshold = boundary.measured + float(tol)
     return CheckResult(
         name="max_modulus",
@@ -219,7 +220,7 @@ def check_cauchy_identity(
     w = radius * np.exp(2j * math.pi * np.arange(quad_points) / quad_points)
     values = eval_interpolant(interpolant, np.append(w, z0))
     mean = np.mean(values[:-1] * w / (w - z0))
-    measured = float(abs(mean - values[-1]))
+    measured = abs(complex(mean - values[-1]))
     return CheckResult(
         name=name,
         passed=measured <= tol,

@@ -14,11 +14,9 @@ from diskinterp import (
     Clustering,
     FatouFunction,
     FiniteBoundarySet,
-    angular_distance,
     cluster_by_oscillation,
-    normalize_angle,
 )
-from diskinterp.circle import _normalized
+from diskinterp.circle import _distance, _normalized
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,24 +25,22 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_normalize_identity():
-    assert normalize_angle(0.0).theta == 0.0
+    assert FiniteBoundarySet.from_thetas([0.0]).thetas.tolist() == [0.0]
 
 
 def test_normalize_periodicity():
-    assert normalize_angle(TWO_PI).theta == 0.0
+    assert _normalized([TWO_PI]).tolist() == [0.0]
 
 
 def test_normalize_negative():
     # -pi/2 + 2*pi = 3*pi/2, plain modular arithmetic
-    assert normalize_angle(-math.pi / 2).theta == pytest.approx(
-        3 * math.pi / 2, abs=1e-15
-    )
+    assert _normalized([-math.pi / 2])[0] == pytest.approx(3 * math.pi / 2, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_normalize_rejects_non_finite(bad):
-    with pytest.raises(ValueError):
-        normalize_angle(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        _normalized([0.5, bad])
 
 
 @pytest.mark.parametrize(
@@ -64,24 +60,22 @@ def test_angle_rejects_non_finite_or_out_of_range(theta, message):
 
 @given(st.floats(-1e9, 1e9))
 def test_normalize_lands_in_range(theta):
-    a = normalize_angle(theta)
-    assert 0.0 <= a.theta < TWO_PI
+    # the set checks its angles lie in [0, 2*pi)
+    (t,) = FiniteBoundarySet.from_thetas([theta]).thetas
+    assert 0.0 <= t < TWO_PI
 
 
 @given(st.floats(0, TWO_PI, exclude_max=True), st.integers(-5, 5))
 def test_normalize_period_invariance(theta, k):
-    base = normalize_angle(theta)
-    shifted = normalize_angle(theta + k * TWO_PI)
-    assert angular_distance(base, shifted) < 1e-9 * max(1, abs(k))
+    base, shifted = _normalized([theta, theta + k * TWO_PI]).tolist()
+    assert _distance(base, shifted) < 1e-9 * max(1, abs(k))
 
 
 def test_angular_distance_examples():
-    assert angular_distance(Angle(0.0), Angle(0.0)) == 0.0
-    assert angular_distance(Angle(0.0), Angle(math.pi)) == math.pi
+    assert _distance(0.0, 0.0) == 0.0
+    assert _distance(0.0, math.pi) == math.pi
     # wraparound: min(|a-b|, 2*pi-|a-b|) by hand
-    assert angular_distance(Angle(0.1), Angle(TWO_PI - 0.1)) == pytest.approx(
-        0.2, abs=1e-15
-    )
+    assert _distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2, abs=1e-15)
 
 
 @given(
@@ -89,9 +83,8 @@ def test_angular_distance_examples():
     st.floats(0, TWO_PI, exclude_max=True),
 )
 def test_angular_distance_symmetric_and_bounded(t1, t2):
-    a, b = Angle(t1), Angle(t2)
-    d = angular_distance(a, b)
-    assert d == angular_distance(b, a)
+    d = _distance(t1, t2)
+    assert d == _distance(t2, t1)
     assert 0.0 <= d <= math.pi
 
 
@@ -107,10 +100,10 @@ def test_arc_rejects_full_circle():
 
 def test_arc_membership():
     arc = Arc(Angle(0.0), 0.5)
-    assert arc.contains(Angle(0.3))
-    assert arc.contains(normalize_angle(-0.3))
-    assert not arc.contains(Angle(0.5))
-    assert not arc.contains(Angle(math.pi))
+    assert arc.contains(0.3)
+    assert arc.contains(float(_normalized([-0.3])[0]))
+    assert not arc.contains(0.5)
+    assert not arc.contains(math.pi)
 
 
 @pytest.mark.parametrize(
@@ -149,7 +142,15 @@ def test_set_sorted_from_unsorted_input():
     assert s.points == (Angle(1.0), Angle(2.0), Angle(4.0))
 
 
-def test_batch_normalization_is_normalize_angle_bit_for_bit(rng):
+def _reduced(theta: float) -> float:
+    """One angle reduced into [0, 2*pi) by plain float arithmetic."""
+    t = math.fmod(theta, TWO_PI)
+    if t < 0.0:
+        t += TWO_PI
+    return 0.0 if t >= TWO_PI else t
+
+
+def test_batch_normalization_matches_scalar_rule_bit_for_bit(rng):
     period = np.nextafter(TWO_PI, 0.0)
     thetas = np.concatenate(
         [
@@ -160,7 +161,7 @@ def test_batch_normalization_is_normalize_angle_bit_for_bit(rng):
         ]
     )
     batch = _normalized(thetas)
-    one_by_one = np.array([normalize_angle(t).theta for t in thetas.tolist()])
+    one_by_one = np.array([_reduced(t) for t in thetas.tolist()])
     assert np.array_equal(batch.view(np.int64), one_by_one.view(np.int64))
 
 
@@ -308,7 +309,7 @@ def _partition_props(clustering, data):
     n = len(data.set)
     seen = sorted(i for cl in clustering.clusters for i in cl.members)
     assert seen == list(range(n))
-    pts = [Angle(t) for t in data.set.thetas.tolist()]
+    pts = data.set.thetas.tolist()
     for j, cj in enumerate(clustering.clusters):
         for i in cj.members:
             assert cj.arc.contains(pts[i])
@@ -326,7 +327,7 @@ def _partition_props(clustering, data):
                 continue
             for i in cj.members:
                 # strictly positive clearance from every foreign arc
-                assert angular_distance(pts[i], ck.arc.center) > ck.arc.half_width
+                assert _distance(pts[i], ck.arc.center.theta) > ck.arc.half_width
 
 
 def test_clustering_invariants_random(rng):
@@ -449,8 +450,8 @@ def test_clustering_rotation_equivariance(case):
 
     def base_point(theta):
         """Index of the base point at ``theta`` on the circle (0 == 2*pi)."""
-        angle = normalize_angle(theta)
-        dists = [angular_distance(angle, Angle(t)) for t in base.set.thetas.tolist()]
+        (angle,) = _normalized([theta]).tolist()
+        dists = [_distance(angle, t) for t in base.set.thetas.tolist()]
         i = int(np.argmin(dists))
         assert dists[i] < 1e-8
         return i

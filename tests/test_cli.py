@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diskinterp.cli
 import diskinterp.verify
 from diskinterp import make_schedule
 from diskinterp.cli import (
@@ -17,9 +19,11 @@ from diskinterp.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    MAX_GRID_SIZE,
     ParseFailure,
     ProblemSpec,
     ValidationFailure,
+    _grid_csv,
     main,
 )
 
@@ -144,6 +148,32 @@ def test_fatou_empty_grid_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("rows", [MAX_GRID_SIZE + 1, 1 << 62])
+def test_fatou_oversized_grid_is_validation_error(tmp_path, capsys, rows):
+    peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.0]})
+    out = tmp_path / "table.csv"
+    args = ["fatou", peaks, "--eval-grid", str(rows), "--out", str(out)]
+    assert main(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: --eval-grid")
+    assert not out.exists()
+
+
+def test_csv_abs_is_python_abs(tmp_path, capsys):
+    # numpy's complex abs takes the other last bit on about a third of
+    # values, this one among them; the abs column is abs(complex), the
+    # modulus the build and the audit take
+    v = -0.5442589828573099 - 0.31630015636915454j
+    (row,) = _grid_csv(np.zeros(1), np.array([v])).splitlines()[1:]
+    assert row.split(",")[3] == repr(abs(v))
+    peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.3, 2.0, 4.1]})
+    assert main(["fatou", peaks, "--eval-grid", "1024"]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 1024
+    for _, re, im, m in rows:
+        assert float(m) == abs(complex(float(re), float(im)))
+
+
 # ---------------------------------------------------------------- interpolate
 
 
@@ -196,6 +226,8 @@ def test_interpolate_grid_is_the_audit_grid(tmp_path):
     rows = [line.split(",") for line in grid_out.read_text().strip().splitlines()[1:]]
     csv_max = max(float(row[3]) for row in rows)
     assert csv_max <= measured
+    for _, re, im, m in rows:
+        assert float(m) == abs(complex(float(re), float(im)))
     assert csv_max < 1.0
     n = PROBLEM["grid_size"]
     assert [float(row[0]) for row in rows] == [2.0 * math.pi * k / n for k in range(n)]
@@ -283,6 +315,20 @@ def test_interpolate_small_grid_rejected(tmp_path):
     spec["grid_size"] = 1024
     problem = write_json(tmp_path / "grid.json", spec)
     assert main(["interpolate", problem]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("grid_size", [MAX_GRID_SIZE + 1, 1 << 62])
+def test_interpolate_oversized_grid_rejected_before_the_build(
+    tmp_path, capsys, monkeypatch, grid_size
+):
+    monkeypatch.setattr(diskinterp.cli, "iterative_interpolant", None)  # never built
+    problem = write_json(tmp_path / "grid.json", dict(PROBLEM, grid_size=grid_size))
+    out, grid_out = tmp_path / "cert.json", tmp_path / "grid.csv"
+    args = ["interpolate", problem, "--out", str(out), "--grid-out", str(grid_out)]
+    assert main(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: problem: grid_size")
+    assert not out.exists() and not grid_out.exists()
 
 
 def test_interpolate_pipeline_failure_writes_no_certificate(tmp_path, capsys):
@@ -472,7 +518,7 @@ def test_problem_spec_round_trip():
     n_max=st.one_of(st.integers(-5, 2100), st.integers(-5, 10**9)),
     seed=st.integers(-5, 5),
     safety_margin=st.floats(),
-    grid_size=st.sampled_from([1024, 4096]),
+    grid_size=st.sampled_from([1024, 4096, MAX_GRID_SIZE + 1, 1 << 62]),
 )
 def test_problem_spec_admits_only_runnable_problems(
     eta, n_max, seed, safety_margin, grid_size
@@ -494,6 +540,7 @@ def test_problem_spec_admits_only_runnable_problems(
     spec.boundary_data()
     make_schedule(spec.eta, spec.n_max)
     assert spec.seed >= 0
+    assert spec.grid_size <= MAX_GRID_SIZE
 
 
 def test_certificate_json_round_trip(tmp_path, problem_file):

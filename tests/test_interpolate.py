@@ -297,7 +297,7 @@ def test_pipeline_telescoping_and_sup_chain(rng):
 
 
 @pytest.mark.parametrize("eta, n_max, at_floor", [(0.01, 20, False), (1e-9, 40, True)])
-def test_pipeline_measures_each_residual_once(eta, n_max, at_floor):
+def test_pipeline_measures_each_residual_once(monkeypatch, eta, n_max, at_floor):
     # data normalized by numpy's modulus: numpy's sup and Python's differ in
     # the last bit
     rng = np.random.default_rng(7)
@@ -305,12 +305,26 @@ def test_pipeline_measures_each_residual_once(eta, n_max, at_floor):
     vals = rng.normal(size=4) + 1j * rng.normal(size=4)
     data = BoundaryData.from_pairs(thetas, vals / np.max(np.abs(vals)))
     assert float(np.max(np.abs(data.values))) != data.sup_norm
+    build, returned = diskinterp.interpolate._build_stage, [data]
+
+    def handed_on(received, epsilon, safety_margin):
+        # each stage receives the very record the previous stage returned
+        assert received is returned[-1]
+        stage, residual = build(received, epsilon, safety_margin)
+        returned.append(residual)
+        return stage, residual
+
+    monkeypatch.setattr(diskinterp.interpolate, "_build_stage", handed_on)
     g = iterative_interpolant(data, eta, n_max, GRID, MARGIN)
+    assert len(returned) == len(g.stages) + 1
     res_sup = data.sup_norm
-    for k, stage in enumerate(g.stages):
+    for k, (stage, residual) in enumerate(zip(g.stages, returned[1:])):
+        assert stage.clustering.data is returned[k]
         sup = stage.clustering.data.sup_norm
         assert sup == res_sup
         assert stage.epsilon == g.schedule.terms[k] / (1.0 + 2.0 * sup)
+        assert residual.set is data.set
+        assert stage.certified_residual == residual.sup_norm
         res_sup = stage.certified_residual
     assert g.certificate.measured_max_residual_on_E == res_sup
     # the run stops at n_max, or once the residual drops below the floor

@@ -425,6 +425,46 @@ def test_full_report_passes_on_pipeline_output(rng):
     assert "grid_size" not in max_modulus.params
 
 
+def test_report_moduli_are_python_abs_bit_for_bit(monkeypatch, rng):
+    # numpy's complex abs differs from abs(complex), the hypot the build
+    # takes, in the last bit on about a third of values; the audit takes the
+    # build's modulus
+    data, g = pipeline_output(rng)
+    seen = {"interior": [], "ends": []}
+    for name, key in (("eval_interpolant", "interior"), ("arc_envelope", "ends")):
+        original = getattr(verify_mod, name)
+
+        def recorded(*args, original=original, key=key):
+            out = original(*args)
+            seen[key].append(out)
+            return out
+
+        monkeypatch.setattr(verify_mod, name, recorded)
+    by_name = {c.name: c for c in verify_interpolant(g, data, seed=4).checks}
+
+    def python_max(values):
+        return max(abs(complex(v)) for v in np.ravel(values))
+
+    mismatch = eval_on_circle(g, data.set.thetas) - data.values
+    assert by_name["peak_values"].measured == python_max(mismatch)
+    evaluated = max(python_max(values) for _, _, values in seen["ends"])
+    assert by_name["boundary_sup"].params["evaluated_max"] == evaluated
+    samples, *contours = seen["interior"]
+    assert by_name["max_modulus"].measured == python_max(samples)
+    for i, values in enumerate(contours):
+        check = by_name[f"cauchy_identity_{i:02d}"]
+        p = check.params
+        z0, q = complex(p["z0_re"], p["z0_im"]), p["quad_points"]
+        w = p["radius"] * np.exp(2j * math.pi * np.arange(q) / q)
+        mean = np.mean(values[:-1] * w / (w - z0))
+        assert check.measured == abs(complex(mean - values[-1]))
+    # a value on which numpy's array abs takes the other last bit
+    v = -0.5442589828573099 - 0.31630015636915454j
+    _, zero = zero_interpolant()
+    off = BoundaryData.from_pairs([0.0, 1.0], [v, 0.0])
+    assert check_peak_values(zero, off, 1.0).measured == abs(v)
+
+
 def test_negative_seed_fails_before_any_evaluation(monkeypatch):
     data = BoundaryData.from_pairs([0.0, 2.0], [1.0, -0.5j])
     g = iterative_interpolant(data, 0.01, 3, GRID, 1e-9)
