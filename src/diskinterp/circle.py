@@ -141,8 +141,9 @@ class FiniteBoundarySet:
 class BoundaryData:
     """Complex samples on a finite boundary set: ``values``, a read-only
     complex array in the order of ``set.thetas``. ``sup_norm`` caches their
-    maximum ``modulus``, zero exactly when every value is. Data compare by
-    identity."""
+    maximum ``modulus``, zero exactly when every value is; it must be finite,
+    so a value with a non-finite part, or whose modulus overflows, is
+    refused. Data compare by identity."""
 
     set: FiniteBoundarySet
     values: np.ndarray
@@ -152,11 +153,14 @@ class BoundaryData:
         vals = np.array(self.values, dtype=complex)
         if vals.shape != self.set.thetas.shape:
             raise ValueError(f"{vals.size} values for {len(self.set)} boundary points")
-        if not np.isfinite(vals).all():
+        with np.errstate(over="ignore"):
+            sup_norm = float(modulus(vals).max())
+        # finite exactly when every part is finite and no modulus overflows
+        if not math.isfinite(sup_norm):
             raise ValueError("data values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "sup_norm", float(modulus(vals).max()))
+        object.__setattr__(self, "sup_norm", sup_norm)
 
     @classmethod
     def from_pairs(cls, thetas, values) -> "BoundaryData":

@@ -20,7 +20,8 @@ measurement is the proved upper bound on the circle. So a field added to
 one of them reaches the file and ``verify``'s comparison with no edit
 here. Floats keep shortest round-trip precision and keys a fixed order, so
 identical inputs produce byte-identical files. Exit codes: 0 success, 2
-parse error, 3 validation error, 4 certification/verification failure.
+parse error (also a file that cannot be read or written), 3 validation
+error, 4 certification/verification failure or a failed audit check.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ POINT_KEYS = ("theta", "value_re", "value_im")
 
 
 class ParseFailure(Exception):
-    """Malformed input file (bad JSON, wrong structure or types)."""
+    """Malformed input file (bad JSON, wrong structure or types), or a file
+    that cannot be read or written."""
 
 
 class ValidationFailure(Exception):
@@ -180,9 +182,12 @@ def _load_json(path: str):
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -269,15 +274,19 @@ def cmd_interpolate(args) -> int:
         thetas = boundary_grid(spec.grid_size)
         values = eval_on_circle(interpolant, thetas)
         _write_text(args.grid_out, _grid_csv(thetas, values))
-    if not report.overall:
-        for c in report.failed():
-            print(
-                f"check failed: {c.name} measured={c.measured!r} "
-                f"threshold={c.threshold!r}",
-                file=sys.stderr,
-            )
-        return EXIT_CERTIFICATION
-    return EXIT_OK
+    return _audit_status(report)
+
+
+def _audit_status(report: VerificationReport) -> int:
+    """EXIT_OK for a passed audit; else EXIT_CERTIFICATION, after one
+    ``check failed:`` line per failed check on stderr."""
+    for c in report.failed():
+        print(
+            f"check failed: {c.name} measured={c.measured!r} "
+            f"threshold={c.threshold!r}",
+            file=sys.stderr,
+        )
+    return EXIT_OK if report.overall else EXIT_CERTIFICATION
 
 
 def _compare_value(path: str, stored, fresh) -> str | None:
@@ -333,8 +342,10 @@ def cmd_verify(args) -> int:
         bad = _compare_value(section, stored[section], fresh[section])
         if bad is not None:
             return _verification_failure(f"field {bad!r} does not reproduce")
-    print("certificate verified")
-    return EXIT_OK
+    status = _audit_status(report)
+    if status == EXIT_OK:
+        print("certificate verified")
+    return status
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -406,27 +406,34 @@ def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, ...]:
 
     On an arc with no peak of any term inside it, each term's modulus is
     largest at an end (``fatou.sup_off_arc``), so ``envelope`` bounds |g| on
-    the whole arc; B(theta) bounds |g(e^(i*theta))|. The ends go to the
-    kernel interleaved, a0 b0 a1 b1 ..., so that both ends of an arc land in
-    one chunk (``CHUNK`` is even).
+    the whole arc; B(theta) bounds |g(e^(i*theta))|. The arcs go to the
+    kernel in blocks of ``CHUNK // 2``, each distinct angle of a block once,
+    so an end that neighbouring arcs share is evaluated once and a block is
+    one chunk.
     """
     ends = _finite_angles(ends)
-    flat = ends.reshape(-1)
-    at_ends = np.zeros(flat.size)
-    values = np.zeros(flat.size, dtype=complex)
+    at_ends = np.zeros(ends.shape)
+    values = np.zeros(ends.shape, dtype=complex)
     envelope = np.zeros(ends.shape[0])
     terms = list(_all_terms(interpolant.stages))
-    for start, idx, power, scale, L in _kept_terms(terms, flat, log_fatou_on_circle):
-        values[start : start + CHUNK][idx] += scale * np.exp(power * L)
-        moduli = np.zeros(min(CHUNK, flat.size - start))
-        moduli[idx] = abs(scale) * np.exp(power * L.real)
-        at_ends[start : start + CHUNK] += moduli
-        envelope[start // 2 : (start + CHUNK) // 2] += moduli.reshape(-1, 2).max(axis=1)
+    for first in range(0, ends.shape[0], CHUNK // 2):
+        block = slice(first, first + CHUNK // 2)
+        angles, inverse = np.unique(ends[block].ravel(), return_inverse=True)
+        block_values = np.zeros(angles.size, dtype=complex)
+        block_moduli = np.zeros(angles.size)
+        for _, idx, power, scale, L in _kept_terms(terms, angles, log_fatou_on_circle):
+            block_values[idx] += scale * np.exp(power * L)
+            moduli = np.zeros(angles.size)
+            moduli[idx] = abs(scale) * np.exp(power * L.real)
+            block_moduli += moduli
+            envelope[block] += moduli[inverse].reshape(-1, 2).max(axis=1)
+        values[block] = block_values[inverse].reshape(-1, 2)
+        at_ends[block] = block_moduli[inverse].reshape(-1, 2)
     allowance = (TERM_FLOOR + envelope_slack(interpolant)) * math.fsum(
         abs(scale) for _, _, scale in terms
     )
     at_ends += allowance
-    return envelope + allowance, at_ends.reshape(ends.shape), values.reshape(ends.shape)
+    return envelope + allowance, at_ends, values
 
 
 def envelope_slack(interpolant: Interpolant) -> float:

@@ -1,9 +1,10 @@
 """Independent numerical audits of interpolants.
 
-Each check re-measures one certificate-level claim and records the
-parameters, tolerance, and seed it used, so a report is reproducible. A
-full report takes a seed; its tolerances and sizes are the constants below,
-and a ``check_*`` call with its own parameters tightens one claim.
+Each check re-measures one claim of the interpolant's certificate, at the
+tolerance and size that the constants below fix, and records the bound,
+tolerance, sizes and seed it used, so a report is reproducible. The checks
+read the constants when they are called; a report's only option is its
+seed.
 
 The boundary sup is proved on the whole circle, not sampled. Every peak of
 every term is a point of the data's set E, so on an arc between two
@@ -18,7 +19,8 @@ back g at the arc ends, whose largest modulus is a lower bound. The set is
 evaluated from its angles (``eval_on_circle``); the interior samples and
 Cauchy contours from points (``eval_interpolant``). Every modulus a check
 reports is the build's ``circle.modulus``, or Python's ``abs`` of one
-complex. Checks are pure and deterministic given their parameters.
+complex. Checks are pure and deterministic given their arguments and the
+constants.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ QUAD_POINTS = 4096      # nodes per Cauchy contour
 CAUCHY_PAIRS = 10       # seeded (z0, radius) pairs per report
 ENVELOPE_ROUNDS = 16    # bisection rounds of the boundary-sup proof
 ENVELOPE_ARCS = 32      # arcs per point of E it may evaluate, over all rounds
-MIN_QUAD_POINTS = 1 << 10
-MIN_INTERIOR_SAMPLES = 1000
 INTERIOR_SHRINK = 1e-9  # random interior samples stay within radius 1 - this
 
 
@@ -73,30 +73,25 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def check_peak_values(
-    interpolant: Interpolant, data: BoundaryData, tol: float
-) -> CheckResult:
+def check_peak_values(interpolant: Interpolant, data: BoundaryData) -> CheckResult:
     """Largest mismatch on the data's boundary set against the data values,
-    with threshold the certificate's truncation bound plus ``tol``."""
-    if tol < 0.0:
-        raise ValueError("tol must be non-negative")
+    with threshold the certificate's truncation bound plus ``RESIDUAL_TOL``."""
     vals = eval_on_circle(interpolant, data.set.thetas)
-    threshold = interpolant.certificate.residual_bound_theoretical + tol
+    threshold = interpolant.certificate.residual_bound_theoretical + RESIDUAL_TOL
     measured = float(modulus(vals - data.values).max())
     return CheckResult(
         name="peak_values",
         passed=measured <= threshold,
         measured=measured,
         threshold=threshold,
-        params={"n_points": len(data.set), "tol": float(tol)},
+        params={"n_points": len(data.set), "tol": RESIDUAL_TOL},
     )
 
 
-def check_boundary_sup(
-    interpolant: Interpolant, bound: float, tol: float
-) -> CheckResult:
-    """Proof that |g| <= T = ``bound + tol`` on the whole circle, by arc
-    envelopes (``arc_envelope``) from the peak angles of the interpolant.
+def check_boundary_sup(interpolant: Interpolant) -> CheckResult:
+    """Proof that |g| <= T = ``bound + SUP_TOL`` on the whole circle, with
+    ``bound`` the certificate's ``boundary_sup_bound``, by arc envelopes
+    (``arc_envelope``) from the peak angles of the interpolant.
 
     The arcs run between consecutive peak angles, which are points of E, so
     no peak lies inside one. Each round evaluates the envelope of every open
@@ -114,7 +109,8 @@ def check_boundary_sup(
     |g| at an arc end (the peak angles included), a lower bound on the sup
     read from the envelope's values, so each round traverses the terms once.
     """
-    threshold = float(bound) + float(tol)
+    bound, tol = interpolant.certificate.boundary_sup_bound, SUP_TOL
+    threshold = bound + tol
     sets = {lam.peaks for s in interpolant.stages for lam in s.lambdas}  # distinct
     peaks = np.sort(np.concatenate([p.thetas for p in sets] or [np.empty(0)]))
     peaks = peaks[np.diff(peaks, prepend=-math.inf) > 0.0]
@@ -156,8 +152,8 @@ def check_boundary_sup(
         measured=measured,
         threshold=threshold,
         params={
-            "bound": float(bound),
-            "tol": float(tol),
+            "bound": bound,
+            "tol": tol,
             "rounds": rounds,
             "evaluations": evaluations,
             "evaluated_max": evaluated_max,
@@ -166,33 +162,24 @@ def check_boundary_sup(
 
 
 def check_max_modulus(
-    interpolant: Interpolant,
-    interior_samples: int,
-    boundary: CheckResult,
-    tol: float,
-    seed: int = 0,
+    interpolant: Interpolant, boundary: CheckResult, seed: int = 0
 ) -> CheckResult:
-    """Interior maximum (seeded uniform disk samples) against the proved
-    boundary bound of ``boundary``, a ``check_boundary_sup`` result, plus
-    ``tol``; an analyticity witness."""
-    if interior_samples < MIN_INTERIOR_SAMPLES:
-        raise ValueError(f"interior_samples must be >= {MIN_INTERIOR_SAMPLES}")
+    """Maximum over ``INTERIOR_SAMPLES`` seeded uniform disk samples against
+    the proved boundary bound of ``boundary``, a ``check_boundary_sup``
+    result, plus ``SUP_TOL``; an analyticity witness."""
+    samples, tol = INTERIOR_SAMPLES, SUP_TOL
     rng = np.random.default_rng(seed)
-    radii = (1.0 - INTERIOR_SHRINK) * np.sqrt(rng.uniform(size=interior_samples))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=interior_samples)
+    radii = (1.0 - INTERIOR_SHRINK) * np.sqrt(rng.uniform(size=samples))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=samples)
     zs = radii * np.exp(1j * phases)
     measured = float(modulus(eval_interpolant(interpolant, zs)).max())
-    threshold = boundary.measured + float(tol)
+    threshold = boundary.measured + tol
     return CheckResult(
         name="max_modulus",
         passed=measured <= threshold,
         measured=measured,
         threshold=threshold,
-        params={
-            "interior_samples": int(interior_samples),
-            "tol": float(tol),
-            "seed": int(seed),
-        },
+        params={"interior_samples": samples, "tol": tol, "seed": int(seed)},
     )
 
 
@@ -200,12 +187,10 @@ def check_cauchy_identity(
     interpolant: Interpolant,
     z0: complex,
     radius: float,
-    quad_points: int,
-    tol: float,
     name: str = "cauchy_identity",
 ) -> CheckResult:
     """Contour mean (1/2pi) int g(r e^(it)) r e^(it)/(r e^(it) - z0) dt
-    against g(z0).
+    against g(z0), on ``QUAD_POINTS`` nodes, within ``IDENTITY_TOL``.
 
     On a uniform periodic grid the trapezoid rule collapses to the plain
     node average, which converges geometrically for integrands analytic in
@@ -215,9 +200,8 @@ def check_cauchy_identity(
     z0 = complex(z0)
     if not (abs(z0) < radius < 1.0):
         raise ValueError("need |z0| < radius < 1")
-    if quad_points < MIN_QUAD_POINTS:
-        raise ValueError(f"quad_points must be >= {MIN_QUAD_POINTS}")
-    w = radius * np.exp(2j * math.pi * np.arange(quad_points) / quad_points)
+    nodes, tol = QUAD_POINTS, IDENTITY_TOL
+    w = radius * np.exp(2j * math.pi * np.arange(nodes) / nodes)
     values = eval_interpolant(interpolant, np.append(w, z0))
     mean = np.mean(values[:-1] * w / (w - z0))
     measured = abs(complex(mean - values[-1]))
@@ -225,24 +209,23 @@ def check_cauchy_identity(
         name=name,
         passed=measured <= tol,
         measured=measured,
-        threshold=float(tol),
+        threshold=tol,
         params={
             "z0_re": float(z0.real),
             "z0_im": float(z0.imag),
             "radius": float(radius),
-            "quad_points": int(quad_points),
-            "tol": float(tol),
+            "quad_points": nodes,
+            "tol": tol,
         },
     )
 
 
-def cauchy_sample_points(
-    seed: int, count: int
-) -> tuple[tuple[complex, float], ...]:
-    """Seeded (z0, radius) pairs with radius - |z0| >= 0.1 and radius < 0.9."""
+def cauchy_sample_points(seed: int) -> tuple[tuple[complex, float], ...]:
+    """``CAUCHY_PAIRS`` seeded (z0, radius) pairs with radius - |z0| >= 0.1
+    and radius < 0.9."""
     rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(count):
+    for _ in range(CAUCHY_PAIRS):
         radius = float(rng.uniform(0.3, 0.9))
         r0 = (radius - 0.1) * math.sqrt(float(rng.uniform()))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -266,23 +249,13 @@ def verify_interpolant(
     before anything is evaluated."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    boundary = check_boundary_sup(
-        interpolant, interpolant.certificate.boundary_sup_bound, SUP_TOL
-    )
+    boundary = check_boundary_sup(interpolant)
     checks = [
-        check_peak_values(interpolant, data, RESIDUAL_TOL),
+        check_peak_values(interpolant, data),
         boundary,
-        check_max_modulus(interpolant, INTERIOR_SAMPLES, boundary, SUP_TOL, seed=seed),
+        check_max_modulus(interpolant, boundary, seed=seed),
     ]
-    for i, (z0, radius) in enumerate(cauchy_sample_points(seed, CAUCHY_PAIRS)):
-        checks.append(
-            check_cauchy_identity(
-                interpolant,
-                z0,
-                radius,
-                QUAD_POINTS,
-                IDENTITY_TOL,
-                name=f"cauchy_identity_{i:02d}",
-            )
-        )
+    for i, (z0, radius) in enumerate(cauchy_sample_points(seed)):
+        name = f"cauchy_identity_{i:02d}"
+        checks.append(check_cauchy_identity(interpolant, z0, radius, name=name))
     return VerificationReport(tuple(checks))

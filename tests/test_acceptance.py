@@ -179,13 +179,21 @@ def test_criterion_7_analyticity_witnesses(pipeline_batch):
     ok = True
     detail = ""
     for j, (data, g) in enumerate(batch):
-        boundary = check_boundary_sup(g, data.sup_norm + 0.01, 1e-9)
-        mm = check_max_modulus(g, 10_000, boundary, 1e-9, seed=j)
+        boundary = check_boundary_sup(g)
+        mm = check_max_modulus(g, boundary, seed=j)
+        # the stated claim and tolerances: |g| <= sup + eta on the boundary,
+        # 10^4 interior samples within 1e-9 of it, 10 contours of 4096
+        # nodes within 1e-9
+        assert boundary.params["bound"] <= data.sup_norm + 0.01
+        assert mm.params["interior_samples"] == 10_000 and mm.params["tol"] <= 1e-9
         if not mm.passed:
             ok, detail = False, f"max_modulus on problem {j}"
             break
-        for z0, radius in cauchy_sample_points(SEED_PIPELINE + j, 10):
-            cc = check_cauchy_identity(g, z0, radius, 4096, 1e-9)
+        pairs = cauchy_sample_points(SEED_PIPELINE + j)
+        assert len(pairs) == 10
+        for z0, radius in pairs:
+            cc = check_cauchy_identity(g, z0, radius)
+            assert cc.params["quad_points"] == 4096 and cc.threshold <= 1e-9
             if not cc.passed:
                 ok, detail = False, f"cauchy on problem {j}, measured {cc.measured:.2e}"
                 break

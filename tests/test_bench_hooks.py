@@ -92,7 +92,7 @@ def test_audit_calls_through_traced_names(monkeypatch):
     assert len(evaluated) == 1 and np.array_equal(evaluated[0], e)
     # no grid reaches the circle log: each distinct peak function sees at
     # most 2 ENVELOPE_ARCS + 1 angles per point of E over the whole audit
-    # (2 per arc for the envelope, and E)
+    # (at most 2 per arc for the envelope, and E)
     assert max(sizes) < GRID
     budget = distinct_lambdas(g) * (2 * verify_mod.ENVELOPE_ARCS + 1) * e.size
     assert sum(sizes) <= budget
@@ -139,15 +139,17 @@ def test_eval_on_circle_calls_each_distinct_peak_function_once_per_chunk(monkeyp
 
 
 def test_bound_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
-    # the envelope's ends go to the log interleaved, so both ends of an arc
-    # land in one chunk
+    # the arcs go to the log in blocks of CHUNK // 2, each distinct end of a
+    # block once: CHUNK // 2 neighbouring arcs share all but one of their
+    # CHUNK // 2 + 1 ends, and the last block, one arc, has two
     _, g = small_problem()
     sizes = count_log_calls(monkeypatch, "log_fatou_on_circle")
     thetas = 2 * np.pi * np.arange(CHUNK + 1) / (CHUNK + 1)
     ends = np.stack([thetas, np.roll(thetas, -1)], axis=1)
     envelope, at_ends, values = interpolate_mod.arc_envelope(g, ends)
-    assert len(sizes) == distinct_lambdas(g) * 3
-    assert max(sizes) == CHUNK
+    blocks = [CHUNK // 2 + 1, CHUNK // 2 + 1, 2]
+    assert sizes == [size for size in blocks for _ in range(distinct_lambdas(g))]
+    assert max(sizes) <= CHUNK
     assert envelope.shape == thetas.shape and at_ends.shape == ends.shape
     assert np.all(envelope >= at_ends.max(axis=1))
     # the values at the ends are eval_on_circle's, bit for bit

@@ -238,11 +238,21 @@ def test_from_pairs_rejects_length_mismatch():
 
 def test_boundary_data_rejects_non_finite_values():
     s = FiniteBoundarySet(np.array([0.0, 1.0]))
-    for bad in (complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0)):
+    overflow = complex(1.5e308, 1.5e308)  # finite parts, modulus inf
+    for bad in (
+        complex(math.inf, 0),
+        complex(0, -math.inf),
+        complex(math.nan, 0),
+        complex(math.nan, math.inf),
+        overflow,
+    ):
         with pytest.raises(ValueError, match="finite"):
             BoundaryData.from_pairs([0.0, 1.0], [1.0, bad])
         with pytest.raises(ValueError, match="finite"):
             BoundaryData(s, np.array([bad, 1.0]))
+    # a finite modulus near the top of the range is kept, as Python's abs
+    edge = complex(1e308, 7e307)
+    assert BoundaryData(s, np.array([edge, 1.0])).sup_norm == abs(edge)
 
 
 def test_from_pairs_sorts_angles_and_values_together():

@@ -142,6 +142,14 @@ def test_fatou_malformed_peaks_is_parse_error(tmp_path, capsys, peaks, message):
     assert len(err) == 1 and err[0].startswith("parse error:") and message in err[0]
 
 
+def test_fatou_unwritable_output_is_one_line(tmp_path, capsys):
+    peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.0]})
+    target = tmp_path / "missing" / "table.csv"
+    assert main(["fatou", peaks, "--out", str(target)]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"parse error: cannot write {target}:")
+
+
 def test_fatou_empty_grid_is_validation_error(tmp_path, capsys):
     peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.0]})
     assert main(["fatou", peaks, "--eval-grid", "0"]) == EXIT_VALIDATION
@@ -296,14 +304,25 @@ def test_interpolate_nonpositive_eta_is_validation_error(tmp_path):
     assert main(["interpolate", problem]) == EXIT_VALIDATION
 
 
+# finite parts whose modulus overflows to inf
+HUGE_POINT = {"theta": 5.0, "value_re": 1.5e308, "value_im": 1.5e308}
+
+
 @pytest.mark.parametrize(
     "override",
-    [{"seed": -1}, {"n_max": 1100}, {"eta": 1e-320, "n_max": 20}, {"n_max": 10**9}],
-    ids=["negative_seed", "n_max_overflow", "eta_underflow", "n_max_huge"],
+    [
+        {"seed": -1},
+        {"n_max": 1100},
+        {"eta": 1e-320, "n_max": 20},
+        {"n_max": 10**9},
+        {"points": PROBLEM["points"] + [HUGE_POINT]},
+    ],
+    ids=["negative_seed", "n_max_overflow", "eta_underflow", "n_max_huge", "huge_value"],
 )
 def test_interpolate_out_of_range_is_validation_error(tmp_path, capsys, override):
-    # a negative seed reaches numpy's generator only after the build, and
-    # these eta/n_max pairs make the last budget eta/2^(n_max+1) 0
+    # a negative seed reaches numpy's generator only after the build, these
+    # eta/n_max pairs make the last budget eta/2^(n_max+1) 0, and a value
+    # whose modulus overflows would make the sup norm inf
     problem = write_json(tmp_path / "bad.json", dict(PROBLEM, **override))
     assert main(["interpolate", problem]) == EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
@@ -367,6 +386,19 @@ def test_interpolate_failed_check_is_written_and_reported(
     ]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--grid-out"])
+def test_interpolate_unwritable_output_is_one_line(tmp_path, problem_file, capsys, flag):
+    # a missing directory: exit 2 with one line, no traceback; when the
+    # grid cannot be written, the certificate written before it stays
+    cert, target = tmp_path / "cert.json", tmp_path / "missing" / "out"
+    args = ["interpolate", problem_file, "--out", str(cert), flag, str(target)]
+    assert main(args) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"parse error: cannot write {target}:")
+    assert cert.exists() == (flag == "--grid-out")
+    assert not target.exists()
+
+
 def test_grid_size_default_ignores_environment(tmp_path, monkeypatch):
     # the default grid is a constant: no variable can make verify disagree
     spec = {k: v for k, v in PROBLEM.items() if k != "grid_size"}
@@ -397,6 +429,19 @@ def test_verify_reproduces_checked_in_certificates(name, capsys):
     cert, problem = (str(DATA / f"{name}.{kind}.json") for kind in ("cert", "problem"))
     assert main(["verify", cert, problem]) == EXIT_OK
     assert capsys.readouterr().out == "certificate verified\n"
+
+
+def test_verify_reports_a_failed_audit(tmp_path, problem_file, capsys, monkeypatch):
+    # a certificate whose audit failed reproduces field for field, and
+    # verify says so as interpolate did: exit 4, one line per failed check
+    monkeypatch.setattr(diskinterp.verify, "SUP_TOL", -1.0)
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_CERTIFICATION
+    written = capsys.readouterr().err
+    assert main(["verify", str(out), problem_file]) == EXIT_CERTIFICATION
+    captured = capsys.readouterr()
+    assert captured.err == written and written.startswith("check failed: ")
+    assert "verified" not in captured.out
 
 
 def test_verify_reads_the_problem_section_it_wrote(tmp_path, problem_file):

@@ -1,3 +1,5 @@
+import inspect
+
 import diskinterp
 
 # The public surface, pinned: a change that adds or drops a public name
@@ -45,3 +47,65 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in diskinterp.__all__:
         assert getattr(diskinterp, name).__module__.startswith("diskinterp.")
+
+
+# The parameter names of every public function and class, pinned: a change
+# that adds, drops or renames a parameter edits this table. The exceptions
+# take a message.
+SIGNATURES = {
+    "Angle": ("theta",),
+    "Arc": ("center", "half_width"),
+    "BoundaryData": ("set", "values"),
+    "BoundsCertificate": (
+        "sup_norm_input",
+        "eta",
+        "boundary_sup_bound",
+        "residual_bound_theoretical",
+        "measured_max_residual_on_E",
+        "safety_margin",
+    ),
+    "CheckResult": ("name", "passed", "measured", "threshold", "params"),
+    "Cluster": ("start", "size", "n", "arc"),
+    "Clustering": ("data", "clusters", "oscillation_bound"),
+    "EtaSchedule": ("eta", "terms"),
+    "FatouFunction": ("peaks",),
+    "FiniteBoundarySet": ("thetas",),
+    "Interpolant": ("stages", "schedule", "certificate"),
+    "StageApproximant": (
+        "clustering",
+        "coefficients",
+        "lambdas",
+        "power",
+        "normalization",
+        "epsilon",
+        "certified_sup",
+        "certified_residual",
+    ),
+    "VerificationReport": ("checks",),
+    "check_boundary_sup": ("interpolant",),
+    "check_cauchy_identity": ("interpolant", "z0", "radius", "name"),
+    "check_max_modulus": ("interpolant", "boundary", "seed"),
+    "check_peak_values": ("interpolant", "data"),
+    "choose_power": ("rhos", "epsilon", "n_clusters"),
+    "cluster_by_oscillation": ("data", "epsilon"),
+    "eval_fatou": ("fatou", "z"),
+    "eval_interpolant": ("interpolant", "z"),
+    "eval_on_circle": ("interpolant", "thetas"),
+    "eval_stage": ("stage", "z"),
+    "iterative_interpolant": ("data", "eta", "n_max", "grid_size", "safety_margin"),
+    "make_schedule": ("eta", "n_max"),
+    "residual_bound_after": ("schedule", "n_stages"),
+    "single_stage": ("data", "epsilon", "safety_margin"),
+    "sup_off_arc": ("fatou", "excluded", "safety_margin"),
+    "verify_interpolant": ("interpolant", "data", "grid_size", "seed"),
+}
+
+
+def test_public_signatures_are_pinned():
+    signatures = {}
+    for name in diskinterp.__all__:
+        obj = getattr(diskinterp, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        signatures[name] = tuple(inspect.signature(obj).parameters)
+    assert signatures == SIGNATURES

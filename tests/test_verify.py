@@ -38,6 +38,12 @@ def pipeline_output(rng):
     return data, iterative_interpolant(data, 0.01, 10, GRID, 1e-9)
 
 
+def claiming(g, bound):
+    """``g`` with a certificate that claims ``bound`` as its boundary sup."""
+    certificate = dataclasses.replace(g.certificate, boundary_sup_bound=bound)
+    return dataclasses.replace(g, certificate=certificate)
+
+
 def peak_interpolant(thetas):
     """One-stage interpolant of the value 1 on ``thetas``: the points form
     one cluster, so it is lambda^N/(1+eps) for the set's peak function."""
@@ -52,7 +58,7 @@ def peak_interpolant(thetas):
 
 def test_peak_values_zero_interpolant():
     data, g = zero_interpolant()
-    res = check_peak_values(g, data, tol=0.0)
+    res = check_peak_values(g, data)
     assert res.passed
     assert res.measured == 0.0
 
@@ -70,15 +76,9 @@ def test_peak_values_one_stage_example():
 
 def test_peak_values_interpolant_threshold(rng):
     data, g = pipeline_output(rng)
-    res = check_peak_values(g, data, tol=1e-12)
+    res = check_peak_values(g, data)
     assert res.passed
     assert res.threshold == g.certificate.residual_bound_theoretical + 1e-12
-
-
-def test_peak_values_rejects_negative_tol():
-    data, g = zero_interpolant()
-    with pytest.raises(ValueError):
-        check_peak_values(g, data, tol=-1.0)
 
 
 # ---------------------------------------------------------------- boundary sup
@@ -86,7 +86,8 @@ def test_peak_values_rejects_negative_tol():
 
 def test_boundary_sup_zero():
     _, g = zero_interpolant()
-    res = check_boundary_sup(g, 0.0, 1e-9)
+    assert g.certificate.boundary_sup_bound == 0.0
+    res = check_boundary_sup(g)
     assert res.passed
     assert res.measured == 0.0
     assert res.params["rounds"] == 0
@@ -96,7 +97,7 @@ def test_boundary_sup_peak_function():
     # one peak, so one arc from the peak round to itself: both of its ends
     # are the peak, where |lambda^N| attains its maximum 1
     g = peak_interpolant([0.0])
-    res = check_boundary_sup(g, 1.0, 1e-9)
+    res = check_boundary_sup(g)
     assert res.passed
     assert res.params["rounds"] == 1 and res.params["evaluations"] == 2
     assert res.params["evaluated_max"] == abs(eval_interpolant(g, 1 + 0j))
@@ -105,8 +106,9 @@ def test_boundary_sup_peak_function():
 
 def test_boundary_sup_pipeline(rng):
     data, g = pipeline_output(rng)
-    res = check_boundary_sup(g, data.sup_norm + 0.01, 1e-9)
+    res = check_boundary_sup(g)
     assert res.passed
+    assert res.threshold <= data.sup_norm + 0.01 + 1e-9
 
 
 # opposite values 1e-3 apart: the last stages reach N of about 2e9
@@ -130,7 +132,7 @@ def test_modulus_bound_covers_the_values(thetas, values):
     assume(np.min(np.diff(t, append=t[0] + 2 * math.pi)) > 1e-3)
     data = BoundaryData.from_pairs(thetas, values[: len(thetas)])
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
-    res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
+    res = check_boundary_sup(g)
     assert res.passed
     # exact angles within 4 sqrt(8/N) of each point, where the peaks of
     # width sqrt(8/N) sit
@@ -151,7 +153,7 @@ def test_boundary_sup_is_proved(rng, problem):
         "zero": lambda: zero_interpolant()[0],
     }[problem]()
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
-    res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
+    res = check_boundary_sup(g)
     assert res.passed
     assert res.params["rounds"] <= 2
     assert res.params["evaluations"] <= 2 * verify_mod.ENVELOPE_ARCS * len(data.set)
@@ -171,7 +173,7 @@ def test_close_pair_peaks_between_grid_nodes_are_bounded():
     on_e = np.max(np.abs(eval_on_circle(g, data.set.thetas)))
     grid = np.max(np.abs(eval_on_circle(g, boundary_grid(1 << 16))))
     assert grid < on_e
-    res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
+    res = check_boundary_sup(g)
     assert res.passed
     assert on_e <= res.params["evaluated_max"] <= res.measured
 
@@ -236,6 +238,38 @@ def test_envelope_slack_covers_the_rounding(problem):
     assert all(float(t) <= b for t, b in zip(true_bound, at_ends.ravel()))
 
 
+def test_envelope_is_the_per_end_sum_of_term_moduli(monkeypatch):
+    # reference: each end of each arc sent to the kernel on its own, as
+    # (lambda, N, scale) terms, with no end shared; with CHUNK 8 the arcs
+    # form blocks of 4, which share ends, repeat arcs, and hold 0.0 and -0.0
+    # (one value for np.unique)
+    data = BoundaryData.from_pairs(*CLOSE_PAIR)
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    e = data.set.thetas.tolist()
+    mid = e[0] + 0.5 * (e[1] - e[0])
+    ends = np.array(
+        [[e[0], mid], [mid, e[1]], [e[1], e[2]], [e[1], e[2]], [-0.0, e[0]],
+         [0.0, -0.0], [e[3], e[3]], [e[2], e[3]], [e[3], e[0] + 2 * math.pi]]
+    )
+    monkeypatch.setattr(interpolate_mod, "CHUNK", 8)
+    envelope, at_ends, values = arc_envelope(g, ends)
+    terms = list(interpolate_mod._all_terms(g.stages))
+    flat = ends.ravel()
+    total, reference = np.zeros(flat.size), np.zeros(len(ends))
+    kept = interpolate_mod._kept_terms(terms, flat, interpolate_mod.log_fatou_on_circle)
+    for start, idx, power, scale, L in kept:
+        moduli = np.zeros(flat.size)
+        moduli[start + idx] = abs(scale) * np.exp(power * L.real)
+        total += moduli
+        reference += moduli.reshape(-1, 2).max(axis=1)
+    allowance = (interpolate_mod.TERM_FLOOR + envelope_slack(g)) * math.fsum(
+        abs(scale) for _, _, scale in terms
+    )
+    assert np.array_equal(at_ends, (total + allowance).reshape(ends.shape))
+    assert np.array_equal(envelope, reference + allowance)
+    assert np.array_equal(values, eval_on_circle(g, ends))
+
+
 def _scaled_stage_zero(g, factor):
     stage = dataclasses.replace(
         g.stages[0], coefficients=tuple(factor * c for c in g.stages[0].coefficients)
@@ -250,14 +284,13 @@ def test_boundary_sup_fails_on_mutants(problem):
         "close_pair": lambda: BoundaryData.from_pairs(*CLOSE_PAIR),
     }[problem]()
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
-    bound, tol = g.certificate.boundary_sup_bound, verify_mod.SUP_TOL
-    assert check_boundary_sup(g, bound, tol).passed
-    # stage 0's coefficients scaled by 1.01
-    res = check_boundary_sup(_scaled_stage_zero(g, 1.01), bound, tol)
+    assert check_boundary_sup(g).passed
+    # stage 0's coefficients scaled by 1.01, against the same certificate
+    res = check_boundary_sup(_scaled_stage_zero(g, 1.01))
     assert not res.passed and math.isfinite(res.measured)
     # a bound 1e-6 below the largest value on E: no refinement can help
     on_e = float(np.max(np.abs(eval_on_circle(g, data.set.thetas))))
-    res = check_boundary_sup(g, on_e - 1e-6, tol)
+    res = check_boundary_sup(claiming(g, on_e - 1e-6))
     assert not res.passed and res.params["rounds"] == 1
     assert on_e <= res.measured
 
@@ -265,7 +298,7 @@ def test_boundary_sup_fails_on_mutants(problem):
 def test_boundary_sup_fails_on_a_nan_value(monkeypatch):
     # a NaN log at one angle makes that value and its modulus NaN
     g = peak_interpolant([0.0, 2.5])
-    assert check_boundary_sup(g, 1.0, 1e-9).passed
+    assert check_boundary_sup(g).passed
     log = interpolate_mod.log_fatou_on_circle
 
     def nan_log(fatou, thetas, *args):
@@ -274,7 +307,7 @@ def test_boundary_sup_fails_on_a_nan_value(monkeypatch):
         return L, keep
 
     monkeypatch.setattr(interpolate_mod, "log_fatou_on_circle", nan_log)
-    res = check_boundary_sup(g, 1.0, 1e-9)
+    res = check_boundary_sup(g)
     assert not res.passed
     assert math.isnan(res.measured)
 
@@ -285,8 +318,7 @@ def test_boundary_sup_evaluates_where_the_bound_is_nan(monkeypatch):
     # finite upper bound
     data = BoundaryData.from_pairs([0.0, 2.5], [1.0, -0.5j])
     g = iterative_interpolant(data, 0.01, 3, GRID, 1e-9)
-    bound = g.certificate.boundary_sup_bound
-    assert check_boundary_sup(g, bound, 1e-9).params["rounds"] == 2
+    assert check_boundary_sup(g).params["rounds"] == 2
     envelope = verify_mod.arc_envelope
     rounds, values = [], []
 
@@ -299,7 +331,7 @@ def test_boundary_sup_evaluates_where_the_bound_is_nan(monkeypatch):
         return env, at_ends, vals
 
     monkeypatch.setattr(verify_mod, "arc_envelope", nan_end)
-    res = check_boundary_sup(g, bound, 1e-9)
+    res = check_boundary_sup(g)
     assert not res.passed
     assert len(rounds) == 2 and res.params["rounds"] == 2
     assert not np.isin(rounds[1][0, 1], rounds[0])
@@ -326,7 +358,7 @@ def test_boundary_sup_unresolved_is_bounded_and_finite(monkeypatch, cap):
     data = BoundaryData.from_pairs(*CLOSE_PAIR)
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
     monkeypatch.setattr(verify_mod, cap, 1)
-    res = check_boundary_sup(g, g.certificate.boundary_sup_bound, verify_mod.SUP_TOL)
+    res = check_boundary_sup(g)
     assert not res.passed
     assert res.params["rounds"] == 1
     assert res.params["evaluations"] == 2 * len(data.set)
@@ -338,33 +370,26 @@ def test_boundary_sup_unresolved_is_bounded_and_finite(monkeypatch, cap):
 
 def test_max_modulus_zero():
     _, g = zero_interpolant()
-    boundary = check_boundary_sup(g, 0.0, 1e-9)
-    assert check_max_modulus(g, 1000, boundary, 1e-9, seed=3).passed
+    boundary = check_boundary_sup(g)
+    assert check_max_modulus(g, boundary, seed=3).passed
 
 
 def test_max_modulus_peak_function():
     g = peak_interpolant([0.0, 2.5])
-    boundary = check_boundary_sup(g, 1.0, 1e-9)
-    res = check_max_modulus(g, 2000, boundary, 1e-9, seed=5)
+    boundary = check_boundary_sup(g)
+    res = check_max_modulus(g, boundary, seed=5)
     assert res.passed
     assert res.measured < 1.0
 
 
 def test_max_modulus_deterministic_given_seed():
     g = peak_interpolant([0.4])
-    boundary = check_boundary_sup(g, 1.0, 1e-9)
-    a = check_max_modulus(g, 1500, boundary, 1e-9, seed=11)
-    b = check_max_modulus(g, 1500, boundary, 1e-9, seed=11)
+    boundary = check_boundary_sup(g)
+    a = check_max_modulus(g, boundary, seed=11)
+    b = check_max_modulus(g, boundary, seed=11)
     assert a == b
-    c = check_max_modulus(g, 1500, boundary, 1e-9, seed=12)
+    c = check_max_modulus(g, boundary, seed=12)
     assert c.measured != a.measured
-
-
-def test_max_modulus_sample_validation():
-    _, g = zero_interpolant()
-    boundary = check_boundary_sup(g, 0.0, 1e-9)
-    with pytest.raises(ValueError):
-        check_max_modulus(g, 10, boundary, 1e-9)
 
 
 # ---------------------------------------------------------------- cauchy
@@ -372,7 +397,7 @@ def test_max_modulus_sample_validation():
 
 def test_cauchy_zero():
     _, g = zero_interpolant()
-    res = check_cauchy_identity(g, 0.1 + 0.1j, 0.5, 2048, 1e-10)
+    res = check_cauchy_identity(g, 0.1 + 0.1j, 0.5)
     assert res.passed
     assert res.measured == 0.0
 
@@ -384,25 +409,23 @@ def test_cauchy_mean_value_single_peak():
     w = 0.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
     mean = np.mean(eval_interpolant(g, w) * w / (w - 0.0))
     assert mean == pytest.approx(stage.normalization / 2**stage.power, rel=1e-12)
-    res = check_cauchy_identity(g, 0.0j, 0.5, 4096, 1e-10)
+    res = check_cauchy_identity(g, 0.0j, 0.5)
     assert res.passed
 
 
 def test_cauchy_two_peak():
     g = peak_interpolant([0.0, math.pi])
-    res = check_cauchy_identity(g, 0.3j, 0.8, 4096, 1e-9)
+    res = check_cauchy_identity(g, 0.3j, 0.8)
     assert res.passed
-    assert res.measured <= 1e-9
+    assert res.measured <= 1e-10
 
 
 def test_cauchy_geometry_validation():
     _, g = zero_interpolant()
     with pytest.raises(ValueError):
-        check_cauchy_identity(g, 0.9 + 0j, 0.5, 4096, 1e-9)  # |z0| >= radius
+        check_cauchy_identity(g, 0.9 + 0j, 0.5)  # |z0| >= radius
     with pytest.raises(ValueError):
-        check_cauchy_identity(g, 0.0j, 1.0, 4096, 1e-9)  # radius not < 1
-    with pytest.raises(ValueError):
-        check_cauchy_identity(g, 0.0j, 0.5, 512, 1e-9)  # too few nodes
+        check_cauchy_identity(g, 0.0j, 1.0)  # radius not < 1
 
 
 # ---------------------------------------------------------------- reports
@@ -462,7 +485,7 @@ def test_report_moduli_are_python_abs_bit_for_bit(monkeypatch, rng):
     v = -0.5442589828573099 - 0.31630015636915454j
     _, zero = zero_interpolant()
     off = BoundaryData.from_pairs([0.0, 1.0], [v, 0.0])
-    assert check_peak_values(zero, off, 1.0).measured == abs(v)
+    assert check_peak_values(zero, off).measured == abs(v)
 
 
 def test_negative_seed_fails_before_any_evaluation(monkeypatch):
@@ -490,21 +513,14 @@ def test_report_deterministic(rng):
     assert a == b
 
 
-def test_report_monotone_in_tol(rng):
+def test_report_monotone_in_tol(rng, monkeypatch):
     # shrinking tol can only turn pass into fail, never the reverse
     data, g = pipeline_output(rng)
-    cert = g.certificate
 
     def report(tol):
-        boundary = check_boundary_sup(g, cert.sup_norm_input + cert.eta, tol)
-        checks = [
-            check_peak_values(g, data, tol),
-            boundary,
-            check_max_modulus(g, 10_000, boundary, tol, seed=2),
-        ]
-        for z0, radius in verify_mod.cauchy_sample_points(2, 3):
-            checks.append(check_cauchy_identity(g, z0, radius, 4096, tol))
-        return VerificationReport(tuple(checks))
+        for name in ("RESIDUAL_TOL", "SUP_TOL", "IDENTITY_TOL"):
+            monkeypatch.setattr(verify_mod, name, tol)
+        return verify_interpolant(g, data, seed=2)
 
     loose, tight = report(1e-6), report(1e-13)
     if tight.overall:
@@ -519,10 +535,8 @@ def test_report_monotone_in_tol(rng):
 def test_report_overall_is_conjunction():
     # force one failing check by auditing a nonzero interpolant against bound 0
     g = peak_interpolant([0.0])
-    failing = check_boundary_sup(g, 0.0, 1e-9)
+    failing = check_boundary_sup(claiming(g, 0.0))
     assert not failing.passed
-    from diskinterp import VerificationReport
-
-    report = VerificationReport((failing, check_max_modulus(g, 1000, failing, 1e-9)))
+    report = VerificationReport((failing, check_max_modulus(g, failing)))
     assert not report.overall
     assert report.failed() == (failing,)
