@@ -32,7 +32,6 @@ from .fatou import (
 )
 from .interpolate import (
     BoundsCertificate,
-    EtaSchedule,
     Interpolant,
     StageApproximant,
     eval_interpolant,
@@ -40,7 +39,6 @@ from .interpolate import (
     eval_stage,
     iterative_interpolant,
     make_schedule,
-    residual_bound_after,
     single_stage,
 )
 from .verify import (
@@ -65,7 +63,6 @@ __all__ = [
     "Cluster",
     "Clustering",
     "DomainError",
-    "EtaSchedule",
     "FatouFunction",
     "FiniteBoundarySet",
     "Interpolant",
@@ -84,7 +81,6 @@ __all__ = [
     "eval_stage",
     "iterative_interpolant",
     "make_schedule",
-    "residual_bound_after",
     "single_stage",
     "sup_off_arc",
     "verify_interpolant",

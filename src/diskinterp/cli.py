@@ -42,6 +42,7 @@ from .interpolate import (
     eval_on_circle,
     iterative_interpolant,
     make_schedule,
+    stage_epsilon,
 )
 from .verify import VerificationReport, verify_interpolant
 
@@ -138,14 +139,15 @@ class ProblemSpec:
         return spec
 
     def validate(self) -> None:
-        """Raise ValidationFailure unless the library accepts the data and
-        the schedule; grid_size, safety_margin and seed are checked here,
-        before the build, as the library checks them only in the build
-        (safety_margin) or when the audit starts (seed), and grid_size,
-        which sizes only ``--grid-out``, not at all."""
+        """Raise ValidationFailure unless the library accepts the data, the
+        schedule and the first stage's tolerance (``stage_epsilon``, which
+        no later stage can fail); grid_size, safety_margin and seed are
+        checked here, before the build, as the library checks them only in
+        the build (safety_margin) or when the audit starts (seed), and
+        grid_size, which sizes only ``--grid-out``, not at all."""
         try:
-            self.boundary_data()
-            make_schedule(self.eta, self.n_max)
+            data = self.boundary_data()
+            stage_epsilon(make_schedule(self.eta, self.n_max)[0], data.sup_norm)
         except ValueError as exc:
             raise ValidationFailure(f"problem: {exc}") from exc
         if not MIN_GRID_SIZE <= self.grid_size <= MAX_GRID_SIZE:
@@ -270,11 +272,12 @@ def cmd_interpolate(args) -> int:
         return EXIT_CERTIFICATION
     payload = _certificate_payload(spec, interpolant, report)
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    status = _audit_status(report)  # failed checks print before the table
     if args.grid_out is not None:
         thetas = boundary_grid(spec.grid_size)
         values = eval_on_circle(interpolant, thetas)
         _write_text(args.grid_out, _grid_csv(thetas, values))
-    return _audit_status(report)
+    return status
 
 
 def _audit_status(report: VerificationReport) -> int:

@@ -8,13 +8,15 @@ and forms the normalized sum
 
 Post-normalization, the stage's boundary modulus never exceeds the input sup
 norm while the mismatch on the boundary set stays below eps*(1 + 2*sup).
-Every stage shares the set's angle array; its data is the residual record
-the previous stage returned and each peak set a slice of the angles, so no
-stage makes a per-point object.
-Stacking stages against the successive residuals with a summable budget
-schedule yields a function analytic on the disk and continuous up to the
-boundary whose boundary modulus stays below sup + eta and whose values on
-the set match the data up to an explicit truncation bound.
+Every stage shares the set's angle array; it keeps the residual it leaves
+as a ``BoundaryData`` record, which is the next stage's data, and each peak
+set is a slice of the angles, so no stage makes a per-point object. A stage
+stores each fact once: its epsilon is its clustering's oscillation bound,
+its normalization 1/(1+eps) and its certified residual its residual's sup.
+Stacking stages against the successive residuals with the summable budgets
+eta_n = eta/2^(n+1) yields a function analytic on the disk and continuous
+up to the boundary whose boundary modulus stays below sup + eta and whose
+values on the set match the data up to an explicit truncation bound.
 
 No bound is measured on a grid. The cluster arcs are pairwise disjoint, so a
 boundary point lies in at most one of them and every other term is at most
@@ -84,40 +86,34 @@ CHUNK = 8192              # points per evaluation pass
 @dataclass(frozen=True)
 class StageApproximant:
     """One normalized stage h, its bound on the sup over the closed disk and
-    its measured residual on the set."""
+    the residual it leaves on the set.
+
+    ``epsilon`` is the clustering's oscillation bound, ``normalization``
+    1/(1+epsilon) and ``certified_residual`` the residual's ``sup_norm``.
+    """
 
     clustering: Clustering
     coefficients: tuple[complex, ...]
     lambdas: tuple[FatouFunction, ...]
     power: int
-    normalization: float
-    epsilon: float
     certified_sup: float
-    certified_residual: float
+    residual: BoundaryData
 
     def __post_init__(self) -> None:
         if self.power < 1:
             raise ValueError("power must be at least 1")
-        if not 0.0 < self.normalization <= 1.0:
-            raise ValueError("normalization must lie in (0, 1]")
 
+    @property
+    def epsilon(self) -> float:
+        return self.clustering.oscillation_bound
 
-@dataclass(frozen=True)
-class EtaSchedule:
-    """Per-stage positive budgets eta_1..eta_n with strict total below eta."""
+    @property
+    def normalization(self) -> float:
+        return 1.0 / (1.0 + self.epsilon)
 
-    eta: float
-    terms: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError("eta must be positive and finite")
-        if not self.terms:
-            raise ValueError("schedule needs at least one term")
-        if any(not (math.isfinite(t) and t > 0.0) for t in self.terms):
-            raise ValueError("schedule terms must be positive and finite")
-        if not math.fsum(self.terms) < self.eta:
-            raise ValueError("schedule terms must sum strictly below eta")
+    @property
+    def certified_residual(self) -> float:
+        return self.residual.sup_norm
 
 
 @dataclass(frozen=True)
@@ -138,10 +134,9 @@ class BoundsCertificate:
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Truncated correction series with its budget schedule and certificate."""
+    """Truncated correction series with its certificate."""
 
     stages: tuple[StageApproximant, ...]
-    schedule: EtaSchedule
     certificate: BoundsCertificate
 
 
@@ -199,11 +194,20 @@ def _stage_terms(
     )
 
 
-def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
-    """Build one stage; returns (stage, residual), the residual on E one
-    ``BoundaryData`` record whose ``sup_norm`` is ``certified_residual``."""
-    epsilon = float(epsilon)
+def single_stage(
+    data: BoundaryData, epsilon: float, safety_margin: float
+) -> StageApproximant:
+    """One clustered, powered, normalized approximation pass over the data.
+
+    Post-normalization the stage satisfies (and certifies) sup on the closed
+    disk <= sup norm of the data, by the disjoint-arc bound, and residual on
+    the set < epsilon*(1 + 2*sup), measured on the set. The residual it
+    leaves, the data minus the stage's values on the set, is its
+    ``residual`` record; the pre-normalization function is the stage
+    divided by its ``normalization``.
+    """
     clustering = cluster_by_oscillation(data, epsilon)
+    epsilon = clustering.oscillation_bound  # the stage's epsilon, as a float
     lambdas = tuple(
         FatouFunction(data.set._circular_range(c.start, c.size))
         for c in clustering.clusters
@@ -239,37 +243,14 @@ def _build_stage(data: BoundaryData, epsilon: float, safety_margin: float):
             f"stage residual {residual.sup_norm} not below its contract "
             f"bound {residual_bound}"
         )
-    stage = StageApproximant(
-        clustering=clustering,
-        coefficients=coefficients,
-        lambdas=lambdas,
-        power=int(power),
-        normalization=normalization,
-        epsilon=epsilon,
-        certified_sup=certified_sup,
-        certified_residual=residual.sup_norm,
+    return StageApproximant(
+        clustering, coefficients, lambdas, int(power), certified_sup, residual
     )
-    return stage, residual
 
 
-def single_stage(
-    data: BoundaryData, epsilon: float, safety_margin: float
-) -> StageApproximant:
-    """One clustered, powered, normalized approximation pass over the data.
-
-    Post-normalization the stage satisfies (and certifies) sup on the closed
-    disk <= sup norm of the data, by the disjoint-arc bound, and residual on
-    the set < epsilon*(1 + 2*sup), measured on the set. The
-    pre-normalization function is the stage divided by its
-    ``normalization`` field.
-    """
-    stage, _ = _build_stage(data, epsilon, safety_margin)
-    return stage
-
-
-def make_schedule(eta: float, n_max: int) -> EtaSchedule:
-    """Geometric budget schedule eta_n = eta/2^(n+1), n = 1..n_max; the last
-    budget must not round to 0."""
+def make_schedule(eta: float, n_max: int) -> tuple[float, ...]:
+    """The budgets eta_n = eta/2^(n+1), n = 1..n_max, which sum strictly
+    below eta; the last budget must not round to 0."""
     eta = float(eta)
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
@@ -277,16 +258,21 @@ def make_schedule(eta: float, n_max: int) -> EtaSchedule:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if math.ldexp(eta, -(n_max + 1)) == 0.0:
         raise ValueError(f"last budget eta/2^(n_max+1) is 0 at n_max={n_max}")
-    return EtaSchedule(eta, tuple(math.ldexp(eta, -n) for n in range(2, n_max + 2)))
+    return tuple(math.ldexp(eta, -n) for n in range(2, n_max + 2))
 
 
-def residual_bound_after(schedule: EtaSchedule, n_stages: int) -> float:
-    """Truncation bound on the set after ``n_stages`` built stages:
-    eta_n + sum of the remaining schedule terms from n on (0 for no stages)."""
-    if n_stages == 0:
-        return 0.0
-    tail = math.fsum(schedule.terms[n_stages - 1 :])
-    return schedule.terms[n_stages - 1] + tail
+def stage_epsilon(eta_n: float, sup: float) -> float:
+    """The stage tolerance eps_n = eta_n/(1 + 2*sup) of budget eta_n against
+    a residual of sup norm ``sup``; ValueError unless it is positive and
+    finite. Only stage 1 can fail: a later stage has sup <= eta_(n-1) =
+    2*eta_n, so eps_n >= eta_n/(1 + 4*eta_n) > 0."""
+    eps = eta_n / (1.0 + 2.0 * sup)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(
+            f"stage tolerance eta_n/(1 + 2*sup) = {eps!r} is not positive "
+            f"and finite (eta_n = {eta_n!r}, sup = {sup!r})"
+        )
+    return eps
 
 
 def iterative_interpolant(
@@ -299,38 +285,41 @@ def iterative_interpolant(
     """Stack stages against successive residuals into a certified interpolant.
 
     Stage n approximates the running residual with stage epsilon
-    eta_n/(1 + 2*res_sup), so its measured mismatch must come in below
-    eta_n (enforced) while its sup bound stays below the residual sup.
-    The running residual is ``data``, then the record the last stage
-    returned, handed on unchanged; res_sup is its ``sup_norm``, measured
-    once. Iteration stops after n_max stages or once res_sup drops below
-    ``RESIDUAL_FLOOR``; zero data yields a zero interpolant with a trivial
-    certificate. The final certificate records the sum of the stage sup
-    bounds (below sup + eta, enforced) and the last res_sup (below the
-    truncation bound, enforced).
+    ``stage_epsilon(eta_n, res_sup)`` = eta_n/(1 + 2*res_sup), so its
+    measured mismatch must come in below eta_n (enforced) while its sup
+    bound stays below the residual sup. The running residual is ``data``,
+    then the last stage's ``residual``, handed on unchanged; res_sup is its
+    ``sup_norm``, measured once. Iteration stops after n_max stages or once
+    res_sup drops below ``RESIDUAL_FLOOR``; zero data yields a zero
+    interpolant with a trivial certificate. The final certificate records
+    the sum of the stage sup bounds (below sup + eta, enforced) and the last
+    res_sup (below the truncation bound eta_k + sum of the budgets from k
+    on after k stages, enforced).
 
     The build evaluates no boundary grid and does not read ``grid_size``;
     the parameter stays for callers that pass it positionally.
     """
-    schedule = make_schedule(eta, n_max)
+    budgets = make_schedule(eta, n_max)
+    eta = float(eta)
     residual = data
     stages: list[StageApproximant] = []
-    for n in range(1, n_max + 1):
+    for n, eta_n in enumerate(budgets, start=1):
         if residual.sup_norm < RESIDUAL_FLOOR:
             break
-        eta_n = schedule.terms[n - 1]
-        eps_n = eta_n / (1.0 + 2.0 * residual.sup_norm)
-        stage, residual = _build_stage(residual, eps_n, safety_margin)
+        eps_n = stage_epsilon(eta_n, residual.sup_norm)
+        stage = single_stage(residual, eps_n, safety_margin)
         if stage.certified_residual > eta_n:
             raise CertificationError(
                 f"stage {n} residual {stage.certified_residual} exceeds its "
                 f"budget {eta_n}"
             )
         stages.append(stage)
+        residual = stage.residual
 
+    k = len(stages)
+    bound = budgets[k - 1] + math.fsum(budgets[k - 1 :]) if k else 0.0
     sup_bound = math.fsum(s.certified_sup for s in stages)
-    bound = residual_bound_after(schedule, len(stages))
-    if sup_bound > data.sup_norm + schedule.eta + SUP_CERT_TOL:
+    if sup_bound > data.sup_norm + eta + SUP_CERT_TOL:
         raise CertificationError(
             f"boundary sup bound {sup_bound} exceeds {data.sup_norm} + eta"
         )
@@ -340,13 +329,13 @@ def iterative_interpolant(
         )
     certificate = BoundsCertificate(
         sup_norm_input=data.sup_norm,
-        eta=schedule.eta,
+        eta=eta,
         boundary_sup_bound=sup_bound,
         residual_bound_theoretical=bound,
         measured_max_residual_on_E=residual.sup_norm,
         safety_margin=float(safety_margin),
     )
-    return Interpolant(tuple(stages), schedule, certificate)
+    return Interpolant(tuple(stages), certificate)
 
 
 def _all_terms(stages: Iterable[StageApproximant]):

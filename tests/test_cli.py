@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import diskinterp.cli
 import diskinterp.verify
 from diskinterp import make_schedule
+from diskinterp.interpolate import stage_epsilon
 from diskinterp.cli import (
     EXIT_CERTIFICATION,
     FORMAT_VERSION,
@@ -306,6 +307,16 @@ def test_interpolate_nonpositive_eta_is_validation_error(tmp_path):
 
 # finite parts whose modulus overflows to inf
 HUGE_POINT = {"theta": 5.0, "value_re": 1.5e308, "value_im": 1.5e308}
+# a finite modulus whose 1 + 2*sup overflows, and one whose first stage
+# tolerance eta_1/(1 + 2*sup) underflows at eta 1e-300: either way eps_1 is 0
+ZERO_TOLERANCE = [
+    {"theta": 0.0, "value_re": 1e308, "value_im": 0.0},
+    {"theta": 2.0, "value_re": 0.0, "value_im": 1.0},
+]
+TINY_TOLERANCE = [
+    {"theta": 0.0, "value_re": 1e30, "value_im": 0.0},
+    {"theta": 2.0, "value_re": 0.0, "value_im": 1.0},
+]
 
 
 @pytest.mark.parametrize(
@@ -316,17 +327,30 @@ HUGE_POINT = {"theta": 5.0, "value_re": 1.5e308, "value_im": 1.5e308}
         {"eta": 1e-320, "n_max": 20},
         {"n_max": 10**9},
         {"points": PROBLEM["points"] + [HUGE_POINT]},
+        {"points": ZERO_TOLERANCE},
+        {"points": TINY_TOLERANCE, "eta": 1e-300, "n_max": 20},
     ],
-    ids=["negative_seed", "n_max_overflow", "eta_underflow", "n_max_huge", "huge_value"],
+    ids=[
+        "negative_seed",
+        "n_max_overflow",
+        "eta_underflow",
+        "n_max_huge",
+        "huge_value",
+        "stage_tolerance_overflow",
+        "stage_tolerance_underflow",
+    ],
 )
 def test_interpolate_out_of_range_is_validation_error(tmp_path, capsys, override):
     # a negative seed reaches numpy's generator only after the build, these
-    # eta/n_max pairs make the last budget eta/2^(n_max+1) 0, and a value
-    # whose modulus overflows would make the sup norm inf
+    # eta/n_max pairs make the last budget eta/2^(n_max+1) 0, a value whose
+    # modulus overflows would make the sup norm inf, and the last two make
+    # the first stage tolerance 0; nothing is written
     problem = write_json(tmp_path / "bad.json", dict(PROBLEM, **override))
-    assert main(["interpolate", problem]) == EXIT_VALIDATION
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem, "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("validation error:")
+    assert not out.exists()
 
 
 def test_interpolate_small_grid_rejected(tmp_path):
@@ -397,6 +421,24 @@ def test_interpolate_unwritable_output_is_one_line(tmp_path, problem_file, capsy
     assert len(err) == 1 and err[0].startswith(f"parse error: cannot write {target}:")
     assert cert.exists() == (flag == "--grid-out")
     assert not target.exists()
+
+
+def test_failed_audit_is_reported_before_the_grid(
+    tmp_path, problem_file, capsys, monkeypatch
+):
+    # a failed check and an unwritable --grid-out: the check failed: lines
+    # come first, then the write error, and the run exits 2
+    monkeypatch.setattr(diskinterp.verify, "SUP_TOL", -1.0)
+    cert, target = tmp_path / "cert.json", tmp_path / "missing" / "g.csv"
+    args = ["interpolate", problem_file, "--out", str(cert), "--grid-out", str(target)]
+    assert main(args) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split()[:3] for line in err[:-1]] == [
+        ["check", "failed:", "boundary_sup"],
+        ["check", "failed:", "max_modulus"],
+    ]
+    assert err[-1].startswith(f"parse error: cannot write {target}:")
+    assert json.loads(cert.read_text())["report"]["overall"] is False
 
 
 def test_grid_size_default_ignores_environment(tmp_path, monkeypatch):
@@ -568,8 +610,9 @@ def test_problem_spec_round_trip():
 def test_problem_spec_admits_only_runnable_problems(
     eta, n_max, seed, safety_margin, grid_size
 ):
-    # a spec that parses is one the library builds from: its data and its
-    # schedule construct, and its seed is a valid generator seed
+    # a spec that parses is one the library builds from: its data, its
+    # schedule and its first stage tolerance construct, and its seed is a
+    # valid generator seed
     obj = dict(
         PROBLEM,
         eta=eta,
@@ -582,8 +625,7 @@ def test_problem_spec_admits_only_runnable_problems(
         spec = ProblemSpec.from_json_obj(obj)
     except (ParseFailure, ValidationFailure):
         return
-    spec.boundary_data()
-    make_schedule(spec.eta, spec.n_max)
+    stage_epsilon(make_schedule(spec.eta, spec.n_max)[0], spec.boundary_data().sup_norm)
     assert spec.seed >= 0
     assert spec.grid_size <= MAX_GRID_SIZE
 

@@ -12,7 +12,6 @@ from diskinterp import (
     BoundaryData,
     CertificationError,
     DomainError,
-    EtaSchedule,
     FiniteBoundarySet,
     NoContractionError,
     cluster_by_oscillation,
@@ -21,7 +20,6 @@ from diskinterp import (
     eval_stage,
     iterative_interpolant,
     make_schedule,
-    residual_bound_after,
     single_stage,
     verify_interpolant,
 )
@@ -54,17 +52,17 @@ SKIP_SLACK = 2.0**-60 + 4 * EPS  # evaluation's term floor plus rounding
 
 def test_schedule_example():
     s = make_schedule(1.0, 3)
-    assert s.terms == (0.25, 0.125, 0.0625)
-    assert sum(s.terms) == pytest.approx(0.4375)
-    assert sum(s.terms) < 1.0
+    assert s == (0.25, 0.125, 0.0625)
+    assert sum(s) == pytest.approx(0.4375)
+    assert sum(s) < 1.0
 
 
 @given(st.floats(1e-12, 1e6), st.integers(1, 60))
 def test_schedule_sums_below_eta(eta, n_max):
     s = make_schedule(eta, n_max)
-    assert len(s.terms) == n_max
-    assert all(t > 0 for t in s.terms)
-    assert math.fsum(s.terms) < eta
+    assert len(s) == n_max
+    assert all(t > 0 for t in s)
+    assert math.fsum(s) < eta
 
 
 def test_schedule_rejects_bad_inputs():
@@ -74,28 +72,11 @@ def test_schedule_rejects_bad_inputs():
         make_schedule(-1.0, 3)
     with pytest.raises(ValueError):
         make_schedule(1.0, 0)
-    with pytest.raises(ValueError):
-        EtaSchedule(1.0, (0.5, 0.5))  # sum not strictly below eta
     # 2.0**1101 overflows and 0.01/2**1101 underflows: the last budget is 0
     with pytest.raises(ValueError, match="last budget"):
         make_schedule(0.01, 1100)
     with pytest.raises(ValueError, match="last budget"):
         make_schedule(1e-320, 20)
-
-
-@pytest.mark.parametrize(
-    "eta, terms, message",
-    [
-        (0.0, (0.1,), "eta must be positive"),
-        (math.nan, (0.1,), "eta must be positive"),
-        (1.0, (), "at least one term"),
-        (1.0, (0.25, 0.0), "terms must be positive"),
-        (1.0, (0.25, -0.1), "terms must be positive"),
-    ],
-)
-def test_schedule_constructor_guards(eta, terms, message):
-    with pytest.raises(ValueError, match=message):
-        EtaSchedule(eta, terms)
 
 
 @example(eta=5e-324, n_max=1)
@@ -108,17 +89,21 @@ def test_schedule_terms_are_exact_halvings(eta, n_max):
         with pytest.raises(ValueError, match="last budget"):
             make_schedule(eta, n_max)
     else:
-        assert make_schedule(eta, n_max).terms == expected
+        assert make_schedule(eta, n_max) == expected
 
 
-def test_truncated_tail_bound():
-    # eta_n + sum_{k>=n} eta_k at n = n_max collapses to eta/2^n_max
-    s = make_schedule(0.01, 20)
-    assert residual_bound_after(s, 20) == pytest.approx(0.01 / 2**20, rel=1e-12)
-    assert residual_bound_after(s, 0) == 0.0
-    assert residual_bound_after(s, 3) == pytest.approx(
-        s.terms[2] + math.fsum(s.terms[2:]), rel=1e-12
-    )
+def test_truncated_tail_bound(rng):
+    # eta_k + sum_{j>=k} eta_j after k stages; at k = n_max it collapses to
+    # eta/2^n_max, and a run that stops at the residual floor states its own k
+    data = random_problem(rng, 4)
+    for eta, n_max, full in ((0.01, 6, True), (1e-9, 40, False)):
+        g = iterative_interpolant(data, eta, n_max, GRID, MARGIN)
+        s, k = make_schedule(eta, n_max), len(g.stages)
+        assert (k == n_max) == full
+        bound = g.certificate.residual_bound_theoretical
+        assert bound == s[k - 1] + math.fsum(s[k - 1 :])
+        if full:
+            assert bound == pytest.approx(eta / 2**n_max, rel=1e-12)
 
 
 # ---------------------------------------------------------------- single stage
@@ -244,10 +229,6 @@ def test_stage_constructor_guards():
     for power in (0, -3):
         with pytest.raises(ValueError, match="power"):
             dataclasses.replace(stage, power=power)
-    for normalization in (0.0, -0.5, 1.5, math.nan):
-        with pytest.raises(ValueError, match="normalization"):
-            dataclasses.replace(stage, normalization=normalization)
-    assert dataclasses.replace(stage, normalization=1.0).normalization == 1.0
 
 
 # ---------------------------------------------------------------- pipeline
@@ -282,7 +263,7 @@ def test_pipeline_telescoping_and_sup_chain(rng):
     data = random_problem(rng, 6)
     eta, n_max = 0.02, 8
     g = iterative_interpolant(data, eta, n_max, GRID, MARGIN)
-    schedule = g.schedule
+    budgets = make_schedule(eta, n_max)
     residual = data.values
     res_sup = data.sup_norm
     e_pts = np.exp(1j * data.set.thetas)
@@ -292,7 +273,7 @@ def test_pipeline_telescoping_and_sup_chain(rng):
         residual = residual - np.asarray(eval_stage(stage, e_pts))
         res_sup = float(np.max(np.abs(residual)))
         # telescoping: |f - sum_{j<=n} H_j| on E below eta_n
-        assert res_sup < schedule.terms[n - 1]
+        assert res_sup < budgets[n - 1]
         assert res_sup == pytest.approx(stage.certified_residual, abs=1e-14)
 
 
@@ -305,27 +286,29 @@ def test_pipeline_measures_each_residual_once(monkeypatch, eta, n_max, at_floor)
     vals = rng.normal(size=4) + 1j * rng.normal(size=4)
     data = BoundaryData.from_pairs(thetas, vals / np.max(np.abs(vals)))
     assert float(np.max(np.abs(data.values))) != data.sup_norm
-    build, returned = diskinterp.interpolate._build_stage, [data]
+    build, received = diskinterp.interpolate.single_stage, []
 
-    def handed_on(received, epsilon, safety_margin):
-        # each stage receives the very record the previous stage returned
-        assert received is returned[-1]
-        stage, residual = build(received, epsilon, safety_margin)
-        returned.append(residual)
-        return stage, residual
+    def recorded(data, epsilon, safety_margin):
+        received.append(data)
+        return build(data, epsilon, safety_margin)
 
-    monkeypatch.setattr(diskinterp.interpolate, "_build_stage", handed_on)
+    monkeypatch.setattr(diskinterp.interpolate, "single_stage", recorded)
     g = iterative_interpolant(data, eta, n_max, GRID, MARGIN)
-    assert len(returned) == len(g.stages) + 1
-    res_sup = data.sup_norm
-    for k, (stage, residual) in enumerate(zip(g.stages, returned[1:])):
-        assert stage.clustering.data is returned[k]
-        sup = stage.clustering.data.sup_norm
-        assert sup == res_sup
-        assert stage.epsilon == g.schedule.terms[k] / (1.0 + 2.0 * sup)
-        assert residual.set is data.set
-        assert stage.certified_residual == residual.sup_norm
-        res_sup = stage.certified_residual
+    budgets = make_schedule(eta, n_max)
+    assert len(received) == len(g.stages)
+    previous = data
+    for k, stage in enumerate(g.stages):
+        # each stage receives the very record the previous stage left
+        assert received[k] is previous and stage.clustering.data is previous
+        sup = previous.sup_norm
+        assert stage.epsilon == budgets[k] / (1.0 + 2.0 * sup)
+        # the derived fields read their sources, bit for bit
+        assert stage.epsilon == stage.clustering.oscillation_bound
+        assert stage.normalization == 1.0 / (1.0 + stage.clustering.oscillation_bound)
+        assert stage.certified_residual == stage.residual.sup_norm
+        assert stage.residual.set is data.set
+        previous = stage.residual
+    res_sup = previous.sup_norm
     assert g.certificate.measured_max_residual_on_E == res_sup
     # the run stops at n_max, or once the residual drops below the floor
     assert (len(g.stages) < n_max) == at_floor == (res_sup < RESIDUAL_FLOOR)
@@ -375,17 +358,31 @@ def test_pipeline_stage_budget_enforced(monkeypatch):
 def test_pipeline_stage_over_budget_rejected(monkeypatch):
     # the stage contract keeps each residual below eta_n up to rounding, so
     # only a stage whose recorded residual is raised reaches this check
-    build = diskinterp.interpolate._build_stage
+    build = diskinterp.interpolate.single_stage
 
     def over_budget(data, epsilon, safety_margin):
-        stage, residual = build(data, epsilon, safety_margin)
+        stage = build(data, epsilon, safety_margin)
         eta_n = epsilon * (1.0 + 2.0 * data.sup_norm)
-        return dataclasses.replace(stage, certified_residual=2.0 * eta_n), residual
+        raised = BoundaryData(data.set, np.full(len(data.set), 2.0 * eta_n))
+        return dataclasses.replace(stage, residual=raised)
 
-    monkeypatch.setattr(diskinterp.interpolate, "_build_stage", over_budget)
+    monkeypatch.setattr(diskinterp.interpolate, "single_stage", over_budget)
     data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, -1.0, 1.0j])
     with pytest.raises(CertificationError, match="exceeds its budget"):
         iterative_interpolant(data, 0.01, 3, GRID, MARGIN)
+
+
+@pytest.mark.parametrize("value, eta, n_max", [(1e308, 0.01, 8), (1e30, 1e-300, 20)])
+def test_zero_stage_tolerance_refused_before_clustering(monkeypatch, value, eta, n_max):
+    # 1 + 2*sup overflows, or eta_1/(1 + 2*sup) underflows: eps_1 is 0, and
+    # the build names the rule instead of handing 0 to the clustering
+    def no_clustering(*args):
+        raise AssertionError("clustered with a zero tolerance")
+
+    monkeypatch.setattr(diskinterp.interpolate, "cluster_by_oscillation", no_clustering)
+    data = BoundaryData.from_pairs([0.0, 2.0], [value, 1j])
+    with pytest.raises(ValueError, match=r"eta_n/\(1 \+ 2\*sup\) = 0\.0 is not positive"):
+        iterative_interpolant(data, eta, n_max, GRID, MARGIN)
 
 
 @pytest.mark.parametrize(

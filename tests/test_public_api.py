@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "Cluster",
     "Clustering",
     "DomainError",
-    "EtaSchedule",
     "FatouFunction",
     "FiniteBoundarySet",
     "Interpolant",
@@ -33,7 +32,6 @@ PUBLIC_NAMES = [
     "eval_stage",
     "iterative_interpolant",
     "make_schedule",
-    "residual_bound_after",
     "single_stage",
     "sup_off_arc",
     "verify_interpolant",
@@ -67,19 +65,16 @@ SIGNATURES = {
     "CheckResult": ("name", "passed", "measured", "threshold", "params"),
     "Cluster": ("start", "size", "n", "arc"),
     "Clustering": ("data", "clusters", "oscillation_bound"),
-    "EtaSchedule": ("eta", "terms"),
     "FatouFunction": ("peaks",),
     "FiniteBoundarySet": ("thetas",),
-    "Interpolant": ("stages", "schedule", "certificate"),
+    "Interpolant": ("stages", "certificate"),
     "StageApproximant": (
         "clustering",
         "coefficients",
         "lambdas",
         "power",
-        "normalization",
-        "epsilon",
         "certified_sup",
-        "certified_residual",
+        "residual",
     ),
     "VerificationReport": ("checks",),
     "check_boundary_sup": ("interpolant",),
@@ -94,7 +89,6 @@ SIGNATURES = {
     "eval_stage": ("stage", "z"),
     "iterative_interpolant": ("data", "eta", "n_max", "grid_size", "safety_margin"),
     "make_schedule": ("eta", "n_max"),
-    "residual_bound_after": ("schedule", "n_stages"),
     "single_stage": ("data", "epsilon", "safety_margin"),
     "sup_off_arc": ("fatou", "excluded", "safety_margin"),
     "verify_interpolant": ("interpolant", "data", "grid_size", "seed"),
@@ -109,3 +103,10 @@ def test_public_signatures_are_pinned():
             continue
         signatures[name] = tuple(inspect.signature(obj).parameters)
     assert signatures == SIGNATURES
+
+
+def test_stage_derives_what_its_sources_hold():
+    # a stage's epsilon, normalization and certified residual are read-only
+    # views of its clustering and its residual, not fields
+    for name in ("epsilon", "normalization", "certified_residual"):
+        assert isinstance(getattr(diskinterp.StageApproximant, name), property)
