@@ -36,7 +36,6 @@ from .interpolate import (
     StageApproximant,
     eval_interpolant,
     eval_on_circle,
-    eval_stage,
     iterative_interpolant,
     make_schedule,
     single_stage,
@@ -78,7 +77,6 @@ __all__ = [
     "eval_fatou",
     "eval_interpolant",
     "eval_on_circle",
-    "eval_stage",
     "iterative_interpolant",
     "make_schedule",
     "single_stage",

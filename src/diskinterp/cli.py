@@ -53,7 +53,6 @@ EXIT_CERTIFICATION = 4
 
 DEFAULT_N_MAX = 20
 DEFAULT_GRID_SIZE = 1 << 16   # rows of --grid-out
-MIN_GRID_SIZE = 1 << 12
 MAX_GRID_SIZE = 1 << 20       # CSV rows at most: built in memory, ~100 bytes each
 DEFAULT_SAFETY_MARGIN = 1e-9
 DEFAULT_SEED = 0
@@ -150,9 +149,9 @@ class ProblemSpec:
             stage_epsilon(make_schedule(self.eta, self.n_max)[0], data.sup_norm)
         except ValueError as exc:
             raise ValidationFailure(f"problem: {exc}") from exc
-        if not MIN_GRID_SIZE <= self.grid_size <= MAX_GRID_SIZE:
+        if not 1 <= self.grid_size <= MAX_GRID_SIZE:
             raise ValidationFailure(
-                f"problem: grid_size must lie in [{MIN_GRID_SIZE}, {MAX_GRID_SIZE}]"
+                f"problem: grid_size must lie in [1, {MAX_GRID_SIZE}]"
             )
         if not (math.isfinite(self.safety_margin) and self.safety_margin > 0.0):
             raise ValidationFailure("problem: safety_margin must be positive")

@@ -28,13 +28,12 @@ instead of being recorded.
 
 All evaluation goes through one traversal of (lambda, N, scale) terms,
 scale = c_k/(1+eps), and one of two logs with the same contract:
-``log_fatou`` on points of the closed disk (``eval_interpolant`` and
-``eval_stage``), or ``log_fatou_on_circle`` on angles of points on the
-circle (``eval_on_circle``, and the build's values on the set). Later
-stages often rebuild an earlier cluster, so terms with equal peak functions
-are grouped, and each group costs one log call per chunk of ``CHUNK``
-points, so memory does not grow with the number of points beyond the
-result. Two reducers share that traversal: the values, scale * exp(N log
+``log_fatou`` on points of the closed disk (``eval_interpolant``), or
+``log_fatou_on_circle`` on angles of points on the circle
+(``eval_on_circle``, and the build's values on the set). Later stages often
+rebuild an earlier cluster, so terms with equal peak functions are grouped,
+and each group costs one log call per chunk of ``CHUNK`` points, so memory
+does not grow with the number of points beyond the result. Two reducers share that traversal: the values, scale * exp(N log
 lambda), and the arc envelope ``arc_envelope``, which takes each term's
 modulus |scale| * exp(N Re log lambda), with real exponentials and no
 phase, at the two ends of an arc and keeps the larger, and also sums the
@@ -290,11 +289,12 @@ def iterative_interpolant(
     bound stays below the residual sup. The running residual is ``data``,
     then the last stage's ``residual``, handed on unchanged; res_sup is its
     ``sup_norm``, measured once. Iteration stops after n_max stages or once
-    res_sup drops below ``RESIDUAL_FLOOR``; zero data yields a zero
-    interpolant with a trivial certificate. The final certificate records
-    the sum of the stage sup bounds (below sup + eta, enforced) and the last
-    res_sup (below the truncation bound eta_k + sum of the budgets from k
-    on after k stages, enforced).
+    res_sup drops below ``RESIDUAL_FLOOR``; data whose sup norm is already
+    below it yields a zero interpolant, whose truncation bound is that sup
+    norm, what the zero function leaves on the set (0 for zero data). The
+    final certificate records the sum of the stage sup bounds (below sup +
+    eta, enforced) and the last res_sup (below the truncation bound eta_k +
+    sum of the budgets from k on after k stages, enforced).
 
     The build evaluates no boundary grid and does not read ``grid_size``;
     the parameter stays for callers that pass it positionally.
@@ -317,7 +317,7 @@ def iterative_interpolant(
         residual = stage.residual
 
     k = len(stages)
-    bound = budgets[k - 1] + math.fsum(budgets[k - 1 :]) if k else 0.0
+    bound = budgets[k - 1] + math.fsum(budgets[k - 1 :]) if k else data.sup_norm
     sup_bound = math.fsum(s.certified_sup for s in stages)
     if sup_bound > data.sup_norm + eta + SUP_CERT_TOL:
         raise CertificationError(
@@ -364,11 +364,6 @@ def _finite_angles(thetas) -> np.ndarray:
     return ts
 
 
-def eval_stage(stage: StageApproximant, z):
-    """Evaluate one normalized stage on the closed disk."""
-    return _eval_stages((stage,), require_closed_disk(z), log_fatou)
-
-
 def eval_interpolant(interpolant: Interpolant, z):
     """Evaluate the stage sum on the closed disk (0 for a zero-stage result)."""
     return _eval_stages(interpolant.stages, require_closed_disk(z), log_fatou)
@@ -381,27 +376,25 @@ def eval_on_circle(interpolant: Interpolant, thetas):
     return _eval_stages(interpolant.stages, _finite_angles(thetas), log_fatou_on_circle)
 
 
-def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, ...]:
-    """(envelope, at_ends, values) for arcs of the circle given by the angles
-    of their two ends, an (arcs, 2) array of finite angles.
+def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray]:
+    """(envelope, values) for arcs of the circle given by the angles of
+    their two ends, an (arcs, 2) array of finite angles.
 
-    ``at_ends`` and ``values`` have the shape of ``ends``; ``values`` is g
-    there, bit for bit ``eval_on_circle`` (same logs, same order), and
-    ``at_ends`` B(theta) = sum |scale| exp(N Re log lambda) over the terms
-    it keeps at e^(i*theta). ``envelope`` is, per arc, sum |scale| max(exp(N
-    Re log lambda(a)), exp(N Re log lambda(b))) over the terms. Both add
-    (TERM_FLOOR + s) * sum |scale|, s the ``envelope_slack``, for the
-    dropped terms and the rounding, so they bound the true moduli.
+    ``values`` has the shape of ``ends`` and is g there, bit for bit
+    ``eval_on_circle`` (same logs, same order). ``envelope`` is, per arc,
+    sum |scale| max(exp(N Re log lambda(a)), exp(N Re log lambda(b))) over
+    the terms the kernel keeps at either end, plus (TERM_FLOOR + s) * sum
+    |scale|, s the ``envelope_slack``, for the dropped terms and the
+    rounding, so it bounds the true moduli.
 
     On an arc with no peak of any term inside it, each term's modulus is
     largest at an end (``fatou.sup_off_arc``), so ``envelope`` bounds |g| on
-    the whole arc; B(theta) bounds |g(e^(i*theta))|. The arcs go to the
-    kernel in blocks of ``CHUNK // 2``, each distinct angle of a block once,
-    so an end that neighbouring arcs share is evaluated once and a block is
-    one chunk.
+    the whole arc; on the zero-length arc [theta, theta] it bounds
+    |g(e^(i*theta))|. The arcs go to the kernel in blocks of ``CHUNK // 2``,
+    each distinct angle of a block once, so an end that neighbouring arcs
+    share is evaluated once and a block is one chunk.
     """
     ends = _finite_angles(ends)
-    at_ends = np.zeros(ends.shape)
     values = np.zeros(ends.shape, dtype=complex)
     envelope = np.zeros(ends.shape[0])
     terms = list(_all_terms(interpolant.stages))
@@ -409,20 +402,16 @@ def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, ...]:
         block = slice(first, first + CHUNK // 2)
         angles, inverse = np.unique(ends[block].ravel(), return_inverse=True)
         block_values = np.zeros(angles.size, dtype=complex)
-        block_moduli = np.zeros(angles.size)
         for _, idx, power, scale, L in _kept_terms(terms, angles, log_fatou_on_circle):
             block_values[idx] += scale * np.exp(power * L)
             moduli = np.zeros(angles.size)
             moduli[idx] = abs(scale) * np.exp(power * L.real)
-            block_moduli += moduli
             envelope[block] += moduli[inverse].reshape(-1, 2).max(axis=1)
         values[block] = block_values[inverse].reshape(-1, 2)
-        at_ends[block] = block_moduli[inverse].reshape(-1, 2)
     allowance = (TERM_FLOOR + envelope_slack(interpolant)) * math.fsum(
         abs(scale) for _, _, scale in terms
     )
-    at_ends += allowance
-    return envelope + allowance, at_ends, values
+    return envelope + allowance, values
 
 
 def envelope_slack(interpolant: Interpolant) -> float:

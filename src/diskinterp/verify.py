@@ -13,14 +13,15 @@ arc, and ``arc_envelope`` bounds |g| on the arc from its two ends. The
 check starts from the arcs between consecutive points of E and bisects the
 arcs whose envelope exceeds the certified ``boundary_sup_bound`` plus
 ``SUP_TOL``, for at most ``ENVELOPE_ROUNDS`` rounds and ``ENVELOPE_ARCS``
-arcs per point of E; its measurement is the proved upper bound, and the
-maximum-modulus check takes its ceiling from it. The envelope also hands
-back g at the arc ends, whose largest modulus is a lower bound. The set is
-evaluated from its angles (``eval_on_circle``); the interior samples and
-Cauchy contours from points (``eval_interpolant``). Every modulus a check
-reports is the build's ``circle.modulus``, or Python's ``abs`` of one
-complex. Checks are pure and deterministic given their arguments and the
-constants.
+arcs per point of E. The envelope is the only rule: a failing check also
+refines until those limits or float resolution stop it. Its measurement
+is the proved upper bound, and the maximum-modulus check takes its
+ceiling from it. The envelope also hands back g at the arc ends, whose
+largest modulus is a lower bound. The set is evaluated from its angles
+(``eval_on_circle``); the interior samples and Cauchy contours from points
+(``eval_interpolant``). Every modulus a check reports is the build's
+``circle.modulus``, or Python's ``abs`` of one complex. Checks are pure and
+deterministic given their arguments and the constants.
 """
 
 from __future__ import annotations
@@ -95,19 +96,20 @@ def check_boundary_sup(interpolant: Interpolant) -> CheckResult:
 
     The arcs run between consecutive peak angles, which are points of E, so
     no peak lies inside one. Each round evaluates the envelope of every open
-    arc; an arc whose envelope is at most T is proved, and each other one is
-    split at its midpoint for the next round. The check fails at once when
-    the bound B at an evaluated angle exceeds T (no arc with that end can
-    be proved), or is NaN, and fails as unresolved when arcs remain after
-    ``ENVELOPE_ROUNDS`` rounds, or when the next round would take the arcs
-    evaluated past ``ENVELOPE_ARCS`` per peak angle.
+    arc; an arc whose envelope is at most T is proved, and each other one,
+    a NaN envelope included, is split at its midpoint for the next round.
+    The check fails as unresolved when arcs remain after ``ENVELOPE_ROUNDS``
+    rounds, when the next round would take the arcs evaluated past
+    ``ENVELOPE_ARCS`` per peak angle, or when a midpoint does not fall
+    strictly inside its arc.
 
     ``measured`` is the largest envelope over arcs that cover the circle,
     the proved ones and the last round's: an upper bound on |g| that is
-    finite whenever the moduli are. ``params`` give the rounds, the number
-    of angles evaluated for envelopes, and ``evaluated_max``, the largest
-    |g| at an arc end (the peak angles included), a lower bound on the sup
-    read from the envelope's values, so each round traverses the terms once.
+    finite whenever the moduli are, and on a failed check the tightest one
+    those limits allow. ``params`` give the rounds, the number of angles
+    evaluated for envelopes, and ``evaluated_max``, the largest |g| at an
+    arc end (the peak angles included), a lower bound on the sup read from
+    the envelope's values, so each round traverses the terms once.
     """
     bound, tol = interpolant.certificate.boundary_sup_bound, SUP_TOL
     threshold = bound + tol
@@ -126,12 +128,10 @@ def check_boundary_sup(interpolant: Interpolant) -> CheckResult:
             rounds += 1
             arcs += lo.size
             ends = np.stack([lo, np.where(hi == wrap, peaks[0], hi)], axis=1)
-            envelope, at_ends, values = arc_envelope(interpolant, ends)
+            envelope, values = arc_envelope(interpolant, ends)
             evaluations += ends.size
             evaluated_max = max(evaluated_max, float(modulus(values).max()))
             measured = float(np.max(np.append(envelope, proved)))
-            if not np.all(at_ends <= threshold):
-                break
             open_ = ~(envelope <= threshold)
             if not open_.any():
                 passed = True

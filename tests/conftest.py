@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diskinterp import BoundaryData
+from diskinterp import BoundaryData, BoundsCertificate, Interpolant, StageApproximant
 
 TWO_PI = 2.0 * math.pi
 
@@ -15,6 +15,12 @@ def random_problem(rng: np.random.Generator, max_points: int) -> BoundaryData:
     vals = rng.normal(size=n) + 1j * rng.normal(size=n)
     vals = vals / np.max(np.abs(vals))
     return BoundaryData.from_pairs(thetas, vals)
+
+
+def one_stage(stage: StageApproximant) -> Interpolant:
+    """``stage`` alone as an interpolant. The evaluators read only the
+    stages, so the certificate is zeros."""
+    return Interpolant((stage,), BoundsCertificate(*[0.0] * 6))
 
 
 @pytest.fixture

@@ -21,13 +21,13 @@ from diskinterp import (
     check_max_modulus,
     choose_power,
     eval_fatou,
-    eval_stage,
+    eval_interpolant,
     iterative_interpolant,
     single_stage,
 )
 from diskinterp.cli import EXIT_CERTIFICATION, EXIT_OK, main as cli_main
 from diskinterp.verify import cauchy_sample_points
-from conftest import random_problem
+from conftest import one_stage, random_problem
 
 TWO_PI = 2.0 * math.pi
 GRID_16 = 1 << 16
@@ -123,7 +123,8 @@ def test_criterion_4_stage_bounds():
         for eps in (0.2, 0.05):
             stage = single_stage(data, eps, 1e-9)
             pre_sup = stage.certified_sup / stage.normalization
-            at_e = np.asarray(eval_stage(stage, np.exp(1j * data.set.thetas)))
+            e_pts = np.exp(1j * data.set.thetas)
+            at_e = np.asarray(eval_interpolant(one_stage(stage), e_pts))
             pre_res = float(
                 np.max(np.abs(data.values - at_e / stage.normalization))
             )

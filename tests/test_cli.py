@@ -201,6 +201,24 @@ def test_interpolate_zero_data(tmp_path):
     assert cert["n_stages"] == 0
 
 
+def test_interpolate_below_the_floor_bounds_its_residual(tmp_path):
+    # no stage is built below RESIDUAL_FLOOR; the certified truncation bound
+    # still covers the residual the zero interpolant leaves
+    spec = dict(PROBLEM)
+    spec["points"] = [
+        {"theta": 0.0, "value_re": 1e-16, "value_im": 0.0},
+        {"theta": 2.0, "value_re": 0.0, "value_im": -5e-16},
+    ]
+    problem = write_json(tmp_path / "tiny.json", spec)
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem, "--out", str(out)]) == EXIT_OK
+    cert = json.loads(out.read_text())["certificate"]
+    assert cert["n_stages"] == 0
+    assert cert["measured_max_residual_on_E"] == 5e-16
+    assert cert["residual_bound_theoretical"] >= cert["measured_max_residual_on_E"]
+    assert main(["verify", str(out), problem]) == EXIT_OK
+
+
 def test_interpolate_writes_certificate_and_grid(tmp_path, problem_file):
     out = tmp_path / "cert.json"
     grid_out = tmp_path / "grid.csv"
@@ -353,11 +371,22 @@ def test_interpolate_out_of_range_is_validation_error(tmp_path, capsys, override
     assert not out.exists()
 
 
-def test_interpolate_small_grid_rejected(tmp_path):
-    spec = dict(PROBLEM)
-    spec["grid_size"] = 1024
-    problem = write_json(tmp_path / "grid.json", spec)
-    assert main(["interpolate", problem]) == EXIT_VALIDATION
+def test_interpolate_grid_size_takes_the_eval_grid_range(tmp_path, capsys):
+    # grid_size sizes only the --grid-out table, in [1, MAX_GRID_SIZE] as
+    # fatou --eval-grid: 1024 rows are written, 0 is refused before anything
+    out, grid_out = tmp_path / "cert.json", tmp_path / "grid.csv"
+    problem = write_json(tmp_path / "grid.json", dict(PROBLEM, grid_size=1024))
+    args = ["interpolate", problem, "--out", str(out), "--grid-out", str(grid_out)]
+    assert main(args) == EXIT_OK
+    assert len(grid_out.read_text().strip().splitlines()) == 1024 + 1
+    out.unlink()
+    grid_out.unlink()
+    capsys.readouterr()
+    problem = write_json(tmp_path / "grid.json", dict(PROBLEM, grid_size=0))
+    assert main(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: problem: grid_size")
+    assert not out.exists() and not grid_out.exists()
 
 
 @pytest.mark.parametrize("grid_size", [MAX_GRID_SIZE + 1, 1 << 62])
@@ -605,7 +634,7 @@ def test_problem_spec_round_trip():
     n_max=st.one_of(st.integers(-5, 2100), st.integers(-5, 10**9)),
     seed=st.integers(-5, 5),
     safety_margin=st.floats(),
-    grid_size=st.sampled_from([1024, 4096, MAX_GRID_SIZE + 1, 1 << 62]),
+    grid_size=st.sampled_from([0, 1, 1024, 4096, MAX_GRID_SIZE + 1, 1 << 62]),
 )
 def test_problem_spec_admits_only_runnable_problems(
     eta, n_max, seed, safety_margin, grid_size
@@ -627,7 +656,7 @@ def test_problem_spec_admits_only_runnable_problems(
         return
     stage_epsilon(make_schedule(spec.eta, spec.n_max)[0], spec.boundary_data().sup_norm)
     assert spec.seed >= 0
-    assert spec.grid_size <= MAX_GRID_SIZE
+    assert 1 <= spec.grid_size <= MAX_GRID_SIZE
 
 
 def test_certificate_json_round_trip(tmp_path, problem_file):

@@ -17,7 +17,6 @@ from diskinterp import (
     cluster_by_oscillation,
     eval_interpolant,
     eval_on_circle,
-    eval_stage,
     iterative_interpolant,
     make_schedule,
     single_stage,
@@ -38,7 +37,7 @@ from diskinterp.interpolate import (
     TERM_FLOOR,
     _terms_sum,
 )
-from conftest import random_problem
+from conftest import one_stage, random_problem
 
 TWO_PI = 2.0 * math.pi
 GRID = 1 << 14
@@ -115,7 +114,7 @@ def test_stage_zero_data():
     assert all(c == 0 for c in st_.coefficients)
     assert st_.certified_sup == 0.0
     assert st_.certified_residual == 0.0
-    assert eval_stage(st_, 0.5 + 0j) == 0.0
+    assert eval_interpolant(one_stage(st_), 0.5 + 0j) == 0.0
 
 
 def test_stage_single_point_closed_form():
@@ -124,10 +123,11 @@ def test_stage_single_point_closed_form():
     st_ = single_stage(data, 0.01, 1e-6)
     assert st_.power == 14
     assert st_.normalization == pytest.approx(1 / 1.01, rel=1e-15)
-    assert eval_stage(st_, 1 + 0j) == pytest.approx(1 / 1.01, rel=1e-14)
+    g = one_stage(st_)
+    assert eval_interpolant(g, 1 + 0j) == pytest.approx(1 / 1.01, rel=1e-14)
     for z in (0.0 + 0j, 0.3 - 0.6j, -1j):
         expected = (1 / 1.01) * ((1 + z) / 2) ** 14
-        assert eval_stage(st_, z) == pytest.approx(expected, abs=1e-15)
+        assert eval_interpolant(g, z) == pytest.approx(expected, abs=1e-15)
 
 
 def test_stage_bounds_on_seeded_problems(rng):
@@ -142,7 +142,7 @@ def test_stage_bounds_on_seeded_problems(rng):
         assert pre_sup <= (1 + eps) * sup + 1e-9
         assert st_.certified_sup <= sup
 
-        at_e = eval_stage(st_, np.exp(1j * data.set.thetas))
+        at_e = eval_interpolant(one_stage(st_), np.exp(1j * data.set.thetas))
         pre_res = np.max(np.abs(data.values - at_e / st_.normalization))
         assert pre_res < eps * (1 + sup)
         assert st_.certified_residual < eps * (1 + 2 * sup)
@@ -246,6 +246,18 @@ def test_pipeline_zero_data():
     assert np.all(eval_interpolant(g, zs) == 0.0)
 
 
+def test_pipeline_below_the_floor_bounds_its_residual():
+    # data of sup norm below RESIDUAL_FLOOR, but not 0, builds no stage; the
+    # zero interpolant leaves the data on E, so the truncation bound is the
+    # data's sup norm
+    data = BoundaryData.from_pairs([0.0, 2.0], [1e-16, -5e-16j])
+    g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+    assert len(g.stages) == 0
+    cert = g.certificate
+    assert cert.measured_max_residual_on_E == data.sup_norm == 5e-16
+    assert cert.residual_bound_theoretical >= cert.measured_max_residual_on_E
+
+
 def test_pipeline_certificate_bounds(rng):
     for _ in range(4):
         data = random_problem(rng, 6)
@@ -270,7 +282,7 @@ def test_pipeline_telescoping_and_sup_chain(rng):
     for n, stage in enumerate(g.stages, start=1):
         # stage sup never exceeds the sup norm of its input residual
         assert stage.certified_sup <= res_sup
-        residual = residual - np.asarray(eval_stage(stage, e_pts))
+        residual = residual - np.asarray(eval_interpolant(one_stage(stage), e_pts))
         res_sup = float(np.max(np.abs(residual)))
         # telescoping: |f - sum_{j<=n} H_j| on E below eta_n
         assert res_sup < budgets[n - 1]
@@ -318,17 +330,8 @@ def test_pipeline_eval_matches_stage_sum(rng):
     data = random_problem(rng, 5)
     g = iterative_interpolant(data, 0.05, 4, GRID, MARGIN)
     zs = 0.8 * np.exp(2j * np.pi * np.arange(64) / 64)
-    total = sum(np.asarray(eval_stage(s, zs)) for s in g.stages)
+    total = sum(np.asarray(eval_interpolant(one_stage(s), zs)) for s in g.stages)
     assert np.max(np.abs(eval_interpolant(g, zs) - total)) < 1e-14
-
-
-def test_one_stage_interpolant_equals_stage(rng):
-    data = random_problem(rng, 4)
-    g = iterative_interpolant(data, 0.05, 1, GRID, MARGIN)
-    assert len(g.stages) == 1
-    zs = np.exp(2j * np.pi * np.arange(128) / 128)
-    diff = eval_interpolant(g, zs) - np.asarray(eval_stage(g.stages[0], zs))
-    assert np.max(np.abs(diff)) == 0.0
 
 
 def test_pipeline_values_near_data(rng):
@@ -403,13 +406,13 @@ def test_eval_outside_disk_rejected(rng):
     with pytest.raises(DomainError):
         eval_interpolant(g, 1.5 + 0j)
     with pytest.raises(DomainError):
-        eval_stage(g.stages[0], np.array([2.0 + 0j]))
+        eval_interpolant(one_stage(g.stages[0]), np.array([2.0 + 0j]))
     # NaN fails every comparison, so only "all points inside" catches it
     for z in (complex(math.nan, 0.0), complex(0.0, math.nan)):
         with pytest.raises(DomainError):
             eval_interpolant(g, z)
         with pytest.raises(DomainError):
-            eval_stage(g.stages[0], np.array([0.5, z]))
+            eval_interpolant(one_stage(g.stages[0]), np.array([0.5, z]))
         with pytest.raises(DomainError):
             eval_fatou(g.stages[0].lambdas[0], z)
 
@@ -467,7 +470,7 @@ def test_skipped_terms_stay_within_floor_bound(name):
         assert np.max(np.abs(diff)) <= bound, label
         for s in g.stages:
             scale = sum(abs(s.normalization * c) for c in s.coefficients)
-            diff = eval_stage(s, zs) - _term_by_term([s], zs)
+            diff = eval_interpolant(one_stage(s), zs) - _term_by_term([s], zs)
             assert np.max(np.abs(diff)) <= SKIP_SLACK * scale, label
 
 
@@ -525,7 +528,7 @@ def test_skip_radius_matches_floor_bit_for_bit(name):
         ), label
         for s in g.stages:
             assert np.array_equal(
-                eval_stage(s, zs), _floor_only_sum(_terms([s]), zs)
+                eval_interpolant(one_stage(s), zs), _floor_only_sum(_terms([s]), zs)
             ), label
 
 
@@ -616,7 +619,7 @@ def test_eval_is_exactly_zero_where_lambda_vanishes():
         vals = eval_interpolant(g, zs)
         assert vals[0] == 0.0 and vals[1] != 0.0
         for s in g.stages:
-            vals = eval_stage(s, zs)
+            vals = eval_interpolant(one_stage(s), zs)
             assert vals[0] == 0.0 and np.isfinite(vals[1])
 
 

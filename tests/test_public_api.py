@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "eval_fatou",
     "eval_interpolant",
     "eval_on_circle",
-    "eval_stage",
     "iterative_interpolant",
     "make_schedule",
     "single_stage",
@@ -86,7 +85,6 @@ SIGNATURES = {
     "eval_fatou": ("fatou", "z"),
     "eval_interpolant": ("interpolant", "z"),
     "eval_on_circle": ("interpolant", "thetas"),
-    "eval_stage": ("stage", "z"),
     "iterative_interpolant": ("data", "eta", "n_max", "grid_size", "safety_margin"),
     "make_schedule": ("eta", "n_max"),
     "single_stage": ("data", "epsilon", "safety_margin"),

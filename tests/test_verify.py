@@ -198,7 +198,8 @@ def test_envelope_slack_covers_the_rounding(problem):
     # at arc ends next to the peaks, out to 4 peak widths, and on the
     # unwrapped frame of the audit's last arc (angle + 2 pi), each term's
     # computed modulus is within the slack of |lambda|^N formed in mpmath
-    # from the same double angles, and B bounds the true sum
+    # from the same double angles, and the envelope of the zero-length arc
+    # [a, a] bounds the true sum at a
     mpmath = pytest.importorskip("mpmath")
     data = BoundaryData.from_pairs(*problem)
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
@@ -233,16 +234,16 @@ def test_envelope_slack_covers_the_rounding(problem):
                     worst = max(worst, float(err) / slack)
                     true_bound[i] += scale * true
     assert worst <= 1.0
-    ends = angles.reshape(-1, 2)
-    _, at_ends, _ = arc_envelope(g, ends)
-    assert all(float(t) <= b for t, b in zip(true_bound, at_ends.ravel()))
+    at_angle, _ = arc_envelope(g, np.stack([angles, angles], axis=1))
+    assert all(float(t) <= b for t, b in zip(true_bound, at_angle))
 
 
 def test_envelope_is_the_per_end_sum_of_term_moduli(monkeypatch):
     # reference: each end of each arc sent to the kernel on its own, as
     # (lambda, N, scale) terms, with no end shared; with CHUNK 8 the arcs
     # form blocks of 4, which share ends, repeat arcs, and hold 0.0 and -0.0
-    # (one value for np.unique)
+    # (one value for np.unique). The envelope of the zero-length arc [a, a]
+    # is the per-end sum of term moduli at a
     data = BoundaryData.from_pairs(*CLOSE_PAIR)
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
     e = data.set.thetas.tolist()
@@ -252,9 +253,10 @@ def test_envelope_is_the_per_end_sum_of_term_moduli(monkeypatch):
          [0.0, -0.0], [e[3], e[3]], [e[2], e[3]], [e[3], e[0] + 2 * math.pi]]
     )
     monkeypatch.setattr(interpolate_mod, "CHUNK", 8)
-    envelope, at_ends, values = arc_envelope(g, ends)
+    envelope, values = arc_envelope(g, ends)
     terms = list(interpolate_mod._all_terms(g.stages))
     flat = ends.ravel()
+    at_ends, _ = arc_envelope(g, np.stack([flat, flat], axis=1))
     total, reference = np.zeros(flat.size), np.zeros(len(ends))
     kept = interpolate_mod._kept_terms(terms, flat, interpolate_mod.log_fatou_on_circle)
     for start, idx, power, scale, L in kept:
@@ -265,7 +267,7 @@ def test_envelope_is_the_per_end_sum_of_term_moduli(monkeypatch):
     allowance = (interpolate_mod.TERM_FLOOR + envelope_slack(g)) * math.fsum(
         abs(scale) for _, _, scale in terms
     )
-    assert np.array_equal(at_ends, (total + allowance).reshape(ends.shape))
+    assert np.array_equal(at_ends, total + allowance)
     assert np.array_equal(envelope, reference + allowance)
     assert np.array_equal(values, eval_on_circle(g, ends))
 
@@ -291,8 +293,24 @@ def test_boundary_sup_fails_on_mutants(problem):
     # a bound 1e-6 below the largest value on E: no refinement can help
     on_e = float(np.max(np.abs(eval_on_circle(g, data.set.thetas))))
     res = check_boundary_sup(claiming(g, on_e - 1e-6))
-    assert not res.passed and res.params["rounds"] == 1
+    assert not res.passed and res.measured > res.threshold
     assert on_e <= res.measured
+
+
+@pytest.mark.parametrize("problem", ["random", "close_pair"])
+def test_failing_boundary_sup_keeps_refining(problem):
+    # the envelope alone proves or splits an arc: against a bound 1e-6 below
+    # the largest value on E the check splits the arcs past round 1 until a
+    # cap stops it, and its upper bound stays above the threshold
+    data = {
+        "random": lambda: random_problem(np.random.default_rng(7), 12),
+        "close_pair": lambda: BoundaryData.from_pairs(*CLOSE_PAIR),
+    }[problem]()
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    on_e = float(np.max(np.abs(eval_on_circle(g, data.set.thetas))))
+    res = check_boundary_sup(claiming(g, on_e - 1e-6))
+    assert res.params["rounds"] > 1
+    assert not res.passed and res.measured > res.threshold
 
 
 def test_boundary_sup_fails_on_a_nan_value(monkeypatch):
@@ -312,33 +330,24 @@ def test_boundary_sup_fails_on_a_nan_value(monkeypatch):
     assert math.isnan(res.measured)
 
 
-def test_boundary_sup_evaluates_where_the_bound_is_nan(monkeypatch):
-    # a NaN bound at a new arc end of the second round, with finite
-    # envelopes: the check reads the value there, then fails at once with a
-    # finite upper bound
+def test_boundary_sup_evaluated_max_reads_every_round(monkeypatch):
+    # the largest |g| the check reports is the largest over the values the
+    # envelope handed back in every round
     data = BoundaryData.from_pairs([0.0, 2.5], [1.0, -0.5j])
     g = iterative_interpolant(data, 0.01, 3, GRID, 1e-9)
-    assert check_boundary_sup(g).params["rounds"] == 2
     envelope = verify_mod.arc_envelope
-    rounds, values = [], []
+    values = []
 
-    def nan_end(g, ends):
-        env, at_ends, vals = envelope(g, ends)
-        rounds.append(ends)
+    def recorded(g, ends):
+        env, vals = envelope(g, ends)
         values.append(vals)
-        if len(rounds) == 2:
-            at_ends[0, 1] = np.nan
-        return env, at_ends, vals
+        return env, vals
 
-    monkeypatch.setattr(verify_mod, "arc_envelope", nan_end)
+    monkeypatch.setattr(verify_mod, "arc_envelope", recorded)
     res = check_boundary_sup(g)
-    assert not res.passed
-    assert len(rounds) == 2 and res.params["rounds"] == 2
-    assert not np.isin(rounds[1][0, 1], rounds[0])
-    assert values[1][0, 1] == eval_on_circle(g, rounds[1][0, 1])
+    assert res.passed and res.params["rounds"] == len(values) == 2
     evaluated_max = max(float(np.max(np.abs(v))) for v in values)
-    assert abs(values[1][0, 1]) <= res.params["evaluated_max"] == evaluated_max
-    assert math.isfinite(res.measured)
+    assert res.params["evaluated_max"] == evaluated_max
 
 
 def test_boundary_sup_grid_validation():
@@ -470,7 +479,7 @@ def test_report_moduli_are_python_abs_bit_for_bit(monkeypatch, rng):
 
     mismatch = eval_on_circle(g, data.set.thetas) - data.values
     assert by_name["peak_values"].measured == python_max(mismatch)
-    evaluated = max(python_max(values) for _, _, values in seen["ends"])
+    evaluated = max(python_max(values) for _, values in seen["ends"])
     assert by_name["boundary_sup"].params["evaluated_max"] == evaluated
     samples, *contours = seen["interior"]
     assert by_name["max_modulus"].measured == python_max(samples)
