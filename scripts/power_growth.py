@@ -41,7 +41,7 @@ def main(argv=None) -> None:
 
     lines = ["eps,rho,power"]
     for eps in np.logspace(-1, -12, args.steps):
-        n = choose_power(rhos, float(eps), len(clustering))
+        n = choose_power(max(rhos), float(eps) / len(rhos))
         lines.append(f"{float(eps)!r},{max(rhos)!r},{n}")
     text = "\n".join(lines) + "\n"
     if args.out is None:

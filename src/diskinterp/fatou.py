@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -273,20 +272,13 @@ def sup_off_arc(
     return rho
 
 
-def choose_power(rhos: Sequence[float], epsilon: float, n_clusters: int) -> int:
-    """Smallest integer N >= 1 with rho^N < epsilon/n_clusters for every
-    per-cluster off-arc supremum rho in ``rhos``, each in (0, 1)."""
-    if not rhos:
-        raise ValueError("at least one off-arc supremum is required")
-    for rho in rhos:
-        if not (math.isfinite(rho) and 0.0 < rho < 1.0):
-            raise ValueError(f"off-arc supremum {rho!r} outside (0, 1)")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError("epsilon must be positive and finite")
-    if n_clusters < 1:
-        raise ValueError("n_clusters must be at least 1")
-    target = epsilon / n_clusters
-    rho = max(rhos)
+def choose_power(rho: float, target: float) -> int:
+    """Smallest integer N >= 1 with rho^N < target, for rho in (0, 1) and a
+    positive finite target; a stage passes max rho and eps/k, k clusters."""
+    if not (math.isfinite(rho) and 0.0 < rho < 1.0):
+        raise ValueError(f"off-arc supremum {rho!r} outside (0, 1)")
+    if not (math.isfinite(target) and target > 0.0):
+        raise ValueError("target must be positive and finite")
     if target >= 1.0:
         return 1
     n = max(1, math.ceil(math.log(target) / math.log(rho)))

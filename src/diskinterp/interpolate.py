@@ -33,22 +33,23 @@ scale = c_k/(1+eps), and one of two logs with the same contract:
 (``eval_on_circle``, and the build's values on the set). Later stages often
 rebuild an earlier cluster, so terms with equal peak functions are grouped,
 and each group costs one log call per chunk of ``CHUNK`` points, so memory
-does not grow with the number of points beyond the result. Two reducers share that traversal: the values, scale * exp(N log
-lambda), and the arc envelope ``arc_envelope``, which takes each term's
-modulus |scale| * exp(N Re log lambda), with real exponentials and no
-phase, at the two ends of an arc and keeps the larger, and also sums the
-values there; so the audit bounds |g| on whole arcs of the circle from
-their ends and reads g there in one traversal. A term is skipped where
-|lambda|^N < TERM_FLOOR = 2^-60, in the values and the envelope alike, so a
-value moves by less than 2^-60 * sum |scale|. The kernel hands the log the
-floor log(TERM_FLOOR)/N of the group's lowest power; the log returns log lambda
-only where that floor is met, with the indices of those points, and each
-higher power tests its own floor on what is left. Each power is
-exp(N log lambda) there; on the peaks log lambda is exactly 0, so a term
-there is exactly its scale. What the log may drop unevaluated, and how it
-knows, belongs to the log: inside the disk, the points within the
-Schwarz-Pick radius of the floor; on the circle, the angles whose cotangent
-sum is too small. The kernel does not branch on geometry.
+does not grow with the number of points beyond the result. Two reducers
+share that traversal: the values, scale * exp(N log lambda), and the arc
+envelope ``arc_envelope``, which takes each term's modulus |scale| *
+exp(N Re log lambda), with real exponentials and no phase, at the two ends
+of an arc, keeps the larger, and also sums the values there; so the audit
+bounds |g| on whole arcs from their ends and reads g there in one
+traversal. A term is skipped where |lambda|^N < TERM_FLOOR = 2^-60, in the
+values and the envelope alike, so a value moves by less than 2^-60 * sum
+|scale|. The kernel hands the log the floor log(TERM_FLOOR)/N of the
+group's lowest power; the log returns log lambda only where that floor is
+met, with the indices of those points, and each higher power tests its own
+floor on what is left. Each power is exp(N log lambda) there; on the peaks
+log lambda is exactly 0, so a term there is exactly its scale. What the log
+may drop unevaluated, and how it knows, belongs to the log: inside the
+disk, the points within the Schwarz-Pick radius of the floor; on the
+circle, the angles whose cotangent sum is too small. The kernel does not
+branch on geometry.
 """
 
 from __future__ import annotations
@@ -171,14 +172,15 @@ def _kept_terms(
                 yield start, idx, power, scale, L
 
 
-def _terms_sum(terms, xs: np.ndarray, log) -> np.ndarray:
+def _terms_sum(terms, xs: np.ndarray, log):
     """Sum of scale * lambda^N = scale * exp(N log lambda) over the kept
     terms at ``xs``, with log lambda from ``log``, ``log_fatou`` on points
-    of the closed disk or ``log_fatou_on_circle`` on angles."""
+    of the closed disk or ``log_fatou_on_circle`` on angles; an array of the
+    shape of ``xs``, or a complex for a 0-d ``xs``."""
     total = np.zeros(xs.size, dtype=complex)
     for start, idx, power, scale, L in _kept_terms(terms, xs.reshape(-1), log):
         total[start : start + CHUNK][idx] += scale * np.exp(power * L)
-    return total.reshape(xs.shape)
+    return complex(total[0]) if xs.ndim == 0 else total.reshape(xs.shape)
 
 
 def _stage_terms(
@@ -198,12 +200,14 @@ def single_stage(
 ) -> StageApproximant:
     """One clustered, powered, normalized approximation pass over the data.
 
-    Post-normalization the stage satisfies (and certifies) sup on the closed
-    disk <= sup norm of the data, by the disjoint-arc bound, and residual on
-    the set < epsilon*(1 + 2*sup), measured on the set. The residual it
-    leaves, the data minus the stage's values on the set, is its
-    ``residual`` record; the pre-normalization function is the stage
-    divided by its ``normalization``.
+    Each peak function is raised to ``choose_power(max rho, eps/k)``, rho
+    the k clusters' off-arc suprema, so it is below eps/k off its arc; after
+    normalization the stage satisfies (and certifies) sup on the closed disk
+    <= sup norm of the data, by the disjoint-arc bound, and residual on the
+    set < epsilon*(1 + 2*sup), measured on the set. The residual it leaves,
+    the data minus the stage's values on the set, is its ``residual``
+    record; the pre-normalization function is the stage divided by its
+    ``normalization``.
     """
     clustering = cluster_by_oscillation(data, epsilon)
     epsilon = clustering.oscillation_bound  # the stage's epsilon, as a float
@@ -215,7 +219,7 @@ def single_stage(
         sup_off_arc(lam, c.arc, safety_margin)
         for lam, c in zip(lambdas, clustering.clusters)
     ]
-    power = choose_power(rhos, epsilon, len(clustering))
+    power = choose_power(max(rhos), epsilon / len(rhos))
     representatives = [c.representative for c in clustering.clusters]
     coefficients = tuple(data.values[representatives].tolist())
     normalization = 1.0 / (1.0 + epsilon)
@@ -347,15 +351,6 @@ def _all_terms(stages: Iterable[StageApproximant]):
     )
 
 
-def _eval_stages(stages: Iterable[StageApproximant], xs: np.ndarray, log):
-    """Sum of ``stages`` at checked points or angles ``xs``, with ``log`` the
-    log that takes them; a 0-d array gives a complex."""
-    vals = _terms_sum(_all_terms(stages), xs, log)
-    if xs.ndim == 0:
-        return complex(vals[()])
-    return vals
-
-
 def _finite_angles(thetas) -> np.ndarray:
     """``thetas`` as a float array, after checking that every angle is finite."""
     ts = np.asarray(thetas, dtype=float)
@@ -366,14 +361,16 @@ def _finite_angles(thetas) -> np.ndarray:
 
 def eval_interpolant(interpolant: Interpolant, z):
     """Evaluate the stage sum on the closed disk (0 for a zero-stage result)."""
-    return _eval_stages(interpolant.stages, require_closed_disk(z), log_fatou)
+    return _terms_sum(_all_terms(interpolant.stages), require_closed_disk(z), log_fatou)
 
 
 def eval_on_circle(interpolant: Interpolant, thetas):
     """Evaluate the stage sum at e^(i*theta) for a finite angle or an array
     of them. The values come from the angles, never from rounded points, so
     they stay accurate next to a peak for powers up to about 1e10."""
-    return _eval_stages(interpolant.stages, _finite_angles(thetas), log_fatou_on_circle)
+    return _terms_sum(
+        _all_terms(interpolant.stages), _finite_angles(thetas), log_fatou_on_circle
+    )
 
 
 def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray]:

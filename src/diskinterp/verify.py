@@ -117,19 +117,18 @@ def check_boundary_sup(interpolant: Interpolant) -> CheckResult:
     peaks = np.sort(np.concatenate([p.thetas for p in sets] or [np.empty(0)]))
     peaks = peaks[np.diff(peaks, prepend=-math.inf) > 0.0]
     measured = proved = evaluated_max = 0.0
-    rounds = evaluations = 0
+    rounds = arcs = 0
     passed = not peaks.size and 0.0 <= threshold
     if peaks.size:
         budget = ENVELOPE_ARCS * peaks.size
         # the last arc wraps to the first peak; its end is evaluated there
         lo, hi = peaks, np.append(peaks[1:], peaks[0] + TWO_PI)
-        wrap, arcs = hi[-1], 0
+        wrap = hi[-1]
         while True:
             rounds += 1
             arcs += lo.size
             ends = np.stack([lo, np.where(hi == wrap, peaks[0], hi)], axis=1)
             envelope, values = arc_envelope(interpolant, ends)
-            evaluations += ends.size
             evaluated_max = max(evaluated_max, float(modulus(values).max()))
             measured = float(np.max(np.append(envelope, proved)))
             open_ = ~(envelope <= threshold)
@@ -155,7 +154,7 @@ def check_boundary_sup(interpolant: Interpolant) -> CheckResult:
             "bound": bound,
             "tol": tol,
             "rounds": rounds,
-            "evaluations": evaluations,
+            "evaluations": 2 * arcs,
             "evaluated_max": evaluated_max,
         },
     )

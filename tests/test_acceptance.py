@@ -165,7 +165,7 @@ def test_criterion_5_end_to_end(pipeline_batch):
 
 def test_criterion_6_power_oracle():
     rho = math.sqrt(2) / 2
-    n = choose_power((rho,), 0.01, 1)
+    n = choose_power(rho, 0.01)
     # brute force: repeated multiplication until the product drops below 0.01
     count, p = 1, rho
     while not p < 0.01:

@@ -543,6 +543,22 @@ def test_verify_detects_tampered_value(tmp_path, problem_file, capsys):
     assert "boundary_sup_bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("written", ['"true"', "1"])
+def test_verify_detects_a_changed_json_type(tmp_path, problem_file, capsys, written):
+    # a string or a number stands where the boolean true was written; the
+    # number 1 compares equal to True, so only its type tells them apart
+    out = tmp_path / "cert.json"
+    assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK
+    text = out.read_text()
+    assert text.count('"overall": true') == 1
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(
+        text.replace('"overall": true', f'"overall": {written}'), encoding="utf-8"
+    )
+    assert main(["verify", str(tampered), problem_file]) == EXIT_CERTIFICATION
+    assert "report.overall" in capsys.readouterr().err
+
+
 def test_verify_detects_seed_mismatch(tmp_path, problem_file, capsys):
     out = tmp_path / "cert.json"
     assert main(["interpolate", problem_file, "--out", str(out)]) == EXIT_OK

@@ -523,14 +523,14 @@ def brute_force_power(rho: float, target: float) -> int:
 
 
 def test_choose_power_examples():
-    n = choose_power((math.sqrt(2) / 2,), 0.01, 1)
+    n = choose_power(math.sqrt(2) / 2, 0.01)
     assert n == 14
     assert n == brute_force_power(math.sqrt(2) / 2, 0.01)
     assert (math.sqrt(2) / 2) ** 13 >= 0.01
     assert (math.sqrt(2) / 2) ** 14 < 0.01
 
-    assert choose_power((0.5,), 0.6, 1) == 1
-    assert choose_power((0.5,), 2.4, 4) == 1
+    assert choose_power(0.5, 0.6) == 1
+    assert choose_power(0.5, 2.4) == 1
 
 
 @settings(max_examples=150)
@@ -541,8 +541,8 @@ def test_choose_power_examples():
     st.integers(1, 20),
 )
 def test_choose_power_minimal(rho, epsilon, n_clusters):
-    n = choose_power((rho,), epsilon, n_clusters)
     target = epsilon / n_clusters
+    n = choose_power(rho, target)
     assert rho**n < target
     if n > 1:
         assert rho ** (n - 1) >= target
@@ -553,17 +553,13 @@ def test_choose_power_minimal(rho, epsilon, n_clusters):
 def test_choose_power_corrects_the_log_estimate_downward():
     # here ceil(log t / log rho) rounds one above the smallest power
     rho, target = 0.9999999999979714, 2.275245882052251e-12
-    n = choose_power((rho,), target, 1)
+    n = choose_power(rho, target)
     assert n == 13215488246594 == math.ceil(math.log(target) / math.log(rho)) - 1
     assert rho**n < target <= rho ** (n - 1)
 
 
 def test_off_arc_sup_validation():
     with pytest.raises(ValueError):
-        choose_power((1.0,), 0.01, 1)
+        choose_power(1.0, 0.01)
     with pytest.raises(ValueError):
-        choose_power((), 0.01, 1)
-    with pytest.raises(ValueError):
-        choose_power((0.5,), -1.0, 1)
-    with pytest.raises(ValueError, match="n_clusters"):
-        choose_power((0.5,), 0.01, 0)
+        choose_power(0.5, -1.0)

@@ -80,7 +80,7 @@ SIGNATURES = {
     "check_cauchy_identity": ("interpolant", "z0", "radius", "name"),
     "check_max_modulus": ("interpolant", "boundary", "seed"),
     "check_peak_values": ("interpolant", "data"),
-    "choose_power": ("rhos", "epsilon", "n_clusters"),
+    "choose_power": ("rho", "target"),
     "cluster_by_oscillation": ("data", "epsilon"),
     "eval_fatou": ("fatou", "z"),
     "eval_interpolant": ("interpolant", "z"),

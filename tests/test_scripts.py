@@ -1,10 +1,13 @@
 """Smoke tests: each script's ``main`` runs on tiny arguments, and the
-README's library quickstart runs as written, so that a change of the
-library API they call fails here."""
+README's library quickstart and command-line examples run as written, so
+that a change of the library API or the CLI they call fails here."""
 
 import importlib.util
 import re
+import shlex
 from pathlib import Path
+
+from diskinterp.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -42,3 +45,24 @@ def test_readme_quickstart_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md quickstart", "exec"), {})
     assert "print(" in code and capsys.readouterr().out
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    # the peaks and problem files of the README, then its three commands
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    commands = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    files = {"### Peaks file": "peaks.json", "### Problem file": "problem.json"}
+    for heading, name in files.items():
+        block = re.search(r"```json\n(.*?)```", section.split(heading, 1)[1], re.S)
+        (tmp_path / name).write_text(block.group(1), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = commands.strip().splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "diskinterp"
+        assert main(argv[1:]) == EXIT_OK, line
+    assert "certificate verified" in capsys.readouterr().out
+    for name in ("table.csv", "certificate.json", "boundary.csv"):
+        assert (tmp_path / name).is_file()

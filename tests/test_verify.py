@@ -549,3 +549,47 @@ def test_report_overall_is_conjunction():
     report = VerificationReport((failing, check_max_modulus(g, failing)))
     assert not report.overall
     assert report.failed() == (failing,)
+
+
+def _stage_zero_mutants(g):
+    """``g`` with its first stage broken in ways whose certificate claims no
+    longer hold, each with the checks that must catch it."""
+    stage = g.stages[0]
+
+    def with_stage(**fields):
+        return dataclasses.replace(
+            g, stages=(dataclasses.replace(stage, **fields),) + g.stages[1:]
+        )
+
+    return {
+        "coefficients x 1.01": (
+            _scaled_stage_zero(g, 1.01),
+            {"peak_values", "boundary_sup"},
+        ),
+        "dropped": (dataclasses.replace(g, stages=g.stages[1:]), {"peak_values"}),
+        "conjugated": (
+            with_stage(coefficients=tuple(c.conjugate() for c in stage.coefficients)),
+            {"peak_values"},
+        ),
+        "power // 100": (
+            with_stage(power=stage.power // 100),
+            {"peak_values", "boundary_sup"},
+        ),
+    }
+
+
+@pytest.mark.parametrize("problem", ["random", "close_pair"])
+def test_report_rejects_mutants(problem):
+    # the full audit tells a broken interpolant from the good one, and the
+    # checks whose claims the break falsifies are among those that fail
+    data = {
+        "random": lambda: random_problem(np.random.default_rng(7), 12),
+        "close_pair": lambda: BoundaryData.from_pairs(*CLOSE_PAIR),
+    }[problem]()
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    assert verify_interpolant(g, data).overall
+    for name, (mutant, expected) in _stage_zero_mutants(g).items():
+        report = verify_interpolant(mutant, data)
+        failed = {c.name for c in report.failed()}
+        assert not report.overall, name
+        assert expected <= failed, (name, failed)
