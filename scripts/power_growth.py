@@ -11,14 +11,7 @@ import sys
 
 import numpy as np
 
-from diskinterp import (
-    BoundaryData,
-    choose_power,
-    cluster_by_oscillation,
-    FatouFunction,
-    FiniteBoundarySet,
-    sup_off_arc,
-)
+from diskinterp import BoundaryData, choose_power, single_stage, sup_off_arc
 
 
 def main(argv=None) -> None:
@@ -31,13 +24,11 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
 
     data = BoundaryData.from_pairs([0.0, args.gap], [0.0, 1.0])
-    clustering = cluster_by_oscillation(data, 1e-6)  # forces two clusters
-    rhos = []
-    for c in clustering.clusters:
-        lam = FatouFunction(
-            FiniteBoundarySet.from_thetas(data.set.thetas[list(c.members)])
-        )
-        rhos.append(sup_off_arc(lam, c.arc, args.safety_margin))
+    stage = single_stage(data, 1e-6, args.safety_margin)  # forces two clusters
+    rhos = [
+        sup_off_arc(lam, c.arc, args.safety_margin)
+        for lam, c in zip(stage.lambdas, stage.clustering.clusters)
+    ]
 
     lines = ["eps,rho,power"]
     for eps in np.logspace(-1, -12, args.steps):

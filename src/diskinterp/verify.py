@@ -12,16 +12,16 @@ neighbouring points of E each term's modulus is largest at an end of the
 arc, and ``arc_envelope`` bounds |g| on the arc from its two ends. The
 check starts from the arcs between consecutive points of E and bisects the
 arcs whose envelope exceeds the certified ``boundary_sup_bound`` plus
-``SUP_TOL``, for at most ``ENVELOPE_ROUNDS`` rounds and ``ENVELOPE_ARCS``
-arcs per point of E. The envelope is the only rule: a failing check also
-refines until those limits or float resolution stop it. Its measurement
-is the proved upper bound, and the maximum-modulus check takes its
-ceiling from it. The envelope also hands back g at the arc ends, whose
-largest modulus is a lower bound. The set is evaluated from its angles
-(``eval_on_circle``); the interior samples and Cauchy contours from points
-(``eval_interpolant``). Every modulus a check reports is the build's
-``circle.modulus``, or Python's ``abs`` of one complex. Checks are pure and
-deterministic given their arguments and the constants.
+``SUP_TOL``, for at most ``ENVELOPE_ARCS`` arcs per point of E. The
+envelope is the only rule: a failing check also refines until that budget
+or float resolution stops it. Its measurement is the proved upper bound,
+and the maximum-modulus check takes its ceiling from it. The envelope also
+hands back g at the arc ends, whose largest modulus is a lower bound. The
+set is evaluated from its angles (``eval_on_circle``); the interior samples
+and Cauchy contours from points (``eval_interpolant``). Every modulus a
+check reports is the build's ``circle.modulus``, or Python's ``abs`` of one
+complex. Checks are pure and deterministic given their arguments and the
+constants.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ IDENTITY_TOL = 1e-10    # Cauchy identities
 INTERIOR_SAMPLES = 10_000
 QUAD_POINTS = 4096      # nodes per Cauchy contour
 CAUCHY_PAIRS = 10       # seeded (z0, radius) pairs per report
-ENVELOPE_ROUNDS = 16    # bisection rounds of the boundary-sup proof
 ENVELOPE_ARCS = 32      # arcs per point of E it may evaluate, over all rounds
 INTERIOR_SHRINK = 1e-9  # random interior samples stay within radius 1 - this
 
@@ -98,18 +97,18 @@ def check_boundary_sup(interpolant: Interpolant) -> CheckResult:
     no peak lies inside one. Each round evaluates the envelope of every open
     arc; an arc whose envelope is at most T is proved, and each other one,
     a NaN envelope included, is split at its midpoint for the next round.
-    The check fails as unresolved when arcs remain after ``ENVELOPE_ROUNDS``
-    rounds, when the next round would take the arcs evaluated past
-    ``ENVELOPE_ARCS`` per peak angle, or when a midpoint does not fall
-    strictly inside its arc.
+    The check fails as unresolved when the next round would take the arcs
+    evaluated past ``ENVELOPE_ARCS`` per peak angle, or when a midpoint does
+    not fall strictly inside its arc.
 
     ``measured`` is the largest envelope over arcs that cover the circle,
     the proved ones and the last round's: an upper bound on |g| that is
     finite whenever the moduli are, and on a failed check the tightest one
-    those limits allow. ``params`` give the rounds, the number of angles
-    evaluated for envelopes, and ``evaluated_max``, the largest |g| at an
-    arc end (the peak angles included), a lower bound on the sup read from
-    the envelope's values, so each round traverses the terms once.
+    those limits allow. ``params`` give the rounds, ``evaluations``, the
+    arc ends evaluated for envelopes, two per arc (an end that neighbouring
+    arcs share is evaluated once), and ``evaluated_max``, the largest |g|
+    at an arc end (the peak angles included), a lower bound on the sup read
+    from the envelope's values, so each round traverses the terms once.
     """
     bound, tol = interpolant.certificate.boundary_sup_bound, SUP_TOL
     threshold = bound + tol
@@ -138,11 +137,7 @@ def check_boundary_sup(interpolant: Interpolant) -> CheckResult:
             proved = max(proved, float(np.max(envelope[~open_], initial=0.0)))
             lo, hi = lo[open_], hi[open_]
             mid = lo + 0.5 * (hi - lo)
-            if (
-                rounds == ENVELOPE_ROUNDS
-                or arcs + 2 * lo.size > budget
-                or not np.all((lo < mid) & (mid < hi))
-            ):
+            if arcs + 2 * lo.size > budget or not np.all((lo < mid) & (mid < hi)):
                 break
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     return CheckResult(

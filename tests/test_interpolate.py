@@ -263,10 +263,12 @@ def test_pipeline_certificate_bounds(rng):
         data = random_problem(rng, 6)
         g = iterative_interpolant(data, 0.02, 10, GRID, MARGIN)
         cert = g.certificate
-        assert cert.boundary_sup_bound <= data.sup_norm + 0.02 + 1e-9
+        # the stage checks imply both totals, exactly: each stage sup is at
+        # most its input residual, each residual at most its budget eta_n
+        assert g.stages
+        assert cert.boundary_sup_bound <= data.sup_norm + 0.02 / 2
         assert (
-            cert.measured_max_residual_on_E
-            <= cert.residual_bound_theoretical + 1e-12
+            cert.measured_max_residual_on_E <= cert.residual_bound_theoretical / 2
         )
         assert cert.sup_norm_input == data.sup_norm
 
@@ -386,18 +388,6 @@ def test_zero_stage_tolerance_refused_before_clustering(monkeypatch, value, eta,
     data = BoundaryData.from_pairs([0.0, 2.0], [value, 1j])
     with pytest.raises(ValueError, match=r"eta_n/\(1 \+ 2\*sup\) = 0\.0 is not positive"):
         iterative_interpolant(data, eta, n_max, GRID, MARGIN)
-
-
-@pytest.mark.parametrize(
-    "tol, message",
-    [("SUP_CERT_TOL", "boundary sup bound"), ("RESIDUAL_CERT_TOL", "truncation bound")],
-)
-def test_pipeline_final_bounds_enforced(monkeypatch, tol, message):
-    # a slack of -1 puts the final bound below what any build reaches
-    monkeypatch.setattr(diskinterp.interpolate, tol, -1.0)
-    data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, -1.0, 1.0j])
-    with pytest.raises(CertificationError, match=message):
-        iterative_interpolant(data, 0.01, 3, GRID, MARGIN)
 
 
 def test_eval_outside_disk_rejected(rng):

@@ -1,12 +1,16 @@
 """Smoke tests: each script's ``main`` runs on tiny arguments, and the
 README's library quickstart and command-line examples run as written, so
-that a change of the library API or the CLI they call fails here."""
+that a change of the library API or the CLI they call fails here, and the
+constants the README quotes have the values it states."""
 
 import importlib.util
 import re
 import shlex
 from pathlib import Path
 
+import pytest
+
+from diskinterp import cli, fatou, interpolate, verify
 from diskinterp.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,3 +70,31 @@ def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
     assert "certificate verified" in capsys.readouterr().out
     for name in ("table.csv", "certificate.json", "boundary.csv"):
         assert (tmp_path / name).is_file()
+
+
+# (README phrase, module, constant, the value the phrase states)
+DEFAULTS = "Defaults: `n_max` 20, `safety_margin` 1e-9, `seed` 0, `grid_size` 65536"
+README_CONSTANTS = [
+    ("`boundary_sup_bound + 1e-9`", verify, "SUP_TOL", 1e-9),
+    ("32 arcs per point of", verify, "ENVELOPE_ARCS", 32),
+    ("2^-60", interpolate, "TERM_FLOOR", 2.0**-60),
+    ("chunks of 8192", interpolate, "CHUNK", 8192),
+    ("`2^-10`", fatou, "SKIP_MARGIN", 2.0**-10),
+    ("within 1e-12", cli, "FIELD_MATCH_TOL", 1e-12),
+    ("[1, 2^20]", cli, "MAX_GRID_SIZE", 2**20),
+    ("(currently 1)", cli, "FORMAT_VERSION", 1),
+    (DEFAULTS, cli, "DEFAULT_N_MAX", 20),
+    (DEFAULTS, cli, "DEFAULT_SAFETY_MARGIN", 1e-9),
+    (DEFAULTS, cli, "DEFAULT_SEED", 0),
+    (DEFAULTS, cli, "DEFAULT_GRID_SIZE", 65536),
+]
+
+
+@pytest.mark.parametrize(
+    "phrase, module, name, value", README_CONSTANTS, ids=[r[2] for r in README_CONSTANTS]
+)
+def test_readme_quotes_the_library_constants(phrase, module, name, value):
+    # the README states these numbers; a changed constant must change it too
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert phrase in readme
+    assert getattr(module, name) == value

@@ -193,25 +193,15 @@ def test_bound_slack_is_exact_in_one_plus_slack():
 SEAM_PAIR = ([2 * math.pi - 5e-4, 5e-4, 2.0, 4.0], CLOSE_PAIR[1])
 
 
-@pytest.mark.parametrize("problem", [CLOSE_PAIR, SEAM_PAIR], ids=["close", "seam"])
-def test_envelope_slack_covers_the_rounding(problem):
-    # at arc ends next to the peaks, out to 4 peak widths, and on the
-    # unwrapped frame of the audit's last arc (angle + 2 pi), each term's
-    # computed modulus is within the slack of |lambda|^N formed in mpmath
-    # from the same double angles, and the envelope of the zero-length arc
-    # [a, a] bounds the true sum at a
-    mpmath = pytest.importorskip("mpmath")
-    data = BoundaryData.from_pairs(*problem)
-    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
-    top = max(s.power for s in g.stages)
-    assert top > 2e9
-    width = math.sqrt(8 / top)
-    offsets = width * np.array([0, 1 / 8, 1 / 2, 1, 2, 4])
-    near = np.add.outer(data.set.thetas, np.concatenate([-offsets, offsets[1:]]))
-    angles = np.concatenate([near.ravel(), near.ravel() + 2 * math.pi])
+def check_slack_against_mpmath(mpmath, g, angles):
+    """Assert that each term's computed modulus at ``angles`` is within the
+    slack of |lambda|^N formed in mpmath from the same double angles, and
+    that the envelope of the zero-length arc [a, a] bounds the true sum at
+    a. Returns the largest cancellation sum |cot| / |y| of a cotangent sum
+    y at an angle where the kernel keeps the term."""
     slack = envelope_slack(g)
     true_bound = [mpmath.mpf(0)] * angles.size
-    worst = 0.0
+    worst = cancellation = 0.0
     with mpmath.workdps(40):
         for stage in g.stages:
             for lam, c in zip(stage.lambdas, stage.coefficients):
@@ -226,8 +216,12 @@ def test_envelope_slack_covers_the_rounding(problem):
                     if any(mpmath.sin(x) == 0 for x in d):
                         true = mpmath.mpf(1)
                     else:
-                        y = mpmath.fsum(mpmath.cot(x) for x in d)
+                        cots = [mpmath.cot(x) for x in d]
+                        y = mpmath.fsum(cots)
                         true = (y * y / (1 + y * y)) ** (mpmath.mpf(stage.power) / 2)
+                        if i in keep:
+                            ratio = mpmath.fsum(abs(v) for v in cots) / abs(y)
+                            cancellation = max(cancellation, float(ratio))
                     err = abs(computed[i] - true)
                     if i not in keep:
                         err -= interpolate_mod.TERM_FLOOR
@@ -236,6 +230,45 @@ def test_envelope_slack_covers_the_rounding(problem):
     assert worst <= 1.0
     at_angle, _ = arc_envelope(g, np.stack([angles, angles], axis=1))
     assert all(float(t) <= b for t, b in zip(true_bound, at_angle))
+    return cancellation
+
+
+@pytest.mark.parametrize("problem", [CLOSE_PAIR, SEAM_PAIR], ids=["close", "seam"])
+def test_envelope_slack_covers_the_rounding(problem):
+    # at arc ends next to the peaks, out to 4 peak widths, and on the
+    # unwrapped frame of the audit's last arc (angle + 2 pi)
+    mpmath = pytest.importorskip("mpmath")
+    data = BoundaryData.from_pairs(*problem)
+    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+    top = max(s.power for s in g.stages)
+    assert top > 2e9
+    width = math.sqrt(8 / top)
+    offsets = width * np.array([0, 1 / 8, 1 / 2, 1, 2, 4])
+    near = np.add.outer(data.set.thetas, np.concatenate([-offsets, offsets[1:]]))
+    angles = np.concatenate([near.ravel(), near.ravel() + 2 * math.pi])
+    check_slack_against_mpmath(mpmath, g, angles)
+
+
+def test_envelope_slack_covers_the_cancelling_sum():
+    # at the audit's bisection points, the round-1 midpoints between
+    # neighbouring points of E and the round-2 quarter points, formed as the
+    # audit forms them (the last arc on the unwrapped frame), where the
+    # cotangent sum of a peak function with peaks on both sides cancels;
+    # on the random problem sum |cot| exceeds 10 |y| at a kept angle
+    mpmath = pytest.importorskip("mpmath")
+    cancellation = 0.0
+    for data in (
+        random_problem(np.random.default_rng(7), 12),
+        BoundaryData.from_pairs(*CLOSE_PAIR),
+    ):
+        g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+        e = data.set.thetas
+        hi = np.append(e[1:], e[0] + 2 * math.pi)
+        mid = e + 0.5 * (hi - e)
+        quarters = np.concatenate([e + 0.5 * (mid - e), mid + 0.5 * (hi - mid)])
+        angles = np.concatenate([mid, quarters])
+        cancellation = max(cancellation, check_slack_against_mpmath(mpmath, g, angles))
+    assert cancellation > 10
 
 
 def test_envelope_is_the_per_end_sum_of_term_moduli(monkeypatch):
@@ -300,8 +333,9 @@ def test_boundary_sup_fails_on_mutants(problem):
 @pytest.mark.parametrize("problem", ["random", "close_pair"])
 def test_failing_boundary_sup_keeps_refining(problem):
     # the envelope alone proves or splits an arc: against a bound 1e-6 below
-    # the largest value on E the check splits the arcs past round 1 until a
-    # cap stops it, and its upper bound stays above the threshold
+    # the largest value on E the check splits the arcs past round 1 until the
+    # arc budget or float resolution stops it, and its upper bound stays
+    # above the threshold
     data = {
         "random": lambda: random_problem(np.random.default_rng(7), 12),
         "close_pair": lambda: BoundaryData.from_pairs(*CLOSE_PAIR),
@@ -360,10 +394,10 @@ def test_boundary_sup_grid_validation():
     assert verify_interpolant(g, data, grid_size=GRID, seed=4) == report
 
 
-@pytest.mark.parametrize("cap", ["ENVELOPE_ROUNDS", "ENVELOPE_ARCS"])
+@pytest.mark.parametrize("cap", ["ENVELOPE_ARCS"])
 def test_boundary_sup_unresolved_is_bounded_and_finite(monkeypatch, cap):
-    # with the caps at 1 the arcs that need a split stay open: the check
-    # fails as unresolved after one round, with a finite upper bound
+    # with the arc budget at 1 the arcs that need a split stay open: the
+    # check fails as unresolved after one round, with a finite upper bound
     data = BoundaryData.from_pairs(*CLOSE_PAIR)
     g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
     monkeypatch.setattr(verify_mod, cap, 1)
