@@ -46,7 +46,6 @@ import numpy as np
 from .circle import Arc, FiniteBoundarySet, TWO_PI
 from .errors import DomainError, NoContractionError
 
-PEAK_SNAP = 1e-15     # euclidean snap-to-peak radius for evaluation
 DISK_SLACK = 1e-12    # |z| tolerance beyond the closed disk
 SKIP_MARGIN = 2.0**-10  # relative margin on the floor of the skip radius
 FEW_ANGLES = 256      # cotangent sums up to this many angles use one broadcast
@@ -83,8 +82,8 @@ def require_closed_disk(z) -> np.ndarray:
 
 def eval_fatou(fatou: FatouFunction, z):
     """Evaluate the peak function at a point (or array) of the closed disk,
-    as exp(log lambda) from ``log_fatou``: exactly 1 within ``PEAK_SNAP`` of
-    a peak and exactly 0 where F = 0.
+    as exp(log lambda) from ``log_fatou``: exactly 1 where F is infinite (on
+    a peak, or by overflow next to one) and exactly 0 where F = 0.
 
     Raises DomainError unless every point is finite with |z| <= 1 +
     ``DISK_SLACK``.
@@ -131,12 +130,12 @@ def log_fatou(
 
     Points inside the ``_skip_radius`` of ``floor`` are dropped before any
     term of F is formed, and when that drops them all nothing else runs;
-    the test on the computed real part follows. L is exactly 0 within
-    ``PEAK_SNAP`` of a peak, where F is inf, nan or overflows, so every
-    power is exactly 1 there, and -inf where F = 0, where lambda vanishes.
-    One pass per peak forms d = a_j - z for both the snap test and the term
-    of F. The real part is -log1p((1+2a)/|F|^2)/2 and the imaginary part
-    atan2(b, a + |F|^2), for F = a + ib.
+    the test on the computed real part follows. L is exactly 0 where F is
+    not finite (on a peak, or where a term overflows next to one) and, by
+    its form, where |F|^2 overflows, so every power is exactly 1 there; L is
+    -inf where F = 0, where lambda vanishes. The real part is
+    -log1p((1+2a)/|F|^2)/2 and the imaginary part atan2(b, a + |F|^2), for
+    F = a + ib.
     """
     outside = None  # indices outside the skip radius, once some are inside
     radius = _skip_radius(len(fatou.peaks), floor)
@@ -149,14 +148,11 @@ def log_fatou(
         else:
             outside = None
     F = np.zeros(zs.shape, dtype=complex)
-    near = np.zeros(zs.shape, dtype=bool)
     L = np.empty_like(F)
     re, im = L.real, L.imag
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for aj in fatou.peak_points:
-            d = aj - zs
-            near |= np.abs(d) <= PEAK_SNAP
-            F += (aj + zs) / d
+            F += (aj + zs) / (aj - zs)
         a, b = F.real, F.imag
         s = a * a
         s += b * b  # |F|^2
@@ -167,7 +163,7 @@ def log_fatou(
         re *= -0.5
         s += a
         np.arctan2(b, s, out=im)
-    L[near] = 0.0
+    L[~np.isfinite(F)] = 0.0
     keep = (re >= floor).nonzero()[0]
     if keep.size < L.size:
         L = L[keep]

@@ -239,10 +239,10 @@ def verify_interpolant(
     maximum-modulus inequality against the proved bound, and a batch of
     seeded contour-integral identities, at the module's tolerances. The
     audit uses no boundary grid and does not read ``grid_size``; the keyword
-    stays for callers that pass it. A negative ``seed`` raises ValueError
-    before anything is evaluated."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    stays for callers that pass it. A ``seed`` that is not a non-negative
+    integer raises ValueError before anything is evaluated."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     boundary = check_boundary_sup(interpolant)
     checks = [
         check_peak_values(interpolant, data),

@@ -21,7 +21,6 @@ from diskinterp import (
 )
 from diskinterp.fatou import (
     FEW_ANGLES,
-    PEAK_SNAP,
     _cotangent_sum,
     _skip_radius,
     log_fatou,
@@ -42,15 +41,13 @@ def two_peaks():
 
 def reference_eval_fatou(fatou, zs):
     """lambda = 1 - 1/(1+F) straight from the half-plane sum, exactly 1
-    within PEAK_SNAP of a peak: a second formula to hold eval_fatou to."""
+    where F is not finite: a second formula to hold eval_fatou to."""
     F = np.zeros(zs.shape, dtype=complex)
-    near = np.zeros(zs.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for aj in fatou.peak_points:
-            near |= np.abs(aj - zs) <= PEAK_SNAP
             F += (aj + zs) / (aj - zs)
         lam = 1.0 - 1.0 / (1.0 + F)
-    return np.where(near, 1.0 + 0.0j, lam)
+    return np.where(np.isfinite(F), lam, 1.0 + 0.0j)
 
 
 def random_disk_points(rng, size):

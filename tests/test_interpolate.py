@@ -613,9 +613,9 @@ def test_eval_is_exactly_zero_where_lambda_vanishes():
             assert vals[0] == 0.0 and np.isfinite(vals[1])
 
 
-def test_eval_next_to_a_peak_is_snapped_without_warnings():
-    # 1e-200 off the peak at angle 0 the half-plane sum overflows; the point
-    # is within PEAK_SNAP of the peak, so its value is the value there
+def test_eval_next_to_a_peak_takes_the_peak_value_without_warnings():
+    # 1e-200 off the peak at angle 0 the half-plane sum is finite but |F|^2
+    # overflows, so log lambda is 0 and the value is the value on the peak
     data = BoundaryData.from_pairs([0.0, 2.0], [1.0, -1.0])
     g = iterative_interpolant(data, 0.01, 5, GRID, MARGIN)
     with warnings.catch_warnings():
@@ -672,6 +672,14 @@ def test_kernel_matches_mpmath():
             ref = [at_double_peaks(z) for z in zs]
             err = np.max(np.abs(eval_interpolant(g, zs) - ref))
             assert err <= bound, (radius, err)
+        # 1, 2 and 4 ulps of angle either side of each point of E: 1.6e-16
+        # to 3.6e-15 from the peak points, where F is finite but huge
+        ks = np.array([-4, -2, -1, 1, 2, 4])
+        ulps = np.spacing(data.set.thetas)[:, None] * ks
+        zs = np.exp(1j * (data.set.thetas[:, None] + ulps)).ravel()
+        ref = [at_double_peaks(z) for z in zs]
+        err = np.max(np.abs(eval_interpolant(g, zs) - ref))
+        assert err <= 1e-10, err
         # at the exact peak angles the rounding of the peak points
         # exp(i theta_j) moves g by a few 1e-8 near the peaks at this power
         at_exact_peaks = _mp_interpolant(g, mpmath.expj)

@@ -531,7 +531,8 @@ def test_report_moduli_are_python_abs_bit_for_bit(monkeypatch, rng):
     assert check_peak_values(zero, off).measured == abs(v)
 
 
-def test_negative_seed_fails_before_any_evaluation(monkeypatch):
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_negative_seed_fails_before_any_evaluation(monkeypatch, seed):
     data = BoundaryData.from_pairs([0.0, 2.0], [1.0, -0.5j])
     g = iterative_interpolant(data, 0.01, 3, GRID, 1e-9)
     calls = []
@@ -543,7 +544,7 @@ def test_negative_seed_fails_before_any_evaluation(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "eval_on_circle", counted)
     with pytest.raises(ValueError, match="seed"):
-        verify_interpolant(g, data, grid_size=4096, seed=-1)
+        verify_interpolant(g, data, grid_size=4096, seed=seed)
     assert not calls
     assert verify_interpolant(g, data, grid_size=4096, seed=0).overall
     assert calls
