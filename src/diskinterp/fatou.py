@@ -22,9 +22,10 @@ and, with u = 1/y, log lambda = -log1p(u^2)/2 + i atan(u). The evaluation
 kernel takes its logs from points of the closed disk (``log_fatou``) or from
 angles (``log_fatou_on_circle``), under one contract: given a ``floor``,
 each returns (L, keep), log lambda where its real part is at least the
-floor and the indices of those inputs, and drops what it can unformed: the
-points inside the Schwarz-Pick radius of the floor (``_skip_radius``), the
-angles whose cotangent sum is too small; so the kernel does not branch on
+floor and the indices of those inputs. Only the point log drops inputs
+before forming anything: the points inside the Schwarz-Pick radius of the
+floor (``_skip_radius``). The angle log forms the real part at every angle
+and keeps those at or above the floor. So the kernel does not branch on
 geometry. The angle form never rounds a point e^(i*theta) or a peak point,
 so it stays accurate next to a peak for powers up to about 1e10.
 
@@ -179,8 +180,9 @@ def _cotangent_sum(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:
     on how the angles are split into arrays. Up to ``FEW_ANGLES`` angles,
     such as the two arc ends of ``sup_off_arc`` or a small set, one
     (peaks x angles) broadcast with a cumulative sum costs fewer numpy calls;
-    beyond that one pass per peak keeps the work at the size of ``thetas``.
-    The difference of two nearby angles is exact, so y keeps full relative
+    beyond that one pass per peak keeps the work at the size of ``thetas``,
+    where a blocked broadcast gives the same bits about a third slower. The
+    difference of two nearby angles is exact, so y keeps full relative
     precision next to a peak."""
     if thetas.size <= FEW_ANGLES:
         d = thetas[None, :] - fatou.peaks.thetas[:, None]
@@ -203,29 +205,22 @@ def log_fatou_on_circle(
     fatou: FatouFunction, thetas: np.ndarray, floor: float = -math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
     """(L, keep): log lambda at the points e^(i*theta) of the circle, for a
-    1-d array of angles, where its real part is at least ``floor`` (< 0),
-    and the indices of those angles, so that L = log
-    lambda(e^(i*thetas[keep])).
+    1-d array of angles, where its real part is at least ``floor``, and the
+    indices of those angles, so that L = log lambda(e^(i*thetas[keep])).
 
     With F = iy and u = 1/y, lambda = 1/(1 - iu), so log lambda =
     -log1p(u^2)/2 + i atan(u), exactly 0 on a peak, where y = +-inf. The
-    real part is at least ``floor`` where |y| >= 1/sqrt(expm1(-2 floor));
-    that test, widened for rounding, picks the angles before any log is
-    formed, and the test on the computed real part follows.
+    real part is formed at every angle and tested against the floor; the
+    imaginary part only where that test keeps the angle.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        y = _cotangent_sum(fatou, thetas)
-        y_min = (1.0 - 1e-9) / math.sqrt(math.expm1(-2.0 * floor))
-        keep = (np.abs(y) >= y_min).nonzero()[0]
-        if keep.size < y.size:
-            y = y[keep]
-        u = 1.0 / y
+        u = 1.0 / _cotangent_sum(fatou, thetas)
         re = u * u
         np.log1p(re, out=re)
         re *= -0.5
-    exact = (re >= floor).nonzero()[0]
-    if exact.size < keep.size:
-        keep, u, re = keep[exact], u[exact], re[exact]
+    keep = (re >= floor).nonzero()[0]
+    if keep.size < re.size:
+        u, re = u[keep], re[keep]
     L = np.empty(keep.shape, dtype=complex)
     L.real = re
     np.arctan(u, out=L.imag)

@@ -46,10 +46,10 @@ group's lowest power; the log returns log lambda only where that floor is
 met, with the indices of those points, and each higher power tests its own
 floor on what is left. Each power is exp(N log lambda) there; on the peaks
 log lambda is exactly 0, so a term there is exactly its scale. What the log
-may drop unevaluated, and how it knows, belongs to the log: inside the
-disk, the points within the Schwarz-Pick radius of the floor; on the
-circle, the angles whose cotangent sum is too small. The kernel does not
-branch on geometry.
+may drop unevaluated, and how it knows, belongs to the log. Only the point
+log drops anything early: the points within the Schwarz-Pick radius of the
+floor. The angle log forms the real part at every angle and keeps those at
+or above the floor. The kernel does not branch on geometry.
 """
 
 from __future__ import annotations

@@ -240,8 +240,11 @@ def verify_interpolant(
     seeded contour-integral identities, at the module's tolerances. The
     audit uses no boundary grid and does not read ``grid_size``; the keyword
     stays for callers that pass it. A ``seed`` that is not a non-negative
-    integer raises ValueError before anything is evaluated."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    integer, a bool included, raises ValueError before anything is
+    evaluated."""
+    if isinstance(seed, bool) or not (
+        isinstance(seed, (int, np.integer)) and seed >= 0
+    ):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     boundary = check_boundary_sup(interpolant)
     checks = [

@@ -318,11 +318,16 @@ def test_log_on_circle_floor_keeps_exactly_the_points_above_it(rng):
     # against log_fatou at the same (rounded) points, away from the peaks
     away = slice(0, -3)
     assert np.max(np.abs(L[away] - log_fatou(f, np.exp(1j * thetas[away]))[0])) < 1e-9
-    for floor in (-1e-1, -1e-4, -1e-7):
+    # every floor works, as in log_fatou: far below any real part, and at
+    # 0.0 and -0.0, where only the peaks are kept
+    for floor in (-1e-1, -1e-4, -1e-7, -400.0, -355.0, 0.0, -0.0):
         Lf, kf = log_fatou_on_circle(f, thetas, floor)
         above = (L.real >= floor).nonzero()[0]
-        assert 0 < kf.size < thetas.size
         assert np.array_equal(kf, above) and np.array_equal(Lf, L[above])
+        if floor in (-1e-1, -1e-4, -1e-7):
+            assert 0 < kf.size < thetas.size
+        elif floor == 0.0:  # 0.0 and -0.0
+            assert np.array_equal(kf, np.arange(thetas.size - 3, thetas.size))
 
 
 def check_log_contract(L, keep, size, floor):
@@ -340,8 +345,8 @@ FLOORS = (-math.inf, -1e-1, -1e-4, -1e-7, -1e-10)
 
 
 def test_log_on_circle_retests_the_computed_real_part():
-    # cotangent sums just below the edge y0 of the floor pass the widened
-    # |y| pre-test, but their real part lies below the floor
+    # cotangent sums just below the edge y0 of the floor: their real part
+    # lies below the floor, and the one test on it drops them
     lam = FatouFunction(FiniteBoundarySet.from_thetas([0.0]))
     floor = -1e-3
     y0 = 1.0 / math.sqrt(math.expm1(-2.0 * floor))

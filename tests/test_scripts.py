@@ -43,6 +43,18 @@ def test_power_growth_runs(tmp_path):
     assert powers == sorted(powers)
 
 
+def test_payload_digests_are_repeatable(capsys):
+    # 13 benchmark problems at each of 3 seeds, 2 of them failing, and the
+    # two tests/data problems
+    digests = load_script("payload_digests")
+    digests.main([])
+    first = capsys.readouterr().out.splitlines()
+    assert len(first) == 41
+    assert sum(line.endswith(" NoContractionError") for line in first) == 6
+    digests.main([])
+    assert capsys.readouterr().out.splitlines() == first
+
+
 def test_readme_quickstart_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quickstart", 1)[1]

@@ -531,7 +531,7 @@ def test_report_moduli_are_python_abs_bit_for_bit(monkeypatch, rng):
     assert check_peak_values(zero, off).measured == abs(v)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_negative_seed_fails_before_any_evaluation(monkeypatch, seed):
     data = BoundaryData.from_pairs([0.0, 2.0], [1.0, -0.5j])
     g = iterative_interpolant(data, 0.01, 3, GRID, 1e-9)
