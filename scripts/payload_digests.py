@@ -7,9 +7,11 @@ pipeline and the audit as ``diskinterp interpolate`` does and prints one
 line: the problem's id and either the sha256 of its certificate payload
 (JSON, indent 2) and of the interpolant's values on a fixed seeded batch
 (``eval_interpolant`` on 8192 circle and 8192 interior points, then
-``eval_on_circle`` on the 8192 angles), or ``NoContractionError``. Takes no
-options; two trees that print the same lines build the same certificates
-and values.
+``eval_on_circle`` on the 8192 angles), or ``NoContractionError``. A last
+line, ``choose_power <sha256>``, digests the int64 powers ``choose_power``
+picks for 4096 seeded pairs, rho = 1 - 10^U(-9, -0.3) and target =
+10^U(-300, 0.5). Takes no options; two trees that print the same lines
+build the same certificates, values and powers.
 """
 
 import argparse
@@ -22,13 +24,19 @@ from pathlib import Path
 
 import numpy as np
 
-from diskinterp import NoContractionError, eval_interpolant, eval_on_circle
+from diskinterp import (
+    NoContractionError,
+    choose_power,
+    eval_interpolant,
+    eval_on_circle,
+)
 from diskinterp.cli import ProblemSpec, _certificate_payload, _run_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 BATCH = 8192
 BATCH_SEED = 20151006
+POWER_PAIRS = 4096
 
 
 def load_workloads():
@@ -71,11 +79,21 @@ def digest_line(pid, obj, t, z) -> str:
     return f"{pid} payload {payload_hex} values {values.hexdigest()}"
 
 
+def power_line() -> str:
+    rng = np.random.default_rng(BATCH_SEED)
+    rhos = 1.0 - 10.0 ** rng.uniform(-9.0, -0.3, POWER_PAIRS)
+    targets = 10.0 ** rng.uniform(-300.0, 0.5, POWER_PAIRS)
+    powers = [choose_power(r, t) for r, t in zip(rhos.tolist(), targets.tolist())]
+    digest = hashlib.sha256(np.array(powers, dtype=np.int64).tobytes())
+    return f"choose_power {digest.hexdigest()}"
+
+
 def main(argv=None) -> None:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
     t, z = batch()
     for pid, obj in problems():
         print(digest_line(pid, obj, t, z))
+    print(power_line())
 
 
 if __name__ == "__main__":

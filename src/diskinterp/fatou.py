@@ -33,7 +33,9 @@ The module also provides off-arc suprema and the minimal power that
 contracts those suprema below a target. No grid is needed for the suprema:
 off the peaks the cotangent sum is strictly decreasing, so on a peak-free
 arc |lambda| is largest at an arc endpoint, and the suprema are read from
-the angle log there.
+the angle log there. No logarithm is needed for the power: the least N with
+rho^N < target is found by doubling N, then bisecting, on that predicate
+itself, in at most 2*bit_length(N) evaluations of rho**N.
 """
 
 from __future__ import annotations
@@ -265,16 +267,21 @@ def sup_off_arc(
 
 def choose_power(rho: float, target: float) -> int:
     """Smallest integer N >= 1 with rho^N < target, for rho in (0, 1) and a
-    positive finite target; a stage passes max rho and eps/k, k clusters."""
+    positive finite target; a stage passes max rho and eps/k, k clusters.
+
+    The search tests only that predicate, as the float power rho**n, which
+    never rises with n: it doubles n from 1 until rho**n < target, then bisects
+    between the last two tries. No logarithm is taken, and it evaluates
+    rho**n at most 2*bit_length(N) times (126 for any N the floats allow).
+    """
     if not (math.isfinite(rho) and 0.0 < rho < 1.0):
         raise ValueError(f"off-arc supremum {rho!r} outside (0, 1)")
     if not (math.isfinite(target) and target > 0.0):
         raise ValueError("target must be positive and finite")
-    if target >= 1.0:
-        return 1
-    n = max(1, math.ceil(math.log(target) / math.log(rho)))
-    while rho**n >= target:
-        n += 1
-    while n > 1 and rho ** (n - 1) < target:
-        n -= 1
-    return n
+    lo, hi = 0, 1  # the least N lies in (lo, hi] once the doubling stops
+    while rho**hi >= target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rho**mid < target else (mid, hi)
+    return hi

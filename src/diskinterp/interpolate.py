@@ -251,10 +251,14 @@ def single_stage(
 
 def make_schedule(eta: float, n_max: int) -> tuple[float, ...]:
     """The budgets eta_n = eta/2^(n+1), n = 1..n_max, which sum strictly
-    below eta; the last budget must not round to 0."""
+    below eta; the last budget must not round to 0. ``n_max`` must be an int
+    or a numpy integer, not a bool."""
     eta = float(eta)
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    n_max = int(n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if math.ldexp(eta, -(n_max + 1)) == 0.0:

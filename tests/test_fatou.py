@@ -553,11 +553,37 @@ def test_choose_power_minimal(rho, epsilon, n_clusters):
 
 
 def test_choose_power_corrects_the_log_estimate_downward():
-    # here ceil(log t / log rho) rounds one above the smallest power
+    # the least power here is one below ceil(log t / log rho), the estimate
+    # a log ratio gives
     rho, target = 0.9999999999979714, 2.275245882052251e-12
     n = choose_power(rho, target)
     assert n == 13215488246594 == math.ceil(math.log(target) / math.log(rho)) - 1
     assert rho**n < target <= rho ** (n - 1)
+
+
+class CountingFloat(float):
+    """A float that counts how often it is raised to a power."""
+
+    calls = 0
+
+    def __pow__(self, n):
+        CountingFloat.calls += 1
+        return float(self) ** n
+
+
+def test_choose_power_is_a_bounded_search():
+    # subnormal targets, where rho^N takes few values near the target: the
+    # search evaluates rho**n at most 2*bit_length(N) times
+    cases = [
+        (1 - 1e-7, 4e-322, 7400517782, 66),
+        (1 - 2**-53, 5e-324, 6711563375777760768, 126),  # the largest rho
+    ]
+    for rho, target, expected, evaluations in cases:
+        CountingFloat.calls = 0
+        n = choose_power(CountingFloat(rho), target)
+        assert n == expected
+        assert CountingFloat.calls <= evaluations == 2 * n.bit_length()
+        assert rho**n < target <= rho ** (n - 1)
 
 
 def test_off_arc_sup_validation():

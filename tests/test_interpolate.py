@@ -71,6 +71,11 @@ def test_schedule_rejects_bad_inputs():
         make_schedule(-1.0, 3)
     with pytest.raises(ValueError):
         make_schedule(1.0, 0)
+    # n_max must be an int or a numpy integer, and a bool is no count
+    for n_max in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="n_max"):
+            make_schedule(0.01, n_max)
+    assert make_schedule(0.01, np.int64(3)) == make_schedule(0.01, 3)
     # 2.0**1101 overflows and 0.01/2**1101 underflows: the last budget is 0
     with pytest.raises(ValueError, match="last budget"):
         make_schedule(0.01, 1100)

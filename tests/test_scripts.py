@@ -44,12 +44,13 @@ def test_power_growth_runs(tmp_path):
 
 
 def test_payload_digests_are_repeatable(capsys):
-    # 13 benchmark problems at each of 3 seeds, 2 of them failing, and the
-    # two tests/data problems
+    # 13 benchmark problems at each of 3 seeds, 2 of them failing, the two
+    # tests/data problems and the choose_power batch
     digests = load_script("payload_digests")
     digests.main([])
     first = capsys.readouterr().out.splitlines()
-    assert len(first) == 41
+    assert len(first) == 42
+    assert first[-1].startswith("choose_power ")
     assert sum(line.endswith(" NoContractionError") for line in first) == 6
     digests.main([])
     assert capsys.readouterr().out.splitlines() == first
