@@ -4,14 +4,16 @@
 For each problem of the three benchmark workloads at seeds 1-3 (from
 ``perfbench/workloads.py``) and each problem file in ``tests/data``, runs the
 pipeline and the audit as ``diskinterp interpolate`` does and prints one
-line: the problem's id and either the sha256 of its certificate payload
-(JSON, indent 2) and of the interpolant's values on a fixed seeded batch
-(``eval_interpolant`` on 8192 circle and 8192 interior points, then
-``eval_on_circle`` on the 8192 angles), or ``NoContractionError``. A last
-line, ``choose_power <sha256>``, digests the int64 powers ``choose_power``
-picks for 4096 seeded pairs, rho = 1 - 10^U(-9, -0.3) and target =
-10^U(-300, 0.5). Takes no options; two trees that print the same lines
-build the same certificates, values and powers.
+line: the problem's id and either three sha256 digests or
+``NoContractionError``. The digests are of the certificate payload (JSON,
+indent 2), of the audit report (the repr of every ``CheckResult``: name,
+passed, measured, threshold and params, with the types of their values) and
+of the interpolant's values on a fixed seeded batch (``eval_interpolant`` on
+8192 circle and 8192 interior points, then ``eval_on_circle`` on the 8192
+angles). A last line, ``choose_power <sha256>``, digests the int64 powers
+``choose_power`` picks for 4096 seeded pairs, rho = 1 - 10^U(-9, -0.3) and
+target = 10^U(-300, 0.5). Takes no options; two trees that print the same
+lines build the same certificates, audit reports, values and powers.
 """
 
 import argparse
@@ -76,7 +78,11 @@ def digest_line(pid, obj, t, z) -> str:
     values = hashlib.sha256(eval_interpolant(interpolant, z).tobytes())
     values.update(eval_on_circle(interpolant, t).tobytes())
     payload_hex = hashlib.sha256(payload.encode()).hexdigest()
-    return f"{pid} payload {payload_hex} values {values.hexdigest()}"
+    report_hex = hashlib.sha256(repr(report.checks).encode()).hexdigest()
+    return (
+        f"{pid} payload {payload_hex} report {report_hex} "
+        f"values {values.hexdigest()}"
+    )
 
 
 def power_line() -> str:

@@ -23,11 +23,14 @@ kernel takes its logs from points of the closed disk (``log_fatou``) or from
 angles (``log_fatou_on_circle``), under one contract: given a ``floor``,
 each returns (L, keep), log lambda where its real part is at least the
 floor and the indices of those inputs. Only the point log drops inputs
-before forming anything: the points inside the Schwarz-Pick radius of the
-floor (``_skip_radius``). The angle log forms the real part at every angle
-and keeps those at or above the floor. So the kernel does not branch on
-geometry. The angle form never rounds a point e^(i*theta) or a peak point,
-so it stays accurate next to a peak for powers up to about 1e10.
+before forming anything, with two skips: the points inside the Schwarz-Pick
+radius of the floor (``_skip_radius``), and the points beyond the floor's
+reach from the peaks (``_reach``), where |F| is too small for lambda to
+meet it. Both margins for rounding hold for powers up to about 1e12 at the
+kernel's floor. The angle log forms the real part at every angle and keeps
+those at or above the floor. So the kernel does not branch on geometry. The
+angle form never rounds a point e^(i*theta) or a peak point, so it stays
+accurate next to a peak for powers up to about 1e10.
 
 The module also provides off-arc suprema and the minimal power that
 contracts those suprema below a target. No grid is needed for the suprema:
@@ -68,6 +71,15 @@ class FatouFunction:
         points = np.exp(1j * self.peaks.thetas)
         points.setflags(write=False)
         return points
+
+    @cached_property
+    def peak_disk(self) -> tuple[complex, float]:
+        """(c, rho): the mean c of the peak points and rho >= max_j |a_j - c|,
+        the largest distance rounded up, so the closed disk of radius rho
+        about c holds every peak point a_j (``_reach``)."""
+        points = self.peak_points
+        center = complex(points.mean())
+        return center, float(np.abs(points - center).max()) * (1.0 + 2.0**-50)
 
     def __hash__(self) -> int:  # one call: the evaluation kernel's dict hashes often
         return hash(self.peaks._key)
@@ -123,33 +135,87 @@ def _skip_radius(peak_count: int, floor: float) -> float:
     return max(0.0, (1.0 - (peak_count + 1) * s) / (1.0 + peak_count * s))
 
 
+def _reach(peak_count: int, spread: float, floor: float) -> float:
+    """Reach R such that Re log lambda < ``floor`` (<= 0) wherever |z - c| >
+    R and |z| <= 1 + ``DISK_SLACK``, for a peak function with ``peak_count``
+    peaks within ``spread`` of a centre c (``FatouFunction.peak_disk``), with
+    room for rounding; inf for a floor of -inf.
+
+    Let m be the peak count, rho the spread, delta = DISK_SLACK and D = |z -
+    c| - rho > 0. Every peak a_j is then at least D from z, so each term of
+    F has modulus |a_j + z|/|a_j - z| <= (2 + delta)/D and real part (1 -
+    |z|^2)/|a_j - z|^2 >= -(2 delta + delta^2)/D^2 (>= 0 on the closed disk).
+    As 1/|lambda|^2 = 1 + (1 + 2 Re F)/|F|^2, log|lambda| <= floor once
+    (D^2 - 2 (2 delta + delta^2) m)/((2 + delta)^2 m^2) >= E = expm1(-2
+    floor), which R = rho + 2 sqrt(m (m E' + 2 delta)) meets, with E' =
+    expm1(-2 floor (1 + SKIP_MARGIN)) >= (1 + SKIP_MARGIN) E.
+
+    The margin covers rounding, with u = 2^-53. Beyond R, D > 2 m sqrt(E')
+    and D^2 > 8 m delta, so 1 + 2 Re F > 1/2 - delta. The computed F is
+    within (m + 8) u sum_j |a_j + z|/|a_j - z| of F (each term within a few
+    u, then m - 1 additions), which moves the computed (1 + 2 Re F)/|F|^2 by
+    a relative 4 (m + 8) u min(1/sqrt(E'), sqrt(m/(2 delta))) at most;
+    |z - c|, rho and R are off by a few ulps of 2, far below the margin's
+    share of R - rho > 2.8e-6. The reach is below 2, where the test runs,
+    only when m sqrt(E') < 1, so at floors above -0.35. For m up to 10^4
+    the rounding stays below SKIP_MARGIN/2 at every such floor, 0 included;
+    for m up to 10^6 it does at floors down to about -4e-11 (powers up to
+    about 1e12 at the kernel's 2^-60 term floor).
+    """
+    s = math.expm1(-2.0 * floor * (1.0 + SKIP_MARGIN))
+    return spread + 2.0 * math.sqrt(peak_count * (peak_count * s + 2.0 * DISK_SLACK))
+
+
+def _unskipped(
+    fatou: FatouFunction, zs: np.ndarray, floor: float, moduli: tuple[float, float]
+) -> np.ndarray | None:
+    """Indices of the points of ``zs`` outside the ``_skip_radius`` of
+    ``floor`` and within its ``_reach`` of ``fatou.peak_disk``'s centre, or
+    None when neither test drops a point; ``moduli`` bounds |z| over ``zs``
+    from below and above, so a skip radius outside it needs no |z| pass."""
+    m = len(fatou.peaks)
+    radius = _skip_radius(m, floor)
+    if radius > moduli[1]:
+        return np.empty(0, dtype=np.intp)
+    near = np.abs(zs) >= radius if radius > moduli[0] else None
+    center, spread = fatou.peak_disk
+    reach = _reach(m, spread, floor)
+    if reach < 2.0:
+        within = np.abs(zs - center) <= reach
+        near = within if near is None else near & within
+    if near is None:
+        return None
+    kept = near.nonzero()[0]
+    return kept if kept.size < zs.size else None
+
+
 def log_fatou(
-    fatou: FatouFunction, zs: np.ndarray, floor: float = -math.inf
+    fatou: FatouFunction,
+    zs: np.ndarray,
+    floor: float = -math.inf,
+    moduli: tuple[float, float] = (0.0, math.inf),
 ) -> tuple[np.ndarray, np.ndarray]:
     """(L, keep): log lambda = -log1p(1/F) at the points of a 1-d array of
     the closed disk, which the caller has checked, where its real part is at
     least ``floor``, and the indices of those points, so that L = log
     lambda(zs[keep]).
 
-    Points inside the ``_skip_radius`` of ``floor`` are dropped before any
-    term of F is formed, and when that drops them all nothing else runs;
-    the test on the computed real part follows. L is exactly 0 where F is
-    not finite (on a peak, or where a term overflows next to one) and, by
-    its form, where |F|^2 overflows, so every power is exactly 1 there; L is
-    -inf where F = 0, where lambda vanishes. The real part is
-    -log1p((1+2a)/|F|^2)/2 and the imaginary part atan2(b, a + |F|^2), for
-    F = a + ib.
+    Points inside the ``_skip_radius`` of ``floor`` (Schwarz-Pick) and points
+    beyond its ``_reach`` from the peaks' centre are dropped before any term
+    of F is formed (``_unskipped``), and when that drops them all nothing
+    else runs; the test on the computed real part follows. ``moduli`` is
+    (min, max) |z| over ``zs``, or bounds on them, as the kernel hands each
+    chunk's. L is exactly 0 where F is not finite (on a peak, or where a
+    term overflows next to one) and, by its form, where |F|^2 overflows, so
+    every power is exactly 1 there; L is -inf where F = 0, where lambda
+    vanishes. The real part is -log1p((1+2a)/|F|^2)/2 and the imaginary part
+    atan2(b, a + |F|^2), for F = a + ib.
     """
-    outside = None  # indices outside the skip radius, once some are inside
-    radius = _skip_radius(len(fatou.peaks), floor)
-    if radius > 0.0:
-        outside = (np.abs(zs) >= radius).nonzero()[0]
-        if not outside.size:
-            return np.empty(0, dtype=complex), outside
-        if outside.size < zs.size:
-            zs = zs[outside]
-        else:
-            outside = None
+    kept = _unskipped(fatou, zs, floor, moduli)
+    if kept is not None:
+        if not kept.size:
+            return np.empty(0, dtype=complex), kept
+        zs = zs[kept]
     F = np.zeros(zs.shape, dtype=complex)
     L = np.empty_like(F)
     re, im = L.real, L.imag
@@ -170,7 +236,7 @@ def log_fatou(
     keep = (re >= floor).nonzero()[0]
     if keep.size < L.size:
         L = L[keep]
-    return L, keep if outside is None else outside[keep]
+    return L, keep if kept is None else kept[keep]
 
 
 def _cotangent_sum(fatou: FatouFunction, thetas: np.ndarray) -> np.ndarray:

@@ -48,8 +48,10 @@ floor on what is left. Each power is exp(N log lambda) there; on the peaks
 log lambda is exactly 0, so a term there is exactly its scale. What the log
 may drop unevaluated, and how it knows, belongs to the log. Only the point
 log drops anything early: the points within the Schwarz-Pick radius of the
-floor. The angle log forms the real part at every angle and keeps those at
-or above the floor. The kernel does not branch on geometry.
+floor, and the points beyond the floor's reach from a peak function's
+peaks; for the first test the kernel hands it each chunk's range of |z|.
+The angle log forms the real part at every angle and keeps those at or
+above the floor. The kernel does not branch on geometry.
 """
 
 from __future__ import annotations
@@ -149,17 +151,20 @@ def _kept_terms(
 
     Terms with equal peak functions share one ``log`` call per chunk of
     ``CHUNK`` points, at the floor log(TERM_FLOOR)/N of their lowest power.
-    Terms go in ascending power, so within a group each higher power keeps
-    a subset of the points the previous one kept.
+    A chunk of complex points also hands the log its (min, max) modulus,
+    formed once for all the peak functions. Terms go in ascending power, so
+    within a group each higher power keeps a subset of the points the
+    previous one kept.
     """
     groups: dict[FatouFunction, list[tuple[int, complex]]] = {}
     for lam, power, scale in sorted(terms, key=lambda t: t[1]):
         groups.setdefault(lam, []).append((power, scale))
     for start in range(0, flat.size, CHUNK):
         chunk = flat[start : start + CHUNK]
+        moduli = (_modulus_range(chunk),) if np.iscomplexobj(chunk) else ()
         for lam, group in groups.items():
             lowest = group[0][0]
-            L, idx = log(lam, chunk, LOG_TERM_FLOOR / lowest)
+            L, idx = log(lam, chunk, LOG_TERM_FLOOR / lowest, *moduli)
             for power, scale in group:
                 if power > lowest:
                     keep = (L.real >= LOG_TERM_FLOOR / power).nonzero()[0]
@@ -168,6 +173,13 @@ def _kept_terms(
                 if not idx.size:
                     break
                 yield start, idx, power, scale, L
+
+
+def _modulus_range(zs: np.ndarray) -> tuple[float, float]:
+    """(min, max) |z| over a non-empty array of points; the moduli are freed
+    on return, so nothing chunk-sized outlives the call."""
+    r = np.abs(zs)
+    return float(r.min()), float(r.max())
 
 
 def _terms_sum(terms, xs: np.ndarray, log):

@@ -169,15 +169,10 @@ class CountingPeak(complex):
         return complex(self) - other
 
 
-def test_eval_skips_points_inside_the_skip_radius(monkeypatch):
-    # the pair 1e-3 apart: inside the disk the floor drops every power of
-    # most peak functions, so log_fatou drops those points before its
-    # per-peak loop, and for some chunks it drops them all
-    data = BoundaryData.from_pairs(
-        [1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j]
-    )
-    g = iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
-    zs = 0.5 * np.exp(2j * np.pi * np.arange(CHUNK) / CHUNK)
+def count_looped_points(monkeypatch, g, zs):
+    """Evaluate ``g`` at ``zs`` with ``log_fatou`` counting its calls and the
+    points that reach its per-peak loop; check the values bit for bit, and
+    return (calls, looped), the sizes of each."""
     expected = eval_interpolant(g, zs)
     calls, looped = [], []
     original = interpolate_mod.log_fatou
@@ -189,12 +184,42 @@ def test_eval_skips_points_inside_the_skip_radius(monkeypatch):
         clone = dataclasses.replace(fatou)
         points = np.array([first, *fatou.peak_points[1:]], dtype=object)
         object.__setattr__(clone, "peak_points", points)
+        object.__setattr__(clone, "peak_disk", fatou.peak_disk)
         return original(clone, x, *args)
 
     monkeypatch.setattr(interpolate_mod, "log_fatou", counted)
     assert np.array_equal(eval_interpolant(g, zs), expected)
+    return calls, looped
+
+
+def close_pair_problem():
+    # the pair 1e-3 apart
+    data = BoundaryData.from_pairs(
+        [1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j]
+    )
+    return iterative_interpolant(data, 0.01, 20, GRID, 1e-9)
+
+
+def test_eval_skips_points_inside_the_skip_radius(monkeypatch):
+    # inside the disk the floor drops every power of most peak functions, so
+    # log_fatou drops those points before its per-peak loop, and for some
+    # chunks it drops them all
+    g = close_pair_problem()
+    zs = 0.5 * np.exp(2j * np.pi * np.arange(CHUNK) / CHUNK)
+    calls, looped = count_looped_points(monkeypatch, g, zs)
     assert calls == [zs.size] * distinct_lambdas(g)
     assert len(looped) < len(calls)
+    assert sum(looped) < distinct_lambdas(g) * zs.size
+
+
+def test_eval_skips_points_beyond_the_reach(monkeypatch):
+    # on the circle no point is inside a skip radius, but the floor drops
+    # the points far from a peak function's peaks, so log_fatou drops those
+    # beyond its reach before its per-peak loop
+    g = close_pair_problem()
+    zs = np.exp(2j * np.pi * np.arange(CHUNK) / CHUNK)
+    calls, looped = count_looped_points(monkeypatch, g, zs)
+    assert calls == [zs.size] * distinct_lambdas(g)
     assert sum(looped) < distinct_lambdas(g) * zs.size
 
 

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import warnings
@@ -24,7 +25,9 @@ from diskinterp import (
 )
 import diskinterp.interpolate
 from diskinterp.fatou import (
+    DISK_SLACK,
     FatouFunction,
+    _reach,
     _skip_radius,
     eval_fatou,
     log_fatou,
@@ -563,6 +566,95 @@ def test_skip_radius_covers_rounding(peak_count):
             kappa = 4 * EPS * (peak_count + 2 / (1 - rr))
             assert power * log_bound * (1 - kappa) < LOG_TERM_FLOOR * (1 + EPS), power
     assert skipping >= 4
+
+
+@pytest.mark.parametrize("peak_count", [1, 2, 3, 10, 300])
+def test_reach_covers_rounding(peak_count):
+    # the kernel drops |z - c| > R unevaluated; the floor test drops z where
+    # the computed Re log lambda is below the floor. At |z| = 1 + DISK_SLACK
+    # and distance D = |z - c| - rho from every peak: |F| <= (2 + delta) m/D,
+    # Re F >= -(2 delta + delta^2) m/D^2, the computed F is within (m + 8) u
+    # (2 + delta) m/D of F, and |z - c| is off by an ulp or two at most
+    mpmath = pytest.importorskip("mpmath")
+    m = peak_count
+    reaching = 0
+    with mpmath.workdps(50):
+        u = mpmath.mpf(EPS) / 2
+        delta = mpmath.mpf(DISK_SLACK)
+        for spread in (0.0, 1e-3, 0.5):
+            for power in (20, 60, 100, 10**3, 10**5, 10**7, 2 * 10**9, 10**11):
+                floor = LOG_TERM_FLOOR / power
+                r = _reach(m, spread, floor)
+                if r >= 2.0:
+                    continue
+                reaching += 1
+                d = mpmath.mpf(r) * (1 - 4 * u) - spread
+                f_max = (2 + delta + u) * m / d
+                re_min = -(2 * delta + delta**2 + 2 * u) * m / d**2
+                err = (m + 8) * u * f_max
+                x = (1 + 2 * (re_min - err)) / ((f_max + err) ** 2 * (1 + 4 * u))
+                re_max = -mpmath.log1p(x) * (1 - 2 * u) / 2
+                assert re_max < floor, (spread, power)
+    assert reaching >= 8
+
+
+def _circle_points(center, distance, radius):
+    """The points of |z| = radius at ``distance`` from ``center``."""
+    cos = (radius**2 + abs(center) ** 2 - distance**2) / (2 * radius * abs(center))
+    if abs(cos) > 1.0:
+        return []
+    phase, half = cmath.phase(center), math.acos(cos)
+    return [radius * cmath.exp(1j * (phase + side * half)) for side in (1, -1)]
+
+
+def test_reach_matches_floor_bit_for_bit():
+    # points at R (1 +- 1e-6) from the peaks' centre, on the circle and
+    # DISK_SLACK outside it: the reach drops those beyond R before the
+    # per-peak loop, and each must be one the floor test drops; a reach
+    # without rho keeps peaks beyond it, and one without the DISK_SLACK term
+    # does not cover |z| > 1 at large powers
+    peak_sets = {
+        "one": [0.4],
+        "pair": [1.0, 1.001],
+        "three": [2.0, 2.01, 2.05],
+        "ten": 4.0 + np.linspace(0.0, 0.2, 10),
+        "wide": 0.5 + np.linspace(0.0, 1.0, 300),
+    }
+    powers = [10**k for k in range(2, 13)] + [3 * 10**k for k in range(2, 12)]
+    dropped = tested = 0
+    for name, thetas in peak_sets.items():
+        lam = FatouFunction(FiniteBoundarySet.from_thetas(thetas))
+        center, spread = lam.peak_disk
+        for power in powers:
+            floor = LOG_TERM_FLOOR / power
+            r = _reach(len(thetas), spread, floor)
+            if r >= 2.0:
+                continue
+            zs = np.array(
+                [
+                    z
+                    for distance in (r * (1 - 1e-6), r * (1 + 1e-6))
+                    for radius in (1.0, 1.0 + DISK_SLACK)
+                    for z in _circle_points(center, distance, radius)
+                ]
+            )
+            L, keep = log_fatou(lam, zs, floor)
+            L_all, _ = log_fatou(lam, zs)
+            above = (L_all.real >= floor).nonzero()[0]
+            assert np.array_equal(keep, above), (name, power)
+            assert np.array_equal(L, L_all[above]), (name, power)
+            dropped += np.count_nonzero(np.abs(zs - center) > r)
+            tested += zs.size
+    assert dropped and tested > 300
+    # the kernel on whole circles, where the reach is the only skip (inside
+    # the disk check, which a rounded point at 1 + DISK_SLACK may fail)
+    for data in _kernel_problems().values():
+        g = iterative_interpolant(data, 0.01, 20, GRID, MARGIN)
+        for radius in (1.0, 1.0 + 0.99 * DISK_SLACK):
+            zs = radius * np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
+            assert np.array_equal(
+                eval_interpolant(g, zs), _floor_only_sum(_terms(g.stages), zs)
+            ), radius
 
 
 def test_terms_on_their_peaks_are_exactly_scale():
