@@ -232,6 +232,7 @@ def _parse_peaks_file(path: str) -> FiniteBoundarySet:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "thetas" not in obj:
         raise ParseFailure(f"{path}: expected an object with a 'thetas' list")
+    _reject_unknown_keys(obj, ("thetas",), path)
     thetas = obj["thetas"]
     if not isinstance(thetas, list) or any(
         isinstance(t, bool) or not isinstance(t, (int, float)) for t in thetas

@@ -81,9 +81,6 @@ class FatouFunction:
         center = complex(points.mean())
         return center, float(np.abs(points - center).max()) * (1.0 + 2.0**-50)
 
-    def __hash__(self) -> int:  # one call: the evaluation kernel's dict hashes often
-        return hash(self.peaks._key)
-
 
 def require_closed_disk(z) -> np.ndarray:
     """``z`` as a complex array, after checking that every point is finite

@@ -27,46 +27,48 @@ are evaluated on the set itself. Violated bounds raise CertificationError
 instead of being recorded.
 
 All evaluation goes through one traversal of (lambda, N, scale) terms,
-scale = c_k/(1+eps), and one of two logs with the same contract:
-``log_fatou`` on points of the closed disk (``eval_interpolant``), or
-``log_fatou_on_circle`` on angles of points on the circle
-(``eval_on_circle``, and the build's values on the set). Later stages often
-rebuild an earlier cluster, so terms with equal peak functions are grouped,
-and each group costs one log call per chunk of ``CHUNK`` points, so memory
-does not grow with the number of points beyond the result. Two reducers
-share that traversal: the values, scale * exp(N log lambda), and the arc
-envelope ``arc_envelope``, which takes each term's modulus |scale| *
-exp(N Re log lambda), with real exponentials and no phase, at the two ends
-of an arc, keeps the larger, and also sums the values there; so the audit
-bounds |g| on whole arcs from their ends and reads g there in one
-traversal. A term is skipped where |lambda|^N < TERM_FLOOR = 2^-60, in the
-values and the envelope alike, so a value moves by less than 2^-60 * sum
-|scale|. The kernel hands the log the floor log(TERM_FLOOR)/N of the
-group's lowest power; the log returns log lambda only where that floor is
-met, with the indices of those points, and each higher power tests its own
-floor on what is left. Each power is exp(N log lambda) there; on the peaks
-log lambda is exactly 0, so a term there is exactly its scale. What the log
-may drop unevaluated, and how it knows, belongs to the log. Only the point
-log drops anything early: the points within the Schwarz-Pick radius of the
-floor, and the points beyond the floor's reach from a peak function's
-peaks; for the first test the kernel hands it each chunk's range of |z|.
-The angle log forms the real part at every angle and keeps those at or
-above the floor. The kernel does not branch on geometry.
+scale = c_k/(1+eps). Later stages often rebuild an earlier cluster, so an
+interpolant groups its terms once, on first use, into a table of (lambda,
+((N, scale), ...)) per distinct peak function, the powers ascending, and
+each group costs one log call per chunk of ``CHUNK`` points, so memory does
+not grow with the number of points beyond the result. The kernel takes its
+log from the input's dtype: ``log_fatou`` on complex points of the closed
+disk (``eval_interpolant``), ``log_fatou_on_circle`` on real angles of
+points on the circle (``eval_on_circle``, and the build's values on the
+set); both have one contract. Two reducers share that traversal: the
+values, scale * exp(N log lambda), and the arc envelope ``arc_envelope``,
+which takes each term's modulus |scale| * exp(N Re log lambda), with real
+exponentials and no phase, at the two ends of an arc, keeps the larger, and
+also sums the values there; so the audit bounds |g| on whole arcs from
+their ends and reads g there in one traversal. A term is skipped where
+|lambda|^N < TERM_FLOOR = 2^-60, in the values and the envelope alike, so a
+value moves by less than 2^-60 * sum |scale|. The kernel hands the log the
+floor log(TERM_FLOOR)/N of the group's lowest power; the log returns log
+lambda only where that floor is met, with the indices of those points, and
+each higher power tests its own floor on what is left. Each power is exp(N
+log lambda) there; on the peaks log lambda is exactly 0, so a term there is
+exactly its scale. What the log may drop unevaluated, and how it knows,
+belongs to the log. Only the point log drops anything early: the points
+within the Schwarz-Pick radius of the floor, and the points beyond the
+floor's reach from a peak function's peaks; for the first test the kernel
+hands it each chunk's range of |z|. The angle log forms the real part at
+every angle and keeps those at or above the floor. The kernel does not
+branch on geometry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from .circle import BoundaryData, Clustering, cluster_by_oscillation
 from .errors import CertificationError, DomainError
-# The entry points look the two logs up by their names here at call time, so
-# a tracer can wrap them.
-# eval_fatou is no longer called here but stays bound: perfbench wraps it.
+# The kernel looks the two logs up by their names here at call time, so a
+# tracer can wrap them; eval_fatou is bound here for perfbench, which wraps it.
 from .fatou import (
     FatouFunction,
     choose_power,
@@ -134,35 +136,50 @@ class BoundsCertificate:
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Truncated correction series with its certificate."""
+    """Truncated correction series with its certificate. ``terms``, the
+    table of its (lambda, N, scale) terms, scale = c_k/(1+eps), grouped by
+    ``_group_terms``, is made on first read."""
 
     stages: tuple[StageApproximant, ...]
     certificate: BoundsCertificate
 
+    @cached_property
+    def terms(self):
+        return _group_terms(
+            (lam, s.power, s.normalization * c)
+            for s in self.stages
+            for lam, c in zip(s.lambdas, s.coefficients)
+        )
 
-def _kept_terms(
-    terms: Iterable[tuple[FatouFunction, int, complex]],
-    flat: np.ndarray,
-    log,
-):
-    """The kept (offset, idx, power, scale, L) of (lambda, N, scale) terms
-    on a 1-d array ``flat`` of points or angles: log lambda = L at
-    ``flat[offset + idx]``, where Re L >= log(TERM_FLOOR)/N.
 
-    Terms with equal peak functions share one ``log`` call per chunk of
-    ``CHUNK`` points, at the floor log(TERM_FLOOR)/N of their lowest power.
-    A chunk of complex points also hands the log its (min, max) modulus,
-    formed once for all the peak functions. Terms go in ascending power, so
-    within a group each higher power keeps a subset of the points the
-    previous one kept.
-    """
+def _group_terms(terms: Iterable[tuple[FatouFunction, int, complex]]):
+    """The (lambda, N, scale) terms as a table of (lambda, ((N, scale),
+    ...)) per distinct peak function: the terms sorted by power, stably, and
+    the peak functions in the order they first appear there."""
     groups: dict[FatouFunction, list[tuple[int, complex]]] = {}
     for lam, power, scale in sorted(terms, key=lambda t: t[1]):
         groups.setdefault(lam, []).append((power, scale))
+    return tuple((lam, tuple(group)) for lam, group in groups.items())
+
+
+def _kept_terms(groups, flat: np.ndarray):
+    """The kept (offset, idx, power, scale, L) of a ``_group_terms`` table
+    on a 1-d array ``flat``, of complex points of the closed disk
+    (``log_fatou``) or of real angles (``log_fatou_on_circle``): log lambda
+    = L at ``flat[offset + idx]``, where Re L >= log(TERM_FLOOR)/N.
+
+    Each peak function has one log call per chunk of ``CHUNK`` points, at
+    the floor log(TERM_FLOOR)/N of its lowest power. A chunk of points also
+    hands the log its (min, max) modulus, formed once for all the peak
+    functions. A group's powers ascend, so each higher power keeps a subset
+    of the points the previous one kept.
+    """
+    points = np.iscomplexobj(flat)
+    log = log_fatou if points else log_fatou_on_circle
     for start in range(0, flat.size, CHUNK):
         chunk = flat[start : start + CHUNK]
-        moduli = (_modulus_range(chunk),) if np.iscomplexobj(chunk) else ()
-        for lam, group in groups.items():
+        moduli = (_modulus_range(chunk),) if points else ()
+        for lam, group in groups:
             lowest = group[0][0]
             L, idx = log(lam, chunk, LOG_TERM_FLOOR / lowest, *moduli)
             for power, scale in group:
@@ -182,27 +199,15 @@ def _modulus_range(zs: np.ndarray) -> tuple[float, float]:
     return float(r.min()), float(r.max())
 
 
-def _terms_sum(terms, xs: np.ndarray, log):
+def _terms_sum(groups, xs: np.ndarray):
     """Sum of scale * lambda^N = scale * exp(N log lambda) over the kept
-    terms at ``xs``, with log lambda from ``log``, ``log_fatou`` on points
-    of the closed disk or ``log_fatou_on_circle`` on angles; an array of the
-    shape of ``xs``, or a complex for a 0-d ``xs``."""
+    terms of a ``_group_terms`` table at ``xs``, complex points of the
+    closed disk or real angles; an array of the shape of ``xs``, or a
+    complex for a 0-d ``xs``."""
     total = np.zeros(xs.size, dtype=complex)
-    for start, idx, power, scale, L in _kept_terms(terms, xs.reshape(-1), log):
+    for start, idx, power, scale, L in _kept_terms(groups, xs.reshape(-1)):
         total[start : start + CHUNK][idx] += scale * np.exp(power * L)
     return complex(total[0]) if xs.ndim == 0 else total.reshape(xs.shape)
-
-
-def _stage_terms(
-    lambdas: Sequence[FatouFunction],
-    coefficients: Sequence[complex],
-    power: int,
-    normalization: float,
-):
-    """The (lambda, N, scale) terms of a stage, scale = normalization * c_k."""
-    return (
-        (lam, power, normalization * c) for lam, c in zip(lambdas, coefficients)
-    )
 
 
 def single_stage(
@@ -234,11 +239,10 @@ def single_stage(
     coefficients = tuple(data.values[representatives].tolist())
     normalization = 1.0 / (1.0 + epsilon)
 
-    values_on_E = _terms_sum(
-        _stage_terms(lambdas, coefficients, power, normalization),
-        data.set.thetas,
-        log_fatou_on_circle,
+    terms = _group_terms(
+        (lam, power, normalization * c) for lam, c in zip(lambdas, coefficients)
     )
+    values_on_E = _terms_sum(terms, data.set.thetas)
     residual = BoundaryData(data.set, data.values - values_on_E)
 
     moduli = [abs(c) for c in coefficients]
@@ -263,10 +267,12 @@ def single_stage(
 
 def make_schedule(eta: float, n_max: int) -> tuple[float, ...]:
     """The budgets eta_n = eta/2^(n+1), n = 1..n_max, which sum strictly
-    below eta; the last budget must not round to 0. ``n_max`` must be an int
-    or a numpy integer, not a bool."""
-    eta = float(eta)
-    if not (math.isfinite(eta) and eta > 0.0):
+    below eta; the last budget must not round to 0. ``eta`` must not be a
+    bool or a numpy bool, and ``n_max`` must be an int or a numpy integer,
+    not a bool."""
+    if isinstance(eta, (bool, np.bool_)) or not (
+        math.isfinite(eta := float(eta)) and eta > 0.0
+    ):
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
         raise ValueError(f"n_max must be an integer, got {n_max!r}")
@@ -349,15 +355,6 @@ def iterative_interpolant(
     return Interpolant(tuple(stages), certificate)
 
 
-def _all_terms(stages: Iterable[StageApproximant]):
-    """The (lambda, N, scale) terms of ``stages``, stage by stage."""
-    return (
-        term
-        for s in stages
-        for term in _stage_terms(s.lambdas, s.coefficients, s.power, s.normalization)
-    )
-
-
 def _finite_angles(thetas) -> np.ndarray:
     """``thetas`` as a float array, after checking that every angle is finite."""
     ts = np.asarray(thetas, dtype=float)
@@ -368,16 +365,14 @@ def _finite_angles(thetas) -> np.ndarray:
 
 def eval_interpolant(interpolant: Interpolant, z):
     """Evaluate the stage sum on the closed disk (0 for a zero-stage result)."""
-    return _terms_sum(_all_terms(interpolant.stages), require_closed_disk(z), log_fatou)
+    return _terms_sum(interpolant.terms, require_closed_disk(z))
 
 
 def eval_on_circle(interpolant: Interpolant, thetas):
     """Evaluate the stage sum at e^(i*theta) for a finite angle or an array
     of them. The values come from the angles, never from rounded points, so
     they stay accurate next to a peak for powers up to about 1e10."""
-    return _terms_sum(
-        _all_terms(interpolant.stages), _finite_angles(thetas), log_fatou_on_circle
-    )
+    return _terms_sum(interpolant.terms, _finite_angles(thetas))
 
 
 def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray]:
@@ -401,19 +396,19 @@ def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray
     ends = _finite_angles(ends)
     values = np.zeros(ends.shape, dtype=complex)
     envelope = np.zeros(ends.shape[0])
-    terms = list(_all_terms(interpolant.stages))
+    terms = interpolant.terms
     for first in range(0, ends.shape[0], CHUNK // 2):
         block = slice(first, first + CHUNK // 2)
         angles, inverse = np.unique(ends[block].ravel(), return_inverse=True)
         block_values = np.zeros(angles.size, dtype=complex)
-        for _, idx, power, scale, L in _kept_terms(terms, angles, log_fatou_on_circle):
+        for _, idx, power, scale, L in _kept_terms(terms, angles):
             block_values[idx] += scale * np.exp(power * L)
             moduli = np.zeros(angles.size)
             moduli[idx] = abs(scale) * np.exp(power * L.real)
             envelope[block] += moduli[inverse].reshape(-1, 2).max(axis=1)
         values[block] = block_values[inverse].reshape(-1, 2)
     allowance = (TERM_FLOOR + envelope_slack(interpolant)) * math.fsum(
-        abs(scale) for _, _, scale in terms
+        abs(scale) for _, group in terms for _, scale in group
     )
     return envelope + allowance, values
 
@@ -453,10 +448,12 @@ def envelope_slack(interpolant: Interpolant) -> float:
     ends next to peaks for powers up to 2.2e9, and at the audit's first
     bisection points, where a sum cancels to a twentieth of its terms.
     """
-    terms = [(lam, s.power) for s in interpolant.stages for lam in s.lambdas]
+    terms = interpolant.terms
     if not terms:
         return 0.0
     m = max(len(lam.peaks) for lam, _ in terms)
-    root = max(121, math.isqrt(max(power for _, power in terms) - 1) + 1)
-    units = 84 * (m + 2) + 7 * m * root + len(terms) + 260
+    power = max(group[-1][0] for _, group in terms)
+    root = max(121, math.isqrt(power - 1) + 1)
+    count = sum(len(group) for _, group in terms)
+    units = 84 * (m + 2) + 7 * m * root + count + 260
     return (units + units % 2) * 2.0**-53

@@ -73,6 +73,15 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def _require_seed(seed) -> None:
+    """ValueError unless ``seed`` is a non-negative int or numpy integer; a
+    bool is refused. Every check or helper that takes a seed applies it."""
+    if isinstance(seed, bool) or not (
+        isinstance(seed, (int, np.integer)) and seed >= 0
+    ):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def check_peak_values(interpolant: Interpolant, data: BoundaryData) -> CheckResult:
     """Largest mismatch on the data's boundary set against the data values,
     with threshold the certificate's truncation bound plus ``RESIDUAL_TOL``."""
@@ -112,8 +121,8 @@ def check_boundary_sup(interpolant: Interpolant) -> CheckResult:
     """
     bound, tol = interpolant.certificate.boundary_sup_bound, SUP_TOL
     threshold = bound + tol
-    sets = {lam.peaks for s in interpolant.stages for lam in s.lambdas}  # distinct
-    peaks = np.sort(np.concatenate([p.thetas for p in sets] or [np.empty(0)]))
+    sets = [lam.peaks.thetas for lam, _ in interpolant.terms]  # distinct
+    peaks = np.sort(np.concatenate(sets or [np.empty(0)]))
     peaks = peaks[np.diff(peaks, prepend=-math.inf) > 0.0]
     measured = proved = evaluated_max = 0.0
     rounds = arcs = 0
@@ -161,6 +170,7 @@ def check_max_modulus(
     """Maximum over ``INTERIOR_SAMPLES`` seeded uniform disk samples against
     the proved boundary bound of ``boundary``, a ``check_boundary_sup``
     result, plus ``SUP_TOL``; an analyticity witness."""
+    _require_seed(seed)
     samples, tol = INTERIOR_SAMPLES, SUP_TOL
     rng = np.random.default_rng(seed)
     radii = (1.0 - INTERIOR_SHRINK) * np.sqrt(rng.uniform(size=samples))
@@ -217,6 +227,7 @@ def check_cauchy_identity(
 def cauchy_sample_points(seed: int) -> tuple[tuple[complex, float], ...]:
     """``CAUCHY_PAIRS`` seeded (z0, radius) pairs with radius - |z0| >= 0.1
     and radius < 0.9."""
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(CAUCHY_PAIRS):
@@ -242,10 +253,7 @@ def verify_interpolant(
     stays for callers that pass it. A ``seed`` that is not a non-negative
     integer, a bool included, raises ValueError before anything is
     evaluated."""
-    if isinstance(seed, bool) or not (
-        isinstance(seed, (int, np.integer)) and seed >= 0
-    ):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_seed(seed)
     boundary = check_boundary_sup(interpolant)
     checks = [
         check_peak_values(interpolant, data),

@@ -3,11 +3,18 @@ names where the library looks them up. These tests keep those names bound,
 keep the audit calling through them, pin the audit to arc ends, a bounded
 multiple of the data's points and no boundary grid, and pin the evaluation
 and the arc envelope, on points and on angles, to one peak function (log)
-call per distinct peak set and chunk, in bounded memory."""
+call per distinct peak set and chunk and one grouping of the terms per
+interpolant, in bounded memory, and keep the audit and the evaluators from
+importing modules that the benchmark's memory count would see."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -114,6 +121,28 @@ def count_log_calls(monkeypatch, name):
 
 def distinct_lambdas(g):
     return len({lam for stage in g.stages for lam in stage.lambdas})
+
+
+def test_terms_are_grouped_once_per_interpolant(monkeypatch):
+    data, g = small_problem()
+    calls = []
+    original = interpolate_mod._group_terms
+
+    def counted(terms):
+        calls.append(1)
+        return original(terms)
+
+    monkeypatch.setattr(interpolate_mod, "_group_terms", counted)
+    assert verify_interpolant(g, data, seed=1).overall
+    eval_interpolant(g, np.exp(1j * data.set.thetas))
+    eval_on_circle(g, data.set.thetas)
+    assert len(calls) == 1
+    # one group per distinct peak function, holding all of its terms
+    assert len(g.terms) == distinct_lambdas(g)
+    assert len({lam for lam, _ in g.terms}) == len(g.terms)
+    assert sum(len(group) for _, group in g.terms) == sum(
+        len(stage.lambdas) for stage in g.stages
+    )
 
 
 def test_eval_calls_each_distinct_peak_function_once_per_chunk(monkeypatch):
@@ -233,3 +262,42 @@ def test_eval_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import numpy.random
+from diskinterp import (
+    BoundaryData, eval_interpolant, eval_on_circle, iterative_interpolant,
+    verify_interpolant,
+)
+
+before = set(sys.modules)
+data = BoundaryData.from_pairs(
+    [1.0, 1.001, 3.2, 4.9], [1, -1, 0.6 + 0.3j, -0.2 + 0.7j]
+)
+g = iterative_interpolant(data, 0.01, 20, 4096, 1e-9)
+assert verify_interpolant(g, data, seed=1).overall
+thetas = np.linspace(0.0, 6.0, 1000)
+eval_interpolant(g, 0.9 * np.exp(1j * thetas))
+eval_on_circle(g, thetas)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_pipeline_imports_no_further_module():
+    # the benchmark counts traced allocations from a build and an audit once
+    # diskinterp and numpy.random are imported; a module imported lazily on
+    # the way (numpy.ma, by np.unique without return_inverse) would be
+    # counted as the pipeline's memory
+    src = Path(interpolate_mod.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

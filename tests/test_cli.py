@@ -143,6 +143,18 @@ def test_fatou_malformed_peaks_is_parse_error(tmp_path, capsys, peaks, message):
     assert len(err) == 1 and err[0].startswith("parse error:") and message in err[0]
 
 
+def test_fatou_unknown_peaks_key_is_parse_error(tmp_path, capsys):
+    # as in a problem file, a misspelled or stray key is refused, not ignored
+    path = write_json(tmp_path / "peaks.json", {"thetas": [0.0, 1.5], "eval_grid": 4})
+    target = tmp_path / "table.csv"
+    assert main(["fatou", path, "--out", str(target)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    assert captured.err.splitlines() == [
+        f"parse error: {path}: unknown field 'eval_grid'"
+    ]
+
+
 def test_fatou_unwritable_output_is_one_line(tmp_path, capsys):
     peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.0]})
     target = tmp_path / "missing" / "table.csv"

@@ -74,6 +74,13 @@ def test_schedule_rejects_bad_inputs():
         make_schedule(-1.0, 3)
     with pytest.raises(ValueError):
         make_schedule(1.0, 0)
+    # a bool is no budget, and no stack is built from one
+    for eta in (True, np.True_):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            make_schedule(eta, 2)
+    data = BoundaryData.from_pairs([0.0, 2.0], [1.0, -0.5j])
+    with pytest.raises(ValueError, match="eta"):
+        iterative_interpolant(data, True, 3, 16, 1e-9)
     # n_max must be an int or a numpy integer, and a bool is no count
     for n_max in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="n_max"):
@@ -537,11 +544,11 @@ def test_skip_radius_keeps_the_tight_origin():
     assert _skip_radius(1, LOG_TERM_FLOOR / 60) == 0.0
     zs = np.array([0j, 1e-300, 1e-3, -1e-3j, 0.01])
     for power in (59, 60, 61):
-        term = [(lam, power, 1.0)]
+        table = [(lam, ((power, 1.0),))]
         assert np.array_equal(
-            _terms_sum(term, zs, log_fatou), _floor_only_sum(term, zs)
+            _terms_sum(table, zs), _floor_only_sum([(lam, power, 1.0)], zs)
         ), power
-    assert _terms_sum([(lam, 60, 1.0)], zs, log_fatou)[0] == pytest.approx(
+    assert _terms_sum([(lam, ((60, 1.0),))], zs)[0] == pytest.approx(
         TERM_FLOOR, rel=1e-13
     )
 
@@ -665,7 +672,7 @@ def test_terms_on_their_peaks_are_exactly_scale():
             L, keep = log_fatou(lam, lam.peak_points)
             assert np.all(L == 0.0) and keep.size == lam.peak_points.size
             scale = s.normalization * c
-            at_peaks = _terms_sum([(lam, s.power, scale)], lam.peak_points, log_fatou)
+            at_peaks = _terms_sum([(lam, ((s.power, scale),))], lam.peak_points)
             assert np.all(at_peaks == scale)
 
 
@@ -677,9 +684,7 @@ def test_terms_on_their_peak_angles_are_exactly_scale():
             L, keep = log_fatou_on_circle(lam, lam.peaks.thetas)
             assert np.all(L == 0.0) and keep.size == lam.peaks.thetas.size
             scale = s.normalization * c
-            at_peaks = _terms_sum(
-                [(lam, s.power, scale)], lam.peaks.thetas, log_fatou_on_circle
-            )
+            at_peaks = _terms_sum([(lam, ((s.power, scale),))], lam.peaks.thetas)
             assert np.all(at_peaks == scale)
     # so on E the interpolant is the sum of the stage scales of each point
     at_e = eval_on_circle(g, data.set.thetas)

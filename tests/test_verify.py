@@ -272,8 +272,8 @@ def test_envelope_slack_covers_the_cancelling_sum():
 
 
 def test_envelope_is_the_per_end_sum_of_term_moduli(monkeypatch):
-    # reference: each end of each arc sent to the kernel on its own, as
-    # (lambda, N, scale) terms, with no end shared; with CHUNK 8 the arcs
+    # reference: each end of each arc sent to the kernel on its own, with
+    # the interpolant's term table, with no end shared; with CHUNK 8 the arcs
     # form blocks of 4, which share ends, repeat arcs, and hold 0.0 and -0.0
     # (one value for np.unique). The envelope of the zero-length arc [a, a]
     # is the per-end sum of term moduli at a
@@ -287,18 +287,17 @@ def test_envelope_is_the_per_end_sum_of_term_moduli(monkeypatch):
     )
     monkeypatch.setattr(interpolate_mod, "CHUNK", 8)
     envelope, values = arc_envelope(g, ends)
-    terms = list(interpolate_mod._all_terms(g.stages))
     flat = ends.ravel()
     at_ends, _ = arc_envelope(g, np.stack([flat, flat], axis=1))
     total, reference = np.zeros(flat.size), np.zeros(len(ends))
-    kept = interpolate_mod._kept_terms(terms, flat, interpolate_mod.log_fatou_on_circle)
+    kept = interpolate_mod._kept_terms(g.terms, flat)
     for start, idx, power, scale, L in kept:
         moduli = np.zeros(flat.size)
         moduli[start + idx] = abs(scale) * np.exp(power * L.real)
         total += moduli
         reference += moduli.reshape(-1, 2).max(axis=1)
     allowance = (interpolate_mod.TERM_FLOOR + envelope_slack(g)) * math.fsum(
-        abs(scale) for _, _, scale in terms
+        abs(s.normalization * c) for s in g.stages for c in s.coefficients
     )
     assert np.array_equal(at_ends, total + allowance)
     assert np.array_equal(envelope, reference + allowance)
@@ -546,6 +545,12 @@ def test_negative_seed_fails_before_any_evaluation(monkeypatch, seed):
     with pytest.raises(ValueError, match="seed"):
         verify_interpolant(g, data, grid_size=4096, seed=seed)
     assert not calls
+    # the seeded check and the contour sampler apply the same rule
+    boundary = check_boundary_sup(g)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        check_max_modulus(g, boundary, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        verify_mod.cauchy_sample_points(seed)
     assert verify_interpolant(g, data, grid_size=4096, seed=0).overall
     assert calls
 
