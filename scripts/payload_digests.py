@@ -26,13 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from diskinterp import (
-    NoContractionError,
-    choose_power,
-    eval_interpolant,
-    eval_on_circle,
-)
+from diskinterp import NoContractionError, eval_interpolant, eval_on_circle
 from diskinterp.cli import ProblemSpec, _certificate_payload, _run_pipeline
+from diskinterp.fatou import choose_power
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)

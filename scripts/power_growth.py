@@ -11,7 +11,9 @@ import sys
 
 import numpy as np
 
-from diskinterp import BoundaryData, choose_power, single_stage, sup_off_arc
+from diskinterp import BoundaryData
+from diskinterp.fatou import choose_power, sup_off_arc
+from diskinterp.interpolate import single_stage
 
 
 def main(argv=None) -> None:

@@ -8,28 +8,20 @@ build bounds the boundary modulus without a grid; ``verify`` audits every
 claim independently, and proves the boundary bound on the whole circle
 from arc ends. The set and the data are read-only arrays, which every layer
 reads; a cluster's peak set is a slice of the set's angles.
+
+The top level names what a pipeline user names: the set and its data, the
+build, the audit and its report, evaluation, peak functions, the records a
+build returns, and the errors. The steps of the build and of the audit
+import from their own modules: angles, arcs and the clustering from
+``diskinterp.circle``; ``choose_power`` and ``sup_off_arc`` from
+``diskinterp.fatou``; ``make_schedule`` and ``single_stage`` from
+``diskinterp.interpolate``; the ``check_*`` functions from
+``diskinterp.verify``.
 """
 
-from .circle import (
-    Angle,
-    Arc,
-    BoundaryData,
-    Cluster,
-    Clustering,
-    FiniteBoundarySet,
-    cluster_by_oscillation,
-)
-from .errors import (
-    CertificationError,
-    DomainError,
-    NoContractionError,
-)
-from .fatou import (
-    FatouFunction,
-    choose_power,
-    eval_fatou,
-    sup_off_arc,
-)
+from .circle import BoundaryData, FiniteBoundarySet
+from .errors import CertificationError, DomainError, NoContractionError
+from .fatou import FatouFunction, eval_fatou
 from .interpolate import (
     BoundsCertificate,
     Interpolant,
@@ -37,30 +29,16 @@ from .interpolate import (
     eval_interpolant,
     eval_on_circle,
     iterative_interpolant,
-    make_schedule,
-    single_stage,
 )
-from .verify import (
-    CheckResult,
-    VerificationReport,
-    check_boundary_sup,
-    check_cauchy_identity,
-    check_max_modulus,
-    check_peak_values,
-    verify_interpolant,
-)
+from .verify import CheckResult, VerificationReport, verify_interpolant
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle",
-    "Arc",
     "BoundaryData",
     "BoundsCertificate",
     "CertificationError",
     "CheckResult",
-    "Cluster",
-    "Clustering",
     "DomainError",
     "FatouFunction",
     "FiniteBoundarySet",
@@ -68,18 +46,9 @@ __all__ = [
     "NoContractionError",
     "StageApproximant",
     "VerificationReport",
-    "check_boundary_sup",
-    "check_cauchy_identity",
-    "check_max_modulus",
-    "check_peak_values",
-    "choose_power",
-    "cluster_by_oscillation",
     "eval_fatou",
     "eval_interpolant",
     "eval_on_circle",
     "iterative_interpolant",
-    "make_schedule",
-    "single_stage",
-    "sup_off_arc",
     "verify_interpolant",
 ]

@@ -4,7 +4,9 @@ Angles and open arcs; a finite boundary set as one sorted read-only array
 of angles, and complex data on it as one read-only array of values; and the
 oscillation clustering that partitions a data set into contiguous index
 ranges living on pairwise disjoint arcs with value variation below a given
-bound. No layer holds a Python object per point: an ``Angle`` is made for
+bound. A ``Cluster`` is its range, (start, size), and its arc; the
+``Clustering`` holds the data, and with it the set size that the ranges
+wrap at. No layer holds a Python object per point: an ``Angle`` is made for
 each arc centre, one per cluster. One rule each reduces angles
 (``_normalized``), measures between two (``_distance``), tests one against
 an arc (``Arc.contains``) and takes |v| of complex data (``modulus``).
@@ -178,23 +180,14 @@ class Cluster:
     """A contiguous circular range of set indices and its arc.
 
     The range runs ``size`` indices in sweep order from ``start``, wrapping
-    from n - 1 to 0 (n the size of the set, so the block may cross the
-    0/2*pi seam); ``members`` lists them in that order and the
-    ``representative`` is the first of them.
+    from n - 1 to 0 (n the size of the set, which the ``Clustering`` owns,
+    so the block may cross the 0/2*pi seam). Its first index ``start`` is
+    the cluster's representative, whose value a stage takes.
     """
 
     start: int
     size: int
-    n: int
     arc: Arc
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple((self.start + j) % self.n for j in range(self.size))
-
-    @property
-    def representative(self) -> int:
-        return self.start
 
 
 @dataclass(frozen=True)
@@ -224,7 +217,7 @@ class Clustering:
         cs = self.clusters
         k = len(cs)
         if sum(c.size for c in cs) != n or any(
-            c.n != n or c.size < 1 or cs[(j + 1) % k].start != (c.start + c.size) % n
+            c.size < 1 or cs[(j + 1) % k].start != (c.start + c.size) % n
             for j, c in enumerate(cs)
         ):
             raise ValueError("cluster ranges must partition the set indices in order")
@@ -319,7 +312,7 @@ def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:
             centres.append(start + span / 2.0)
             halves.append(span / 2.0 + min(gap / 4.0, (math.pi - span / 2.0) / 2.0))
         clusters = [
-            Cluster(head, size, n, Arc(Angle(c), w))
+            Cluster(head, size, Arc(Angle(c), w))
             for (head, size), c, w in zip(ranges, _normalized(centres).tolist(), halves)
         ]
         return Clustering(data, tuple(clusters), epsilon)

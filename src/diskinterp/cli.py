@@ -20,8 +20,10 @@ measurement is the proved upper bound on the circle. So a field added to
 one of them reaches the file and ``verify``'s comparison with no edit
 here. Floats keep shortest round-trip precision and keys a fixed order, so
 identical inputs produce byte-identical files. Exit codes: 0 success, 2
-parse error (also a file that cannot be read or written), 3 validation
-error, 4 certification/verification failure or a failed audit check.
+parse error (also a file that cannot be read or written, and outputs that
+name the input file or each other, refused before anything is written), 3
+validation error, 4 certification/verification failure or a failed audit
+check.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -191,6 +194,20 @@ def _write_text(path: str | None, text: str) -> None:
         raise ParseFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _refuse_overwrite(source: str, outputs) -> None:
+    """Raise ParseFailure when an output of ``outputs``, (option, path or
+    None) pairs, resolves (``os.path.realpath``) to the input ``source`` or
+    to an earlier output: writing it would destroy that file."""
+    taken = {os.path.realpath(source): f"the input {source}"}
+    for option, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ParseFailure(f"{option} {path} names the same file as {taken[real]}")
+        taken[real] = f"{option} {path}"
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -245,6 +262,7 @@ def _parse_peaks_file(path: str) -> FiniteBoundarySet:
 
 
 def cmd_fatou(args) -> int:
+    _refuse_overwrite(args.peaks_file, [("--out", args.out)])
     fatou = FatouFunction(_parse_peaks_file(args.peaks_file))
     if not 1 <= args.eval_grid <= MAX_GRID_SIZE:
         raise ValidationFailure(f"--eval-grid must lie in [1, {MAX_GRID_SIZE}]")
@@ -264,6 +282,9 @@ def _run_pipeline(spec: ProblemSpec):
 
 
 def cmd_interpolate(args) -> int:
+    _refuse_overwrite(
+        args.problem_file, [("--out", args.out), ("--grid-out", args.grid_out)]
+    )
     spec = ProblemSpec.from_json_obj(_load_json(args.problem_file))
     try:
         interpolant, report = _run_pipeline(spec)

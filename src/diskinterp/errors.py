@@ -6,11 +6,13 @@ class DomainError(ValueError):
 
 
 class NoContractionError(ArithmeticError):
-    """An off-arc modulus estimate reached 1, so no power can contract it, or
-    points are too close for a cluster's arc to hold them in floating point.
+    """An off-arc modulus estimate reached 1, so no power can contract it,
+    the power that contracts it exceeds ``fatou.MAX_POWER``, or points are
+    too close for a cluster's arc to hold them in floating point.
 
-    Raised instead of silently capping the estimate; the caller must
-    separate close boundary points or reduce the safety margin.
+    Raised instead of silently capping the estimate or the power; the caller
+    must separate close boundary points, reduce the safety margin or raise
+    the budget eta.
     """
 
 

@@ -26,11 +26,12 @@ floor and the indices of those inputs. Only the point log drops inputs
 before forming anything, with two skips: the points inside the Schwarz-Pick
 radius of the floor (``_skip_radius``), and the points beyond the floor's
 reach from the peaks (``_reach``), where |F| is too small for lambda to
-meet it. Both margins for rounding hold for powers up to about 1e12 at the
-kernel's floor. The angle log forms the real part at every angle and keeps
-those at or above the floor. So the kernel does not branch on geometry. The
-angle form never rounds a point e^(i*theta) or a peak point, so it stays
-accurate next to a peak for powers up to about 1e10.
+meet it. Both margins for rounding hold for powers up to ``MAX_POWER`` =
+10^12 at the kernel's floor, and a stage refuses a larger power. The angle
+log forms the real part at every angle and keeps those at or above the
+floor. So the kernel does not branch on geometry. The angle form never
+rounds a point e^(i*theta) or a peak point, so it stays accurate next to a
+peak for powers up to about 1e10.
 
 The module also provides off-arc suprema and the minimal power that
 contracts those suprema below a target. No grid is needed for the suprema:
@@ -55,6 +56,7 @@ from .errors import DomainError, NoContractionError
 DISK_SLACK = 1e-12    # |z| tolerance beyond the closed disk
 SKIP_MARGIN = 2.0**-10  # relative margin on the floor of the skip radius
 FEW_ANGLES = 256      # cotangent sums up to this many angles use one broadcast
+MAX_POWER = 10**12    # largest power the skips' rounding margins cover (_skip_radius)
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,9 @@ def _skip_radius(peak_count: int, floor: float) -> float:
     against mpmath), and inside the radius 1 - |z| > 1 - r = (1-q)(1+mu)/
     (1 - mu q), so 2/(1-|z|) < (4/3)/(1-q) < (4/3)(1 + 1/|floor|). With the
     rounding of |z| and of r, SKIP_MARGIN = 2^-10 covers floors down to
-    about -4e-11 (powers up to about 1e12 at the kernel's 2^-60 term floor).
-    Away from z = 0 the Schwarz-Pick bound has slack besides.
+    about -4e-11, log(2^-60)/MAX_POWER at the kernel's 2^-60 term floor, so
+    powers up to ``MAX_POWER`` = 10^12. Away from z = 0 the Schwarz-Pick
+    bound has slack besides.
     """
     s = -math.expm1(floor * (1.0 + SKIP_MARGIN))
     return max(0.0, (1.0 - (peak_count + 1) * s) / (1.0 + peak_count * s))
@@ -157,7 +160,7 @@ def _reach(peak_count: int, spread: float, floor: float) -> float:
     only when m sqrt(E') < 1, so at floors above -0.35. For m up to 10^4
     the rounding stays below SKIP_MARGIN/2 at every such floor, 0 included;
     for m up to 10^6 it does at floors down to about -4e-11 (powers up to
-    about 1e12 at the kernel's 2^-60 term floor).
+    ``MAX_POWER`` at the kernel's 2^-60 term floor).
     """
     s = math.expm1(-2.0 * floor * (1.0 + SKIP_MARGIN))
     return spread + 2.0 * math.sqrt(peak_count * (peak_count * s + 2.0 * DISK_SLACK))

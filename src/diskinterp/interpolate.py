@@ -66,10 +66,11 @@ from typing import Iterable
 import numpy as np
 
 from .circle import BoundaryData, Clustering, cluster_by_oscillation
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, NoContractionError
 # The kernel looks the two logs up by their names here at call time, so a
 # tracer can wrap them; eval_fatou is bound here for perfbench, which wraps it.
 from .fatou import (
+    MAX_POWER,
     FatouFunction,
     choose_power,
     eval_fatou,
@@ -219,7 +220,8 @@ def single_stage(
     the k clusters' off-arc suprema, so it is below eps/k off its arc; after
     normalization the stage satisfies (and certifies) sup on the closed disk
     <= sup norm of the data, by the disjoint-arc bound, and residual on the
-    set < epsilon*(1 + 2*sup), measured on the set. The residual it leaves,
+    set < epsilon*(1 + 2*sup), measured on the set. A power above
+    ``fatou.MAX_POWER`` raises NoContractionError. The residual it leaves,
     the data minus the stage's values on the set, is its ``residual``
     record; the pre-normalization function is the stage divided by its
     ``normalization``.
@@ -235,8 +237,14 @@ def single_stage(
         for lam, c in zip(lambdas, clustering.clusters)
     ]
     power = choose_power(max(rhos), epsilon / len(rhos))
-    representatives = [c.representative for c in clustering.clusters]
-    coefficients = tuple(data.values[representatives].tolist())
+    if power > MAX_POWER:
+        raise NoContractionError(
+            f"stage power {power} exceeds {MAX_POWER}, the largest the "
+            "evaluation's rounding margins are proved for; separate close "
+            "boundary points or raise eta"
+        )
+    starts = [c.start for c in clustering.clusters]
+    coefficients = tuple(data.values[starts].tolist())
     normalization = 1.0 / (1.0 + epsilon)
 
     terms = _group_terms(

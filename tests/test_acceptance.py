@@ -16,17 +16,19 @@ import pytest
 from diskinterp import (
     FatouFunction,
     FiniteBoundarySet,
-    check_boundary_sup,
-    check_cauchy_identity,
-    check_max_modulus,
-    choose_power,
     eval_fatou,
     eval_interpolant,
     iterative_interpolant,
-    single_stage,
 )
+from diskinterp.fatou import choose_power
+from diskinterp.interpolate import single_stage
 from diskinterp.cli import EXIT_CERTIFICATION, EXIT_OK, main as cli_main
-from diskinterp.verify import cauchy_sample_points
+from diskinterp.verify import (
+    cauchy_sample_points,
+    check_boundary_sup,
+    check_cauchy_identity,
+    check_max_modulus,
+)
 from conftest import one_stage, random_problem
 
 TWO_PI = 2.0 * math.pi

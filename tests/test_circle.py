@@ -6,19 +6,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from diskinterp import (
-    Angle,
-    Arc,
-    BoundaryData,
-    Cluster,
-    Clustering,
-    FatouFunction,
-    FiniteBoundarySet,
-    cluster_by_oscillation,
-)
+from diskinterp import BoundaryData, FatouFunction, FiniteBoundarySet
+from diskinterp.circle import Angle, Arc, Cluster, Clustering, cluster_by_oscillation
 from diskinterp.circle import _distance, _normalized
 
 TWO_PI = 2.0 * math.pi
+
+
+def members(cluster, n):
+    """The set indices of a cluster's range in sweep order, n the set size."""
+    return tuple((cluster.start + j) % n for j in range(cluster.size))
 
 
 # ---------------------------------------------------------------- angles
@@ -270,8 +267,8 @@ def test_cluster_singleton_any_epsilon():
     data = BoundaryData.from_pairs([1.0], [7.0])
     c = cluster_by_oscillation(data, 0.5)
     assert len(c) == 1
-    assert c.clusters[0].members == (0,)
-    assert c.clusters[0].representative == 0
+    assert members(c.clusters[0], 1) == (0,)
+    assert c.clusters[0].start == 0
     # lone point gets the quarter-of-full-gap arc
     assert c.clusters[0].arc.half_width == pytest.approx(math.pi / 2)
 
@@ -284,7 +281,7 @@ def test_cluster_two_points_split():
     assert not merged_ok  # only the split partition satisfies the invariant
     c = cluster_by_oscillation(data, eps)
     assert len(c) == 2
-    assert sorted(tuple(sorted(cl.members)) for cl in c.clusters) == [(0,), (1,)]
+    assert sorted(tuple(sorted(members(cl, 2))) for cl in c.clusters) == [(0,), (1,)]
 
 
 def test_cluster_two_points_merge():
@@ -292,7 +289,7 @@ def test_cluster_two_points_merge():
     assert abs(data.values[0] - data.values[1]) == pytest.approx(0.001)
     c = cluster_by_oscillation(data, 0.5)
     assert len(c) == 1
-    assert tuple(sorted(c.clusters[0].members)) == (0, 1)
+    assert tuple(sorted(members(c.clusters[0], 2))) == (0, 1)
 
 
 def test_cluster_rejects_bad_epsilon():
@@ -306,28 +303,28 @@ def test_wraparound_merge():
     # values make the two blocks flanking angle 0 mergeable but nothing else
     data = BoundaryData.from_pairs([0.1, 3.0, 6.0], [0.5, 1.2, 0.5])
     c = cluster_by_oscillation(data, 0.6)
-    member_sets = sorted(tuple(sorted(cl.members)) for cl in c.clusters)
+    member_sets = sorted(tuple(sorted(members(cl, 3))) for cl in c.clusters)
     assert member_sets == [(0, 2), (1,)]
     # the sweep starts at 3.0 and ends at 1.0, both valued 0: its last and
     # first blocks merge
     data = BoundaryData.from_pairs([0.5, 1.0, 3.0, 5.0], [1.0, 0.0, 0.0, 1.0])
     c = cluster_by_oscillation(data, 0.6)
-    assert [cl.members for cl in c.clusters] == [(1, 2), (3, 0)]
+    assert [members(cl, 4) for cl in c.clusters] == [(1, 2), (3, 0)]
 
 
 def _partition_props(clustering, data):
     n = len(data.set)
-    seen = sorted(i for cl in clustering.clusters for i in cl.members)
+    seen = sorted(i for cl in clustering.clusters for i in members(cl, n))
     assert seen == list(range(n))
     pts = data.set.thetas.tolist()
     for j, cj in enumerate(clustering.clusters):
-        for i in cj.members:
+        for i in members(cj, n):
             assert cj.arc.contains(pts[i])
         osc = max(
             (
                 abs(data.values[a] - data.values[b])
-                for a in cj.members
-                for b in cj.members
+                for a in members(cj, n)
+                for b in members(cj, n)
             ),
             default=0.0,
         )
@@ -335,7 +332,7 @@ def _partition_props(clustering, data):
         for k, ck in enumerate(clustering.clusters):
             if j == k:
                 continue
-            for i in cj.members:
+            for i in members(cj, n):
                 # strictly positive clearance from every foreign arc
                 assert _distance(pts[i], ck.arc.center.theta) > ck.arc.half_width
 
@@ -395,7 +392,7 @@ def test_clustering_matches_reference_sweep(rng):
             eps = float(rng.uniform(0.05, 3.0))
         data = BoundaryData.from_pairs(thetas, vals)
         c = cluster_by_oscillation(data, eps)
-        assert [cl.members for cl in c.clusters] == _reference_sweep(data, eps)
+        assert [members(cl, n) for cl in c.clusters] == _reference_sweep(data, eps)
 
 
 D_NEAR = -0.5442589828573099 - 0.31630015636915454j
@@ -417,7 +414,7 @@ def test_clustering_takes_pythons_abs(thetas, values, eps, expected):
     data = BoundaryData.from_pairs(thetas, values)
     c = cluster_by_oscillation(data, eps)
     assert _reference_sweep(data, eps) == expected
-    assert [cl.members for cl in c.clusters] == expected
+    assert [members(cl, len(thetas)) for cl in c.clusters] == expected
 
 
 @st.composite
@@ -468,7 +465,10 @@ def test_clustering_rotation_equivariance(case):
 
     def partition(clustering, dat, shift):
         return sorted(
-            sorted(base_point(dat.set.thetas[i] - shift) for i in cl.members)
+            sorted(
+                base_point(dat.set.thetas[i] - shift)
+                for i in members(cl, len(dat.set))
+            )
             for cl in clustering.clusters
         )
 
@@ -482,14 +482,14 @@ def test_clustering_rotation_equivariance(case):
 def test_representative_examples():
     data = BoundaryData.from_pairs([0.0, 0.01], [0.1, 0.2])
     c = cluster_by_oscillation(data, 0.5)
-    rep = c.clusters[0].representative
+    rep = c.clusters[0].start
     assert data.set.thetas[rep] == 0.0
     assert data.values[rep] == 0.1 + 0j
     # a cluster across the seam starts at its circularly first member
     wrapped = cluster_by_oscillation(
         BoundaryData.from_pairs([0.1, 3.0, 6.0], [0.5, 1.2, 0.5]), 0.6
     )
-    assert [(cl.members, cl.representative) for cl in wrapped.clusters] == [
+    assert [(members(cl, 3), cl.start) for cl in wrapped.clusters] == [
         ((2, 0), 2),
         ((1,), 1),
     ]
@@ -504,11 +504,11 @@ def test_representative_rotates_with_input(rng):
         BoundaryData.from_pairs([(t + phi) % TWO_PI for t in thetas], vals), 0.4
     )
     base_reps = sorted(
-        (base.data.set.thetas[cl.representative] + phi) % TWO_PI
+        (base.data.set.thetas[cl.start] + phi) % TWO_PI
         for cl in base.clusters
     )
     rot_reps = sorted(
-        rot.data.set.thetas[cl.representative] for cl in rot.clusters
+        rot.data.set.thetas[cl.start] for cl in rot.clusters
     )
     assert base_reps == pytest.approx(rot_reps, abs=1e-12)
 
@@ -517,7 +517,7 @@ def test_representative_out_of_range():
     c = cluster_by_oscillation(BoundaryData.from_pairs([0.0], [1.0]), 1.0)
     (only,) = c.clusters
     for start in (1, -1):
-        bad = (Cluster(start=start, size=1, n=1, arc=only.arc),)
+        bad = (Cluster(start=start, size=1, arc=only.arc),)
         with pytest.raises(ValueError, match="partition"):
             Clustering(c.data, bad, c.oscillation_bound)
 
@@ -530,7 +530,7 @@ def _four_singletons():
     # index 0, and the arc of 0.5 has half-width 0.25
     data = BoundaryData.from_pairs([0.5, 1.5, 3.0, 4.5], [0.0, 1.0, 2.0, 3.0])
     c = cluster_by_oscillation(data, 0.5)
-    assert [cl.members for cl in c.clusters] == [(0,), (1,), (2,), (3,)]
+    assert [members(cl, 4) for cl in c.clusters] == [(0,), (1,), (2,), (3,)]
     assert c.clusters[0].arc == Arc(Angle(0.5), 0.25)
     return c
 
@@ -557,8 +557,6 @@ def test_clustering_rejects_gap_or_overlap_in_ranges():
         _with_clusters(c, [dataclasses.replace(cl[0], size=2)] + cl[1:])
     with pytest.raises(ValueError, match="partition"):  # ranges out of order
         _with_clusters(c, [cl[1], cl[0]] + cl[2:])
-    with pytest.raises(ValueError, match="partition"):  # range of another set
-        _with_clusters(c, [dataclasses.replace(cl[0], n=5)] + cl[1:])
 
 
 def test_clustering_rejects_member_outside_arc():
@@ -570,7 +568,7 @@ def test_clustering_rejects_member_outside_arc():
     # 1.14 from its center) but not the middle one (2)
     data = BoundaryData.from_pairs([0.0, 2.0, 4.0], [1.0, 1.0, 1.0])
     (whole,) = cluster_by_oscillation(data, 0.5).clusters
-    assert whole.members == (0, 1, 2)
+    assert members(whole, 3) == (0, 1, 2)
     far_side = dataclasses.replace(whole, arc=Arc(Angle(5.14), 1.2))
     with pytest.raises(ValueError, match="outside its arc"):
         Clustering(data, (far_side,), 0.5)

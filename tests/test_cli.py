@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 import diskinterp.cli
 import diskinterp.verify
-from diskinterp import make_schedule
-from diskinterp.interpolate import stage_epsilon
+from diskinterp.interpolate import make_schedule, stage_epsilon
 from diskinterp.cli import (
     EXIT_CERTIFICATION,
     FORMAT_VERSION,
@@ -462,6 +461,46 @@ def test_interpolate_unwritable_output_is_one_line(tmp_path, problem_file, capsy
     assert len(err) == 1 and err[0].startswith(f"parse error: cannot write {target}:")
     assert cert.exists() == (flag == "--grid-out")
     assert not target.exists()
+
+
+def test_interpolate_refuses_one_file_for_both_outputs(tmp_path, problem_file, capsys):
+    target = tmp_path / "out"
+    args = ["interpolate", problem_file, "--out", str(target), "--grid-out"]
+    for grid_out in (str(target), str(tmp_path / "." / "out")):
+        assert main(args + [grid_out]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"parse error: --grid-out {grid_out} names the same file as --out {target}"
+        ]
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--grid-out"])
+def test_interpolate_refuses_to_overwrite_its_problem(
+    tmp_path, problem_file, capsys, flag
+):
+    before = Path(problem_file).read_bytes()
+    link = tmp_path / "link.json"
+    link.symlink_to(problem_file)
+    for target in (problem_file, str(link)):
+        assert main(["interpolate", problem_file, flag, target]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"parse error: {flag} {target} names the same file as the input "
+            f"{problem_file}"
+        ]
+    assert Path(problem_file).read_bytes() == before
+
+
+def test_fatou_refuses_to_overwrite_its_peaks(tmp_path, capsys):
+    peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.0]})
+    before = Path(peaks).read_bytes()
+    assert main(["fatou", peaks, "--out", peaks]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"parse error: --out {peaks} names the same file as the input {peaks}"
+    ]
+    assert Path(peaks).read_bytes() == before
 
 
 def test_failed_audit_is_reported_before_the_grid(

@@ -7,24 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskinterp import (
-    Angle,
-    Arc,
     BoundaryData,
     DomainError,
     FatouFunction,
     FiniteBoundarySet,
     NoContractionError,
-    choose_power,
-    cluster_by_oscillation,
     eval_fatou,
-    sup_off_arc,
 )
+from diskinterp.circle import Angle, Arc, cluster_by_oscillation
 from diskinterp.fatou import (
     FEW_ANGLES,
     _cotangent_sum,
     _skip_radius,
+    choose_power,
     log_fatou,
     log_fatou_on_circle,
+    sup_off_arc,
 )
 
 TWO_PI = 2.0 * math.pi

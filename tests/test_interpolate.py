@@ -9,26 +9,25 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diskinterp import (
-    Angle,
     BoundaryData,
     CertificationError,
     DomainError,
     FiniteBoundarySet,
     NoContractionError,
-    cluster_by_oscillation,
     eval_interpolant,
     eval_on_circle,
     iterative_interpolant,
-    make_schedule,
-    single_stage,
     verify_interpolant,
 )
+from diskinterp.circle import Angle, cluster_by_oscillation
 import diskinterp.interpolate
 from diskinterp.fatou import (
     DISK_SLACK,
+    MAX_POWER,
     FatouFunction,
     _reach,
     _skip_radius,
+    choose_power,
     eval_fatou,
     log_fatou,
     log_fatou_on_circle,
@@ -39,6 +38,8 @@ from diskinterp.interpolate import (
     RESIDUAL_FLOOR,
     TERM_FLOOR,
     _terms_sum,
+    make_schedule,
+    single_stage,
 )
 from conftest import one_stage, random_problem
 
@@ -177,6 +178,24 @@ def test_stage_propagates_no_contraction():
     data = BoundaryData.from_pairs([0.0, 1e-5], [0.0, 1.0])
     with pytest.raises(NoContractionError):
         single_stage(data, 0.1, 1e-6)
+
+
+def test_stage_refuses_a_power_beyond_max_power(monkeypatch):
+    # a pair 1e-4 apart at eta 1e-320 needs N = 9600324320444, past the 10^12
+    # that the point log's rounding margins are proved for; choose_power
+    # itself stays unbounded
+    assert MAX_POWER == 10**12 and choose_power(1 - 1e-10, 4e-322) > MAX_POWER
+    data = BoundaryData.from_pairs([1.0, 1.0001, 3.5], [1.0, -1.0, 0.2 + 0.5j])
+    with pytest.raises(NoContractionError, match=f"9600324320444 exceeds {10**12},"):
+        iterative_interpolant(data, 1e-320, 1, GRID, 1e-12)
+    # the limit is inclusive: a stage at the limit builds, one above it raises
+    data = BoundaryData.from_pairs([0.0, 2.1, 4.0], [1.0, -0.4 + 0.3j, 0.1 - 0.8j])
+    power = single_stage(data, 1e-3, MARGIN).power
+    monkeypatch.setattr(diskinterp.interpolate, "MAX_POWER", power)
+    assert single_stage(data, 1e-3, MARGIN).power == power
+    monkeypatch.setattr(diskinterp.interpolate, "MAX_POWER", power - 1)
+    with pytest.raises(NoContractionError, match=f"power {power} exceeds {power - 1},"):
+        single_stage(data, 1e-3, MARGIN)
 
 
 @pytest.mark.filterwarnings("error")
@@ -852,7 +871,7 @@ def test_no_python_object_per_point(monkeypatch):
         assert type(s.clustering.data.values) is np.ndarray
         for lam, c in zip(s.lambdas, s.clustering.clusters):
             # a slice of E's array, or the join of two slices across the seam
-            crosses = c.start + c.size > c.n
+            crosses = c.start + c.size > len(data.set)
             wrapped += crosses
             assert (lam.peaks.thetas.base is None) == crosses
             assert crosses or lam.peaks.thetas.base is data.set.thetas

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from diskinterp import (
     BoundaryData,
     VerificationReport,
-    check_boundary_sup,
-    check_cauchy_identity,
-    check_max_modulus,
-    check_peak_values,
     eval_fatou,
     eval_interpolant,
     eval_on_circle,
     iterative_interpolant,
     verify_interpolant,
+)
+from diskinterp.verify import (
+    check_boundary_sup,
+    check_cauchy_identity,
+    check_max_modulus,
+    check_peak_values,
 )
 import diskinterp.interpolate as interpolate_mod
 import diskinterp.verify as verify_mod
