@@ -7,9 +7,11 @@ ranges living on pairwise disjoint arcs with value variation below a given
 bound. A ``Cluster`` is its range, (start, size), and its arc; the
 ``Clustering`` holds the data, and with it the set size that the ranges
 wrap at. No layer holds a Python object per point: an ``Angle`` is made for
-each arc centre, one per cluster. One rule each reduces angles
-(``_normalized``), measures between two (``_distance``), tests one against
-an arc (``Arc.contains``) and takes |v| of complex data (``modulus``).
+each arc centre, one per cluster. One rule each admits angles from outside
+the library (``_finite_angles``: finite reals, else DomainError), reduces
+them (``_normalized``), measures between two (``_distance``), tests one
+against an arc (``Arc.contains``) and takes |v| of complex data
+(``modulus``).
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoContractionError
+from .errors import DomainError, NoContractionError
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Angle:
     """An angle in radians, canonical range [0, 2*pi)."""
 
@@ -38,13 +40,23 @@ class Angle:
             raise ValueError(f"angle {self.theta!r} outside [0, 2*pi)")
 
 
+def _finite_angles(thetas) -> np.ndarray:
+    """An array-like of angles as a float array, after checking that every
+    entry is a finite real: the one rule on angles from outside the library.
+    A complex array is refused, not cast to its real parts. Raises
+    DomainError otherwise."""
+    ts = np.asarray(thetas)
+    if not np.iscomplexobj(ts):
+        ts = ts.astype(float, copy=False)
+        if np.isfinite(ts).all():
+            return ts
+    raise DomainError("non-finite or complex angle")
+
+
 def _normalized(thetas) -> np.ndarray:
-    """Every finite angle of an array-like reduced modulo 2*pi into [0, 2*pi):
-    the one reduction rule, for one angle or many alike."""
-    ts = np.asarray(thetas, dtype=float)
-    if not np.isfinite(ts).all():
-        raise ValueError("cannot normalize non-finite angles")
-    ts = np.fmod(ts, TWO_PI)
+    """Every angle of an array-like (``_finite_angles``) reduced modulo 2*pi
+    into [0, 2*pi): the one reduction rule, for one angle or many alike."""
+    ts = np.fmod(_finite_angles(thetas), TWO_PI)
     ts[ts < 0.0] += TWO_PI
     ts[ts >= TWO_PI] = 0.0  # the correction above can round up to the period
     return ts
@@ -92,14 +104,13 @@ class FiniteBoundarySet:
     thetas: np.ndarray
 
     def __post_init__(self) -> None:
-        ts = np.array(self.thetas, dtype=float)
+        ts = np.array(_finite_angles(self.thetas))  # a copy the set owns
         if ts.ndim != 1 or not ts.size:
             raise ValueError("boundary set must be a non-empty 1-d array of angles")
-        # every comparison with a NaN fails, and the range test fails on +-inf
         if not (0.0 <= ts[0] and ts[-1] < TWO_PI and (ts[1:] > ts[:-1]).all()):
             raise ValueError(
-                "boundary set angles must be finite and strictly increasing in "
-                "[0, 2*pi) (duplicate, unsorted or unreduced points)"
+                "boundary set angles must be strictly increasing in [0, 2*pi) "
+                "(duplicate, unsorted or unreduced points)"
             )
         ts.setflags(write=False)
         object.__setattr__(self, "thetas", ts)
@@ -237,9 +248,6 @@ class Clustering:
             a, b = cs[j].arc, cs[(j + 1) % k].arc
             if _distance(a.center.theta, b.center.theta) < a.half_width + b.half_width:
                 raise ValueError(f"arcs of clusters {j} and {(j + 1) % k} overlap")
-
-    def __len__(self) -> int:
-        return len(self.clusters)
 
 
 def cluster_by_oscillation(data: BoundaryData, epsilon: float) -> Clustering:

@@ -20,10 +20,11 @@ measurement is the proved upper bound on the circle. So a field added to
 one of them reaches the file and ``verify``'s comparison with no edit
 here. Floats keep shortest round-trip precision and keys a fixed order, so
 identical inputs produce byte-identical files. Exit codes: 0 success, 2
-parse error (also a file that cannot be read or written, and outputs that
-name the input file or each other, refused before anything is written), 3
-validation error, 4 certification/verification failure or a failed audit
-check.
+parse error (also a file that cannot be read or written, a certificate
+with a top-level key it does not write, and outputs that are the input
+file or each other, by a link of either kind too, refused before anything
+is written), 3 validation error, 4 certification/verification failure or a
+failed audit check.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .circle import BoundaryData, FiniteBoundarySet, modulus
 from .errors import CertificationError, NoContractionError
-from .fatou import FatouFunction, log_fatou_on_circle
+from .fatou import FatouFunction, log_fatou_on_circle, require_safety_margin
 from .interpolate import (
     Interpolant,
     eval_on_circle,
@@ -47,7 +48,7 @@ from .interpolate import (
     make_schedule,
     stage_epsilon,
 )
-from .verify import VerificationReport, verify_interpolant
+from .verify import VerificationReport, _require_seed, verify_interpolant
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -142,24 +143,21 @@ class ProblemSpec:
 
     def validate(self) -> None:
         """Raise ValidationFailure unless the library accepts the data, the
-        schedule and the first stage's tolerance (``stage_epsilon``, which
-        no later stage can fail); grid_size, safety_margin and seed are
-        checked here, before the build, as the library checks them only in
-        the build (safety_margin) or when the audit starts (seed), and
-        grid_size, which sizes only ``--grid-out``, not at all."""
+        schedule, the first stage's tolerance (``stage_epsilon``, which no
+        later stage can fail), the margin and the seed, each by its own
+        rule, before anything runs. The one rule of the command line's own
+        is grid_size's: it sizes only ``--grid-out``."""
         try:
             data = self.boundary_data()
             stage_epsilon(make_schedule(self.eta, self.n_max)[0], data.sup_norm)
+            require_safety_margin(self.safety_margin)
+            _require_seed(self.seed)
         except ValueError as exc:
             raise ValidationFailure(f"problem: {exc}") from exc
         if not 1 <= self.grid_size <= MAX_GRID_SIZE:
             raise ValidationFailure(
                 f"problem: grid_size must lie in [1, {MAX_GRID_SIZE}]"
             )
-        if not (math.isfinite(self.safety_margin) and self.safety_margin > 0.0):
-            raise ValidationFailure("problem: safety_margin must be positive")
-        if self.seed < 0:
-            raise ValidationFailure("problem: seed must be non-negative")
 
     def boundary_data(self) -> BoundaryData:
         pts = np.array(self.points, dtype=float).reshape(-1, len(POINT_KEYS))
@@ -194,18 +192,28 @@ def _write_text(path: str | None, text: str) -> None:
         raise ParseFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _file_identity(path: str):
+    """(st_dev, st_ino) of an existing file, which its links of either kind
+    share, else the ``os.path.realpath`` of a path not made yet."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _refuse_overwrite(source: str, outputs) -> None:
     """Raise ParseFailure when an output of ``outputs``, (option, path or
-    None) pairs, resolves (``os.path.realpath``) to the input ``source`` or
-    to an earlier output: writing it would destroy that file."""
-    taken = {os.path.realpath(source): f"the input {source}"}
+    None) pairs, is the same file (``_file_identity``) as the input
+    ``source`` or an earlier output: writing it would destroy that file."""
+    taken = {_file_identity(source): f"the input {source}"}
     for option, path in outputs:
         if path is None:
             continue
-        real = os.path.realpath(path)
-        if real in taken:
-            raise ParseFailure(f"{option} {path} names the same file as {taken[real]}")
-        taken[real] = f"{option} {path}"
+        key = _file_identity(path)
+        if key in taken:
+            raise ParseFailure(f"{option} {path} names the same file as {taken[key]}")
+        taken[key] = f"{option} {path}"
 
 
 def _fmt(x: float) -> str:
@@ -350,6 +358,7 @@ def cmd_verify(args) -> int:
             f"unsupported certificate version {version!r} "
             f"(this version reads {FORMAT_VERSION})"
         )
+    _reject_unknown_keys(stored, {"format_version", *sections}, args.certificate_file)
     spec = ProblemSpec.from_json_obj(_load_json(args.problem_file))
     recorded = ProblemSpec.from_json_obj(stored["problem"])
     if recorded != spec:

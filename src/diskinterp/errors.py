@@ -2,7 +2,10 @@
 
 
 class DomainError(ValueError):
-    """Evaluation requested outside the closed unit disk."""
+    """An input outside the library's domain: a point outside the closed
+    unit disk, or an angle that is not a finite real (a complex array
+    included), whether given for evaluation or to build a boundary set. A
+    ValueError, so callers that catch ValueError catch it too."""
 
 
 class NoContractionError(ArithmeticError):

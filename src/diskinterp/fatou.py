@@ -295,13 +295,24 @@ def log_fatou_on_circle(
     return L, keep
 
 
+def require_safety_margin(safety_margin: float) -> None:
+    """ValueError unless ``safety_margin`` is positive and finite: the one
+    rule on the margin, applied where a build starts and by each off-arc
+    supremum it inflates."""
+    if not (math.isfinite(safety_margin) and safety_margin > 0.0):
+        raise ValueError(
+            f"safety_margin must be positive and finite, got {safety_margin!r}"
+        )
+
+
 def sup_off_arc(
     fatou: FatouFunction,
     excluded: Arc,
     safety_margin: float,
 ) -> float:
     """Supremum of |lambda| over the boundary outside ``excluded``, inflated
-    by ``1 + safety_margin``. All peaks must lie inside the excluded arc.
+    by ``1 + safety_margin`` (ValueError unless ``require_safety_margin``
+    admits it). All peaks must lie inside the excluded arc.
 
     The complementary closed arc holds no peak, so the cotangent sum y, each
     of whose terms has derivative -csc^2/2, is strictly decreasing on it and
@@ -312,8 +323,7 @@ def sup_off_arc(
     where an arc end rounds onto a peak, where log lambda = 0 (points a few
     ulps apart on the circle).
     """
-    if not (math.isfinite(safety_margin) and safety_margin > 0.0):
-        raise ValueError("safety_margin must be positive")
+    require_safety_margin(safety_margin)
     # a loop on plain floats: numpy's per-call overhead would cost more than
     # it for the few peaks most clusters have
     for theta in fatou.peaks.thetas.tolist():

@@ -65,8 +65,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .circle import BoundaryData, Clustering, cluster_by_oscillation
-from .errors import CertificationError, DomainError, NoContractionError
+from .circle import BoundaryData, Clustering, _finite_angles, cluster_by_oscillation
+from .errors import CertificationError, NoContractionError
 # The kernel looks the two logs up by their names here at call time, so a
 # tracer can wrap them; eval_fatou is bound here for perfbench, which wraps it.
 from .fatou import (
@@ -77,6 +77,7 @@ from .fatou import (
     log_fatou,
     log_fatou_on_circle,
     require_closed_disk,
+    require_safety_margin,
     sup_off_arc,
 )
 
@@ -330,10 +331,13 @@ def iterative_interpolant(
     the sum is at most sup + eta/2; and res_sup <= eta_k is at most half the
     truncation bound eta_k + sum of the budgets from k on after k stages.
 
-    The build evaluates no boundary grid and does not read ``grid_size``;
-    the parameter stays for callers that pass it positionally.
+    ``safety_margin`` is checked on entry (``fatou.require_safety_margin``),
+    so data that needs no stage refuses it too. The build evaluates no
+    boundary grid and does not read ``grid_size``; the parameter stays for
+    callers that pass it positionally.
     """
     budgets = make_schedule(eta, n_max)
+    require_safety_margin(safety_margin)
     eta = float(eta)
     residual = data
     stages: list[StageApproximant] = []
@@ -363,29 +367,23 @@ def iterative_interpolant(
     return Interpolant(tuple(stages), certificate)
 
 
-def _finite_angles(thetas) -> np.ndarray:
-    """``thetas`` as a float array, after checking that every angle is finite."""
-    ts = np.asarray(thetas, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise DomainError("evaluation angle not finite")
-    return ts
-
-
 def eval_interpolant(interpolant: Interpolant, z):
     """Evaluate the stage sum on the closed disk (0 for a zero-stage result)."""
     return _terms_sum(interpolant.terms, require_closed_disk(z))
 
 
 def eval_on_circle(interpolant: Interpolant, thetas):
-    """Evaluate the stage sum at e^(i*theta) for a finite angle or an array
-    of them. The values come from the angles, never from rounded points, so
-    they stay accurate next to a peak for powers up to about 1e10."""
+    """Evaluate the stage sum at e^(i*theta) for a finite real angle or an
+    array of them, else DomainError (``circle._finite_angles``). The values
+    come from the angles, never from rounded points, so they stay accurate
+    next to a peak for powers up to about 1e10."""
     return _terms_sum(interpolant.terms, _finite_angles(thetas))
 
 
 def arc_envelope(interpolant: Interpolant, ends) -> tuple[np.ndarray, np.ndarray]:
     """(envelope, values) for arcs of the circle given by the angles of
-    their two ends, an (arcs, 2) array of finite angles.
+    their two ends, an (arcs, 2) array of finite real angles, else
+    DomainError (``circle._finite_angles``).
 
     ``values`` has the shape of ``ends`` and is g there, bit for bit
     ``eval_on_circle`` (same logs, same order). ``envelope`` is, per arc,

@@ -480,9 +480,10 @@ def test_interpolate_refuses_to_overwrite_its_problem(
     tmp_path, problem_file, capsys, flag
 ):
     before = Path(problem_file).read_bytes()
-    link = tmp_path / "link.json"
+    link, hard = tmp_path / "link.json", tmp_path / "hard.json"
     link.symlink_to(problem_file)
-    for target in (problem_file, str(link)):
+    os.link(problem_file, hard)  # one file under two names
+    for target in (problem_file, str(link), str(hard)):
         assert main(["interpolate", problem_file, flag, target]) == EXIT_PARSE
         err = capsys.readouterr().err.splitlines()
         assert err == [
@@ -495,12 +496,30 @@ def test_interpolate_refuses_to_overwrite_its_problem(
 def test_fatou_refuses_to_overwrite_its_peaks(tmp_path, capsys):
     peaks = write_json(tmp_path / "peaks.json", {"thetas": [0.0]})
     before = Path(peaks).read_bytes()
-    assert main(["fatou", peaks, "--out", peaks]) == EXIT_PARSE
+    hard = tmp_path / "hard.json"
+    os.link(peaks, hard)
+    for target in (peaks, str(hard)):
+        assert main(["fatou", peaks, "--out", target]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"parse error: --out {target} names the same file as the input {peaks}"
+        ]
+    assert Path(peaks).read_bytes() == before
+
+
+def test_interpolate_refuses_a_grid_out_hard_linked_to_out(
+    tmp_path, problem_file, capsys
+):
+    target, hard = tmp_path / "out", tmp_path / "hard"
+    target.write_text("kept\n")
+    os.link(target, hard)
+    args = ["interpolate", problem_file, "--out", str(target), "--grid-out", str(hard)]
+    assert main(args) == EXIT_PARSE
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        f"parse error: --out {peaks} names the same file as the input {peaks}"
+        f"parse error: --grid-out {hard} names the same file as --out {target}"
     ]
-    assert Path(peaks).read_bytes() == before
+    assert target.read_text() == "kept\n"
 
 
 def test_failed_audit_is_reported_before_the_grid(
@@ -676,6 +695,19 @@ def test_verify_refuses_a_parent_format_certificate(tmp_path, problem_file, caps
         "verification failure: unsupported certificate version None "
         f"(this version reads {FORMAT_VERSION})"
     ]
+
+
+def test_verify_refuses_a_certificate_key_it_does_not_write(tmp_path, capsys):
+    # an added top-level key is refused as a problem or peaks file's would
+    # be, not passed over: the file would claim more than verify checks
+    payload = json.loads((DATA / "seam_cluster.cert.json").read_text())
+    payload["trusted_by"] = "someone"
+    payload["report_extra"] = {"overall": False}
+    cert = write_json(tmp_path / "cert.json", payload)
+    problem = str(DATA / "seam_cluster.problem.json")
+    assert main(["verify", cert, problem]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"parse error: {cert}: unknown field 'trusted_by'"]
 
 
 def test_verify_rejects_non_certificate(tmp_path, problem_file):

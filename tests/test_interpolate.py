@@ -280,6 +280,15 @@ def test_pipeline_zero_data():
     assert np.all(eval_interpolant(g, zs) == 0.0)
 
 
+@pytest.mark.parametrize("margin", [-1.0, 0.0, math.nan, math.inf])
+def test_zero_data_build_refuses_a_bad_margin(margin):
+    # zero data builds no stage, so no off-arc supremum sees the margin: the
+    # build checks it on entry, before a certificate could record it
+    data = BoundaryData.from_pairs([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="safety_margin"):
+        iterative_interpolant(data, 0.01, 5, GRID, margin)
+
+
 def test_pipeline_below_the_floor_bounds_its_residual():
     # data of sup norm below RESIDUAL_FLOOR, but not 0, builds no stage; the
     # zero interpolant leaves the data on E, so the truncation bound is the
@@ -850,6 +859,30 @@ def test_eval_on_circle_rejects_non_finite_angles():
             eval_on_circle(g, bad)
 
 
+_COMPLEX_ANGLES = np.exp(1j * np.array([0.5, 1.5, 2.5]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: FiniteBoundarySet(_COMPLEX_ANGLES),
+        lambda g: FiniteBoundarySet.from_thetas(_COMPLEX_ANGLES),
+        lambda g: BoundaryData.from_pairs(_COMPLEX_ANGLES, [1.0, 2.0, 3.0]),
+        lambda g: eval_on_circle(g, _COMPLEX_ANGLES),
+        lambda g: diskinterp.interpolate.arc_envelope(
+            g, np.stack([_COMPLEX_ANGLES, _COMPLEX_ANGLES], axis=1)
+        ),
+    ],
+    ids=["set", "from_thetas", "from_pairs", "eval_on_circle", "arc_envelope"],
+)
+def test_complex_angles_are_refused(call):
+    # points of the circle given where angles are due are refused, not
+    # taken as the angles of their real parts
+    g = iterative_interpolant(_kernel_problems()["far_pair"], 0.01, 20, GRID, MARGIN)
+    with pytest.raises(DomainError, match="non-finite or complex angle"):
+        call(g)
+
+
 def test_no_python_object_per_point(monkeypatch):
     # E, each stage's data and every peak set are arrays: the build and the
     # audit make an Angle only for an arc centre, one per cluster per stage
@@ -864,7 +897,7 @@ def test_no_python_object_per_point(monkeypatch):
     report = verify_interpolant(g, data, seed=0)
     monkeypatch.undo()
     assert report.overall and len(g.stages) == 20
-    assert 0 < len(made) <= sum(len(s.clustering) for s in g.stages)
+    assert 0 < len(made) <= sum(len(s.clustering.clusters) for s in g.stages)
     wrapped = 0
     for s in g.stages:
         assert s.clustering.data.set is data.set
@@ -909,7 +942,7 @@ def test_conjugation_symmetry(monkeypatch):
 
     def singletons(stage_data, epsilon):
         clustering = cluster_by_oscillation(stage_data, 1e-300)
-        assert len(clustering) == len(thetas)
+        assert len(clustering.clusters) == len(thetas)
         return clustering
 
     monkeypatch.setattr(diskinterp.interpolate, "cluster_by_oscillation", singletons)
